@@ -37,14 +37,6 @@ class StepRejected(PKSError):
     """A single step violated its stability constraint; retry with smaller dt."""
 
 
-class BlowupDetected(PKSError):
-    """Operational blow-up trigger fired during time integration."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
-
 class StiffnessFailure(PKSError):
     """Adaptive stepping exhausted its dt budget without making progress."""
 

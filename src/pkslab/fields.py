@@ -49,15 +49,13 @@ def _clean_values(values, nonnegative, clamp_rtol):
 class RadialField:
     """Radially symmetric density u(r) with dimension tag n in {2,3,4,5}.
 
-    ``grid_kind`` records how the nodes were generated ("uniform" or
-    "graded"); quadrature itself only uses the node positions.  Signed
-    profiles (expansion corrections, differences) set ``nonnegative=False``.
+    Quadrature uses only the node positions.  Signed profiles (expansion
+    corrections, differences) set ``nonnegative=False``.
     """
 
     dim: int
     nodes: np.ndarray
     values: np.ndarray
-    grid_kind: str = "graded"
     nonnegative: bool = True
     clamp_rtol: float = CLAMP_RTOL
 
@@ -297,15 +295,14 @@ def default_radial_field(dim, values_fn, num=None, r_max=None, kind="graded"):
     nodes = radial_grid(
         num or 4096, r_max if r_max is not None else 40.0, kind=kind
     )
-    return RadialField(dim=dim, nodes=nodes, values=values_fn(nodes), grid_kind=kind)
+    return RadialField(dim=dim, nodes=nodes, values=values_fn(nodes))
 
 def indicator_disk(nodes, radius=1.0, dim=2):
     """Indicator of the ball of given radius, 1/2 on a node exactly at the rim."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.where(nodes < radius, 1.0, 0.0)
     values[np.isclose(nodes, radius, rtol=0.0, atol=1e-14)] = 0.5
-    return RadialField(dim=dim, nodes=nodes, values=values, grid_kind="uniform"
-                       if np.allclose(np.diff(nodes), nodes[1] - nodes[0]) else "graded")
+    return RadialField(dim=dim, nodes=nodes, values=values)
 
 
 def gaussian_cartesian(mass, extent=DEFAULT_EXTENT, size=DEFAULT_SIZE,
@@ -351,14 +348,8 @@ def read_snapshot(path):
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if meta["kind"] == "radial":
         nodes, values = rows[:, 0], rows[:, 1]
-        spacing = np.diff(nodes)
-        kind = "uniform" if np.allclose(spacing, spacing[0], rtol=1e-9) else "graded"
         signed = bool(values.min() < 0)
-        return (
-            RadialField(dim=dim, nodes=nodes, values=values, grid_kind=kind,
-                        nonnegative=not signed),
-            t,
-        )
+        return RadialField(dim=dim, nodes=nodes, values=values, nonnegative=not signed), t
     n = int(round(math.sqrt(rows.shape[0])))
     values = rows[:, 2].reshape(n, n)
     extent = -rows[0, 0]

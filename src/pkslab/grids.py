@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .errors import InvalidParameter
 
-# Surface area of the unit sphere S^{n-1} and volume of the unit ball in R^n.
+# Surface area of the unit sphere S^{n-1}.
 SPHERE_AREA = {
     1: 2.0,
     2: 2.0 * math.pi,
@@ -22,7 +22,6 @@ SPHERE_AREA = {
     4: 2.0 * math.pi**2,
     5: 8.0 * math.pi**2 / 3.0,
 }
-BALL_VOLUME = {n: SPHERE_AREA[n] / n for n in SPHERE_AREA}
 
 DEFAULT_RADIAL_NODES = 4096
 DEFAULT_RADIAL_RMAX = 40.0
@@ -105,6 +104,17 @@ def cumulative_shell_mass(nodes, values, dim, order=2):
     return cumulative_integral(nodes, g, order=order)
 
 
+def _even_extension(nodes, values):
+    """Mirror a radial profile across r=0, without doubling a node at 0."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if nodes[0] == 0.0:
+        return (np.concatenate([-nodes[:0:-1], nodes]),
+                np.concatenate([values[:0:-1], values]))
+    return (np.concatenate([-nodes[::-1], nodes]),
+            np.concatenate([values[::-1], values]))
+
+
 def radial_derivatives(nodes, values, order=5):
     """First and second radial derivatives of a smooth radial profile.
 
@@ -113,14 +123,7 @@ def radial_derivatives(nodes, values, order=5):
     quintic spline, giving ~4th-order accurate second derivatives on smoothly
     graded grids.  Returns (dU/dr, d2U/dr2) on the input nodes.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if nodes[0] == 0.0:
-        xs = np.concatenate([-nodes[:0:-1], nodes])
-        ys = np.concatenate([values[:0:-1], values])
-    else:
-        xs = np.concatenate([-nodes[::-1], nodes])
-        ys = np.concatenate([values[::-1], values])
+    xs, ys = _even_extension(nodes, values)
     spl = make_interp_spline(xs, ys, k=order)
     return spl(nodes, 1), spl(nodes, 2)
 
@@ -141,13 +144,7 @@ def radial_interpolator(nodes, values):
     Returns a callable f(r) accepting arrays of nonnegative radii.
     """
     nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if nodes[0] == 0.0:
-        xs = np.concatenate([-nodes[:0:-1], nodes])
-        ys = np.concatenate([values[:0:-1], values])
-    else:
-        xs = np.concatenate([-nodes[::-1], nodes])
-        ys = np.concatenate([values[::-1], values])
+    xs, ys = _even_extension(nodes, values)
     spline = CubicSpline(xs, ys, extrapolate=False)
     r_max = nodes[-1]
 

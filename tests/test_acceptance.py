@@ -1,347 +1,152 @@
-"""Acceptance suite: one test per acceptance criterion, at the stated
-tolerances, each printing a pass/fail line with the measured value.
+"""Acceptance suite: criteria 1-10, each asserted through the bundled
+scenarios that measure it.
 
-These are the exit criteria of the package; everything here runs on desk-scale
-grids within the documented runtime budgets.
+The numerics live in the named checks of ``pkslab.cli``; this file holds only
+the spec: which scenario checks carry each criterion, and the tolerance and
+expected value each check must report, so a loosened scenario file fails the
+gate as surely as a failed check.  ``pytest tests/test_acceptance.py -v -s``
+prints one PASS/FAIL line per check.
 """
 
+import configparser
+import json
 import math
 
-import numpy as np
 import pytest
 
-from pkslab import (
-    asymptotics as asy,
-    diagnostics as dg,
-    evolution as ev,
-    fields,
-    potential,
-    profiles,
-    semigroup as sg,
-)
-from pkslab.grids import radial_grid
-from pkslab.fields import l1_distance, lp_norm, total_mass
+from pkslab import cli
 
-from conftest import gaussian_radial
+ANY = object()  # an expected value the check computes from the run itself
 
+# criterion 1 runs virial_2d at four masses; see test_acceptance_1_*
+VIRIAL = {
+    "virial_2d:virial_slope": (0.01, ANY),
+    "virial_2d:mass_conservation": (1e-7, 0.0),
+}
 
-def _report(criterion, label, passed, measured):
-    state = "PASS" if passed else "FAIL"
-    print(f"[{state}] acceptance {criterion}: {label}  measured={measured}")
-    return passed
-
-
-# -- criterion 1: 2D virial identity ---------------------------------------
-
-@pytest.mark.parametrize("mult", [2, 4, 6, 8])
-def test_acceptance_1_virial_identity(mult):
-    mass = mult * math.pi
-    u0 = fields.gaussian_cartesian(mass, extent=20.0, size=256, t0=1.0)
-    cfg = ev.SolverConfig(t_init=1.0, t_end=5.0,
-                          advection_scheme="pseudo-spectral",
-                          clamp_tolerance=3e-8)
-    traj = ev.evolve(u0, cfg)
-    slope = dg.virial_slope(traj)
-    expected = dg.virial_prediction_2d(mass)
-    if mult == 8:
-        ok = abs(slope - expected) <= 0.25
-        label = f"virial slope M=8pi (absolute; tol 0.25)"
-    else:
-        ok = abs(slope - expected) <= 0.01 * abs(expected)
-        label = f"virial slope M={mult}pi (relative; tol 1%)"
-    assert _report(1, label, ok, f"{slope:.6f} vs {expected:.6f}")
-
-
-# -- criterion 2: 2D threshold behaviour ------------------------------------
-
-def test_acceptance_2_subcritical_decay():
-    mass = 4.0 * math.pi
-    nodes = radial_grid(2048, 160.0)
-    u0 = gaussian_radial(2, mass, nodes, t0=1.0)
-    traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=100.0))
-    t = traj.times()
-    weighted = t * traj.sup_norms()
-    mask = t >= 10.0
-    slope, _, _ = asy.fit_rate(t[mask], weighted[mask])
-    finite = math.isfinite(weighted.max())
-    ok = finite and -0.5 <= slope <= 0.1
-    assert _report(2, "t*sup slope in [-0.5, 0.1] over t in [10,100]", ok,
-                   f"slope={slope:.4f} sup envelope={weighted.max():.4f}")
-
-
-def test_acceptance_2_supercritical_blowup():
-    mass = 10.0 * math.pi
-    nodes = radial_grid(1024, 20.0)
-    u0 = gaussian_radial(2, mass, nodes, t0=1.0)
-    traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=7.0,
-                                         blowup_factor=1e6))
-    m2_0 = traj.records[0].moments.second_moment
-    deadline = 1.2 * m2_0 / abs(dg.virial_prediction_2d(mass))
-    elapsed = traj.blowup_time - 1.0 if traj.blowup else math.inf
-    ok = traj.blowup and elapsed <= deadline
-    assert _report(2, "blow-up detected before 1.2x virial vanishing time", ok,
-                   f"elapsed={elapsed:.3f} deadline={deadline:.3f}")
+# "<criterion>_<label>" -> {"<scenario>:<check>": (tolerance, expected)}
+CRITERIA = {
+    "2_subcritical_decay": {
+        "threshold_2d:threshold_slope": (None, [-0.5, 0.1]),
+        "threshold_2d:mass_conservation": (1e-7, 0.0),
+    },
+    "2_supercritical_blowup": {"blowup_sweep:blowup_deadline": (1.2, ANY)},
+    "3_profile_residuals": {"profile_gm:profile_residual": (1e-6, 0.0)},
+    "3_profile_stationarity": {"profile_gm:profile_stationarity": (1e-3, 0.0)},
+    "3_gaussian_relaxes_to_profile": {"profile_gm:profile_relaxation": (0.05, 0.0)},
+    "4_sup_norm_rate": {"rate_n3:sup_rate": (0.1, -1.5)},
+    "4_l1_distance_decays": {"rate_n3:l1_rate_negative": (None, "< 0.0")},
+    "4_weighted_sup_decreasing": {
+        "rate_n3:weighted_sup_decreasing": (None, "< 1 monotone"),
+    },
+    "5_first_order_expansion_rate": {
+        "semigroup_expansion:expansion_rate": (0.95, 1.0),
+    },
+    "6_c2_oracles": {"c2_constant:c2_agreement": (1e-3, 0.0)},
+    "6_c1_monte_carlo": {"c2_constant:c1_mc_agreement": (5e-3, 0.0)},
+    "7_w_function": {
+        "wstar_moments:wstar_quadrature": (
+            1e-6, {"integrand_slope": ">= 0.45", "mass_defect": 0.0}),
+        "wstar_moments:wstar_moment_stability": (0.01, 0.0),
+        "wstar_moments:w_pde_residual": (1e-3, 0.0),
+        "wstar_moments:w_self_similarity": (1e-10, 0.0),
+    },
+    "8_phi_monotonicity": {"phi_monotone:phi_margin": (1e-3, ">= 0")},
+    "8_phi_pure_heat_control": {"phi_monotone:phi_pure_heat": (1e-4, 0.0)},
+    "9_potential_bound": {
+        "potential_bound:potential_disk": (
+            1e-3, {"lhs": 0.5, "rhs_core": math.sqrt(math.pi)}),
+        "potential_bound:potential_sweep": (1e-10, {"max_ratio": "<= 5.0"}),
+    },
+    "10_mass_conservation": {
+        "duhamel_check:mass_conservation": (1e-7, 0.0),
+        "rate_n3:mass_conservation": (1e-7, 0.0),
+    },
+    "10_semigroup_law": {"property_suite:semigroup_law": (1e-7, 0.0)},
+    "10_null_conditions": {"property_suite:null_conditions": (1e-8, 0.0)},
+    "10_duhamel": {
+        "duhamel_check:duhamel": (5e-3, 0.0),
+        "duhamel_check:duhamel_negative_control": (None, ">= 0.05"),
+    },
+    "10_kernel_taylor_exponent": {
+        "property_suite:kernel_remainder_exponent": (1.4, 1.5),
+    },
+}
 
 
-# -- criterion 3: self-similar profile --------------------------------------
+def _run(config, out_dir):
+    code = cli.run_scenario(config, out_dir=out_dir)
+    summary = out_dir / "summary.json"
+    return code, json.loads(summary.read_text()) if summary.exists() else None
 
-def test_acceptance_3_profile_residuals():
-    grid = radial_grid(6144, 30.0)
-    worst = 0.0
-    for mass in (0.1, math.pi, 4.0 * math.pi, 7.0 * math.pi):
-        res = profiles.self_similar_profile_2d(mass, grid=grid)
-        worst = max(worst, res.residual)
-        assert res.converged
-    ok = worst <= 1e-6
-    assert _report(3, "G_M residual <= 1e-6 for M in {0.1, pi, 4pi, 7pi}", ok,
-                   f"worst={worst:.2e}")
-
-
-def test_acceptance_3_profile_stationarity(gm_4pi):
-    cfg = ev.SolverConfig(t_init=0.0, t_end=5.0, advection_scheme="central",
-                          reference="profile")
-    traj = ev.evolve_similarity(gm_4pi.field, cfg, reference_field=gm_4pi.field)
-    drift = float(np.nanmax(traj.l1_errors()))
-    ok = drift <= 1e-3
-    assert _report(3, "similarity flow from G_M stays within 1e-3 in L1", ok,
-                   f"max drift={drift:.2e}")
-
-
-def test_acceptance_3_gaussian_relaxes_to_profile(gm_4pi):
-    mass = 4.0 * math.pi
-    g0 = profiles.gaussian_profile(2, mass, gm_4pi.field.nodes)
-    cfg = ev.SolverConfig(t_init=0.0, t_end=6.0, advection_scheme="central",
-                          reference="profile")
-    traj = ev.evolve_similarity(g0, cfg, reference_field=gm_4pi.field)
-    errs = traj.l1_errors()
-    decreasing = bool(np.all(np.diff(errs) < 1e-12))
-    ok = decreasing and errs[-1] <= 0.05 * mass
-    assert _report(3, "Gaussian relaxes to G_M (decreasing, final <= 0.05 M)",
-                   ok, f"final/M={errs[-1] / mass:.4f}")
-
-
-# -- criterion 4: higher-dimensional decay rate ------------------------------
 
 @pytest.fixture(scope="module")
-def n3_run():
-    nodes = radial_grid(2048, 160.0)
-    u0 = gaussian_radial(3, 2.0, nodes, t0=1.0)
-    cfg = ev.SolverConfig(t_init=1.0, t_end=200.0, reference="m_gamma_t")
-    return ev.evolve(u0, cfg)
+def run_bundled(tmp_path_factory):
+    """Runs each bundled scenario once for the module: name -> (code, summary)."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = _run(cli.SCENARIO_DIR / f"{name}.cfg",
+                              tmp_path_factory.mktemp(name))
+        return runs[name]
+
+    return run
 
 
-def test_acceptance_4_sup_norm_rate(n3_run):
-    t = n3_run.times()
-    mask = t >= 10.0
-    slope, _, _ = asy.fit_rate(t[mask], n3_run.sup_norms()[mask])
-    ok = abs(slope + 1.5) <= 0.1
-    assert _report(4, "n=3 sup-norm exponent -1.5 +- 0.1", ok, f"{slope:.4f}")
+def _assert_criterion(criterion, spec, run):
+    failed = []
+    for key, (tolerance, expected) in spec.items():
+        scenario, check = key.split(":")
+        code, summary = run(scenario)
+        result = summary["checks"].get(check) if summary else None
+        ok = (code == 0 and result is not None and result["pass"]
+              and result["tolerance"] == tolerance
+              and (expected is ANY or result["expected"] == expected))
+        measured = result["measured"] if result else f"exit code {code}"
+        print(f"[{'PASS' if ok else 'FAIL'}] acceptance {criterion}: {key}  "
+              f"measured={measured}")
+        if not ok:
+            failed.append((key, code, result))
+    assert not failed
 
 
-def test_acceptance_4_l1_distance_decays(n3_run):
-    t = n3_run.times()
-    l1 = n3_run.l1_errors()
-    mask = (t >= 10.0) & (l1 > 0)
-    slope, _, _ = asy.fit_rate(t[mask], l1[mask])
-    ok = slope < 0.0
-    assert _report(4, "n=3 |u - M Gamma_t|_1 slope strictly negative", ok,
-                   f"{slope:.4f}")
+@pytest.mark.parametrize("mult", [2, 4, 6, 8])
+def test_acceptance_1_virial_identity(mult, tmp_path):
+    config = configparser.ConfigParser()
+    config.read(cli.SCENARIO_DIR / "virial_2d.cfg")
+    config["initial"]["mass"] = repr(mult * math.pi)
+    spec = dict(VIRIAL)
+    if mult == 8:  # the predicted slope vanishes: the tolerance is absolute
+        config["check:virial_slope"].update(mode="absolute", tolerance="0.25")
+        spec["virial_2d:virial_slope"] = (0.25, 0.0)
+    path = tmp_path / "virial_2d.cfg"
+    with open(path, "w") as fh:
+        config.write(fh)
+    result = _run(path, tmp_path / "out")
+    _assert_criterion(1, spec, lambda name: result)
 
 
-def test_acceptance_4_weighted_sup_decreasing(n3_run):
-    mass = 2.0
-    t = n3_run.times()
-    dist = []
-    for rec in n3_run.records:
-        nodes = rec.field.nodes
-        gamma = mass * (4 * math.pi * rec.time) ** -1.5 * np.exp(
-            -(nodes**2) / (4.0 * rec.time)
-        )
-        dist.append(float(np.abs(rec.field.values - gamma).max()))
-    weighted = t**1.5 * np.asarray(dist)
-    tail = weighted[t >= 20.0]
-    ok = bool(np.all(np.diff(tail) < 0.0))
-    assert _report(4, "t^{3/2}|u - M Gamma_t|_inf decreasing over last decade",
-                   ok, f"ratio end/start={tail[-1] / tail[0]:.3f}")
+def _criterion_test(label, spec):
+    def test(run_bundled):
+        _assert_criterion(int(label.split("_")[0]), spec, run_bundled)
+
+    test.__name__ = f"test_acceptance_{label}"
+    return test
 
 
-# -- criterion 5: first-order expansion --------------------------------------
-
-def test_acceptance_5_first_order_expansion_rate():
-    mass, shift = 3.0, 1.2
-    u0 = fields.gaussian_cartesian(mass, center=(shift, 0.0), t0=1.0)
-    taus = np.linspace(2.0, 8.0, 13)
-    errs = []
-    for tau in taus:
-        out = sg.similarity_semigroup(u0, tau)
-        ref = sg.first_order_heat_expansion(u0, tau)
-        errs.append(lp_norm(out.with_values(out.values - ref.values,
-                                            nonnegative=False), 1))
-    rate = asy.fit_exponential_rate(taus, np.array(errs))
-    ok = rate >= 0.95
-    assert _report(5, "linear expansion residual decay exponent >= 0.95", ok,
-                   f"{rate:.4f}")
+# one named test per criterion entry, so each stays selectable with -k
+for _label, _spec in CRITERIA.items():
+    globals()[f"test_acceptance_{_label}"] = _criterion_test(_label, _spec)
 
 
-# -- criterion 6: constants oracle equivalence --------------------------------
-
-def test_acceptance_6_c2_oracles():
-    display = asy.constant_c2(1.0)
-    oracle = asy.constant_c2_oracle(1.0)
-    closed = asy.C2_UNIT_CLOSED_FORM
-    rel_pair = abs(display - oracle) / closed
-    rel_closed = max(abs(display - closed), abs(oracle - closed)) / closed
-    ok = rel_pair <= 1e-3 and rel_closed <= 1e-3
-    assert _report(6, "c2(1): display vs reduced-1D oracle vs 1/(256 pi^4)", ok,
-                   f"pair={rel_pair:.2e} closed={rel_closed:.2e}")
-
-
-def test_acceptance_6_c1_monte_carlo(wstar_default):
-    quad = asy.constant_c1(1.0, [1.0, 0.0, 0.0], wstar_default).value
-    mc = asy.constant_c1_monte_carlo(1.0, [1.0, 0.0, 0.0], wstar_default,
-                                     samples=10_000_000, seed=1)
-    rel = abs(mc - quad) / abs(quad)
-    ok = rel <= 5e-3
-    assert _report(6, "c1(1, e1): quadrature vs 1e7-sample Monte Carlo <= 0.5%",
-                   ok, f"rel={rel:.2e} c1={quad:.6e}")
-
-
-# -- criterion 7: the W function ----------------------------------------------
-
-def test_acceptance_7_w_function(wstar_default):
-    xi = np.linspace(0.0, 8.0, 33)
-    w1 = asy.w_function(wstar_default, 1.0, nodes=xi).values
-    w4 = 16.0 * asy.w_function(wstar_default, 4.0, nodes=2.0 * xi).values
-    selfsim = float(np.abs(w4 - w1).max() / np.abs(w1).max())
-    pde = asy.w_pde_residual(wstar_default, t=1.0)
-    mass_defect = abs(wstar_default.mass_defect())
-    refined = asy.w_star(grid=radial_grid(1536, 28.0), s_step=0.3)
-    stability = max(
-        abs(refined.moment(k) - wstar_default.moment(k)) / wstar_default.moment(k)
-        for k in (0, 2, 4)
-    )
-    ok = (selfsim <= 1e-10 and pde <= 1e-3 and stability <= 0.01
-          and mass_defect <= 1e-6)
-    assert _report(
-        7, "W: self-similar 1e-10, PDE residual 1e-3, moments 1%, null mass",
-        ok,
-        f"selfsim={selfsim:.1e} pde={pde:.1e} moments={stability:.1e} "
-        f"mass={mass_defect:.1e}",
-    )
-
-
-# -- criterion 8: Phi-density monotonicity -------------------------------------
-
-def test_acceptance_8_phi_monotonicity(phi_run_2d):
-    s1 = 2.0
-    rho = dg.rho_grid_from_records(phi_run_2d, s1, 0.1, 1.0)
-    _, phi, margin = dg.phi_scan(phi_run_2d, (0.0, s1), rho)
-    rel_margin = float((margin[1:-1] / phi[1:-1]).min())
-    ok = rel_margin >= -1e-3
-    assert _report(8, "subcritical min margin >= -1e-3 * Phi", ok,
-                   f"{rel_margin:.3e}")
-
-
-def test_acceptance_8_phi_pure_heat_control():
-    mass = 4.0 * math.pi
-    nodes = radial_grid(1536, 40.0)
-    u0 = gaussian_radial(2, mass, nodes, t0=0.99)
-    times = tuple(np.round(np.arange(0.99, 2.0001, 0.0025), 6))
-    cfg = ev.SolverConfig(t_init=0.99, t_end=2.0, nonlinearity=False,
-                          record_times=times)
-    traj = ev.evolve(u0, cfg)
-    s1 = 2.0
-    rho = dg.rho_grid_from_records(traj, s1, 0.1, 1.0)
-    phi = np.array([dg.phi_density(traj, (0.0, s1), p) for p in rho])
-    exact = mass * rho**2 / (4.0 * math.pi * s1)
-    rel = float(np.abs(phi / exact - 1.0).max())
-    ok = rel <= 1e-4
-    assert _report(8, "pure-heat Phi matches M rho^2/(4 pi s1) to 1e-4", ok,
-                   f"{rel:.2e}")
-
-
-# -- criterion 9: potential bound ----------------------------------------------
-
-def test_acceptance_9_potential_bound():
-    nodes = np.linspace(0.0, 4.0, 4097)
-    disk = fields.indicator_disk(nodes)
-    lhs, rhs_core, _ = potential.sup_gradient_bound_check(disk)
-    disk_ok = abs(lhs - 0.5) <= 1e-3 and abs(rhs_core - math.sqrt(math.pi)) <= 1e-3
-    rng = np.random.default_rng(1)
-    sweep_nodes = radial_grid(2048, 24.0)
-    worst_ratio, worst_scaling = 0.0, 0.0
-    for _ in range(50):
-        dim = int(rng.integers(2, 5))
-        values = np.zeros_like(sweep_nodes)
-        for _ in range(int(rng.integers(1, 4))):
-            c = rng.uniform(0.0, 6.0)
-            w = rng.uniform(0.4, 2.0)
-            values += rng.uniform(0.1, 3.0) * np.exp(-((sweep_nodes - c) ** 2) / w**2)
-        u = fields.RadialField(dim=dim, nodes=sweep_nodes, values=values)
-        _, _, ratio = potential.sup_gradient_bound_check(u)
-        _, _, scaled = potential.sup_gradient_bound_check(
-            u.with_values(11.0 * values)
-        )
-        worst_ratio = max(worst_ratio, ratio)
-        worst_scaling = max(worst_scaling, abs(scaled - ratio))
-    ok = disk_ok and worst_ratio <= 5.0 and worst_scaling <= 1e-10
-    assert _report(
-        9, "disk exact values; sweep ratio <= 5; amplitude invariance 1e-10",
-        ok,
-        f"lhs={lhs:.5f} rhs={rhs_core:.5f} max_ratio={worst_ratio:.3f} "
-        f"scaling={worst_scaling:.1e}",
-    )
-
-
-# -- criterion 10: property suite -----------------------------------------------
-
-def test_acceptance_10_mass_conservation(reference_run_2d, n3_run):
-    worst = max(reference_run_2d.mass_drift(), n3_run.mass_drift())
-    ok = worst <= 1e-7
-    assert _report(10, "mass conservation <= 1e-7 per run", ok, f"{worst:.2e}")
-
-
-def test_acceptance_10_semigroup_law(default_nodes):
-    f = gaussian_radial(2, 4.0 * math.pi, default_nodes, t0=0.5)
-    one = sg.similarity_semigroup(sg.similarity_semigroup(f, 0.7), 0.9)
-    two = sg.similarity_semigroup(f, 1.6)
-    err = l1_distance(one, two)
-    ok = err <= 1e-7
-    assert _report(10, "semigroup law L1 discrepancy <= 1e-7", ok, f"{err:.2e}")
-
-
-def test_acceptance_10_null_conditions():
-    worst = 0.0
-    for dim in (2, 3, 4, 5):
-        checks = asy.null_structure_checks(dim)
-        worst = max(worst, abs(checks["div_mass_integral"]),
-                    abs(checks["pair_null_mismatch"]))
-    ok = worst <= 1e-8
-    assert _report(10, "null conditions <= 1e-8", ok, f"{worst:.2e}")
-
-
-def test_acceptance_10_duhamel(reference_run_2d):
-    res = ev.duhamel_residual(reference_run_2d)
-    ok = res <= 5e-3
-    assert _report(10, "Duhamel residual <= 5e-3 on reference run", ok,
-                   f"{res:.2e}")
-
-
-def test_acceptance_10_kernel_taylor_exponent():
-    rng = np.random.default_rng(1)
-    ss = np.linspace(2.0, 10.0, 17)
-    rates = []
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        xi = rng.normal(size=n)
-        xi *= rng.uniform(0, 1) / max(np.linalg.norm(xi), 1e-12)
-        z = rng.normal(size=n)
-        z *= rng.uniform(0, 1) / max(np.linalg.norm(z), 1e-12)
-        rems = np.array(
-            [abs(sg.kernel_taylor_terms(xi, z, s, n)[3]) for s in ss]
-        )
-        rates.append(asy.fit_exponential_rate(ss, np.maximum(rems, 1e-300)))
-    median = float(np.median(rates))
-    ok = median >= 1.4
-    assert _report(10, "kernel Taylor remainder exponent >= 1.4 (target 1.5)",
-                   ok, f"median={median:.3f}")
+def test_every_bundled_check_is_accepted():
+    """Each named check runs in a bundled scenario, and each check of each
+    bundled scenario is asserted by a criterion above."""
+    bundled = {
+        f"{name}:{check}"
+        for name in cli.bundled_scenarios()
+        for check, _ in cli.load_scenario(cli.SCENARIO_DIR / f"{name}.cfg").checks
+    }
+    assert {key.split(":")[1] for key in bundled} == set(cli.CHECKS)
+    assert set(VIRIAL).union(*CRITERIA.values()) == bundled

