@@ -134,7 +134,9 @@ def w_star(grid=None, s_max=None, tol=1e-10, s_step=0.6):
         if s == 0.0:
             integrand = source.values
         else:
-            evolved = _apply_radial(source, a=-math.expm1(-s), shrink=math.exp(-s / 2.0))
+            # each s-node's kernel is used once: keep it out of the cache
+            evolved = _apply_radial(source, a=-math.expm1(-s),
+                                    shrink=math.exp(-s / 2.0), cached=False)
             integrand = math.exp(s / 2.0) * evolved.values
         slices.append(integrand)
         l1_list.append(float(np.sum(w_meas * np.abs(integrand))))

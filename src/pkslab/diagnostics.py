@@ -23,7 +23,7 @@ from .potential import (
     radial_gradient,
     radial_potential,
 )
-from .semigroup import gaussian_values, scaled_sphere_average
+from .semigroup import gaussian_values, kernel_row, scaled_sphere_average
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -164,14 +164,14 @@ def phi_density(trajectory, z1, rho):
     s = s1 - rho * rho
     field = trajectory.field_at(s)  # raises OutOfRange when s is outside
     n = field.dim
-    pref = (4.0 * math.pi) ** (-n / 2.0) * rho ** (2.0 - n)
     if isinstance(field, RadialField):
+        # the heat kernel of width rho^2 at radius |y0|, times rho^2
         d = float(np.linalg.norm(np.atleast_1d(np.asarray(y0, dtype=float))))
         w = radial_measure_weights(field.nodes, n)
-        z = field.nodes * d / (2.0 * rho * rho)
-        kern = np.exp(-((field.nodes - d) ** 2) / (4.0 * rho * rho))
-        kern = kern * scaled_sphere_average(n, z)
-        return pref * float(np.sum(w * field.values * kern))
+        band, gauss, z = kernel_row(field.nodes, n, d, rho * rho)
+        kern = gauss * scaled_sphere_average(n, z)
+        return rho * rho * float(np.sum(w[band] * field.values[band] * kern))
+    pref = (4.0 * math.pi) ** (-n / 2.0) * rho ** (2.0 - n)
     y0 = np.asarray(y0, dtype=float)
     xx, yy = field.meshgrid()
     kern = np.exp(-((xx - y0[0]) ** 2 + (yy - y0[1]) ** 2) / (4.0 * rho * rho))

@@ -29,7 +29,14 @@ from . import diagnostics as _diagnostics
 from .fields import CartesianField2D, RadialField, moments, total_mass
 from .grids import SPHERE_AREA, cumulative_shell_mass, radial_measure_weights
 from .potential import cartesian_gradient_2d, enclosed_mass
-from .semigroup import KernelParams, _apply_radial, _radial_propagator, line_propagator, scaled_sphere_average, scaled_sphere_average_cos
+from .semigroup import (
+    KernelParams,
+    _radial_propagator,
+    kernel_row,
+    line_propagator,
+    scaled_sphere_average,
+    scaled_sphere_average_cos,
+)
 
 
 def nonlinearity_weight(dim, tau):
@@ -451,14 +458,6 @@ def evolve_similarity(U0, config=None, reference_field=None):
 # Duhamel (mild-solution) residual
 # ---------------------------------------------------------------------------
 
-def _radial_heat_row(nodes, dim, r, dt):
-    """Quadrature row of the heat kernel at radius r (raw, not renormalised)."""
-    w = radial_measure_weights(nodes, dim)
-    z = r * nodes / (2.0 * dt)
-    pref = (4.0 * math.pi * dt) ** (-dim / 2.0)
-    return pref * np.exp(-((r - nodes) ** 2) / (4.0 * dt)) * scaled_sphere_average(dim, z) * w
-
-
 def duhamel_residual(trajectory, sample_points=None, zero_nonlinear=False,
                      n_time_nodes=192):
     """Max relative mismatch of the mild-solution identity at sampled (r, t).
@@ -487,13 +486,17 @@ def duhamel_residual(trajectory, sample_points=None, zero_nonlinear=False,
         t_samples = times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]
         sample_points = [(r, t) for r in radii for t in t_samples]
     w = radial_measure_weights(nodes, dim)
+    area = np.where(nodes > 0, SPHERE_AREA[dim] * nodes ** (dim - 1), 1.0)
     worst = 0.0
     for r, t in sample_points:
         field_t = trajectory.field_at(t)
         u_actual = float(rec0.field.interpolator()(np.array([r]))[0]) if t == t0 else float(
             field_t.interpolator()(np.array([r]))[0]
         )
-        heat = float(_radial_heat_row(nodes, dim, r, t - t0) @ rec0.field.values)
+        # quadrature rows of the heat kernel (raw, not renormalised), on its band
+        band, gauss, z = kernel_row(nodes, dim, r, t - t0)
+        heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
+                     @ rec0.field.values[band])
         correction = 0.0
         if not zero_nonlinear and trajectory.config.nonlinearity:
             q_max = math.sqrt(t - t0)
@@ -503,19 +506,15 @@ def duhamel_residual(trajectory, sample_points=None, zero_nonlinear=False,
                 s = max(t - q * q, t0)  # guard the rounding at q = q_max
                 dt_gap = t - s
                 fld = trajectory.field_at(s)
-                vprime = -enclosed_mass(fld) / np.where(
-                    nodes > 0, SPHERE_AREA[dim] * nodes ** (dim - 1), 1.0
-                )
+                vprime = -enclosed_mass(fld) / area
                 vprime[nodes == 0] = 0.0
-                z = r * nodes / (2.0 * dt_gap)
-                pref = (4.0 * math.pi * dt_gap) ** (-dim / 2.0)
-                gauss = np.exp(-((r - nodes) ** 2) / (4.0 * dt_gap))
+                band, gauss, z = kernel_row(nodes, dim, r, dt_gap)
                 lam0 = scaled_sphere_average(dim, z)
                 lam1 = scaled_sphere_average_cos(dim, z)
-                inner = float(
-                    np.sum(w * fld.values * vprime * gauss * (nodes * lam0 - r * lam1))
-                    * pref
-                )
+                inner = float(np.sum(
+                    w[band] * fld.values[band] * vprime[band] * gauss
+                    * (nodes[band] * lam0 - r * lam1)
+                ))
                 # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
                 vals[k] = -0.5 * inner * 2.0 / q
             correction = float(np.trapezoid(vals, qs))

@@ -29,7 +29,6 @@ class ProfileResult:
     mass: float
     residual: float
     iterations: int
-    converged: bool
 
 
 def gaussian_profile(dim, mass, grid=None):
@@ -68,12 +67,9 @@ def self_similar_profile_2d(mass, grid=None, tol=1e-10, max_iter=500,
     nodes = radial_grid() if grid is None else np.asarray(grid, dtype=float)
     if mass == 0.0:
         zero = RadialField(dim=2, nodes=nodes, values=np.zeros_like(nodes))
-        return ProfileResult(field=zero, mass=0.0, residual=0.0, iterations=0,
-                             converged=True)
+        return ProfileResult(field=zero, mass=0.0, residual=0.0, iterations=0)
     w = radial_measure_weights(nodes, 2)
     values = mass * gaussian_values(2, nodes)
-    iterations = 0
-    converged = False
     for iterations in range(1, max_iter + 1):
         field = RadialField(dim=2, nodes=nodes, values=values)
         v = radial_potential(field, gauge="origin", order=4)
@@ -82,20 +78,18 @@ def self_similar_profile_2d(mass, grid=None, tol=1e-10, max_iter=500,
         update = float(np.sum(w * np.abs(candidate - values)))
         values = (1.0 - relaxation) * values + relaxation * candidate
         if update <= tol:
-            converged = True
             break
-    values *= mass / float(np.sum(w * values))
-    field = RadialField(dim=2, nodes=nodes, values=values)
-    if not converged:
+    else:
         raise FixedPointStalled(
             f"profile iteration did not converge in {max_iter} steps at mass {mass:.6g}"
         )
+    values *= mass / float(np.sum(w * values))
+    field = RadialField(dim=2, nodes=nodes, values=values)
     return ProfileResult(
         field=field,
         mass=mass,
         residual=stationary_residual(field),
         iterations=iterations,
-        converged=converged,
     )
 
 

@@ -7,16 +7,20 @@ The semigroup generated by L_n = Laplacian + xi.grad/2 + n/2 acts as
 
 with a(tau) = 1 - exp(-tau) and shrink factor c = exp(-tau/2); the plain heat
 kernel is the (a, c) = (t, 1) member of the same family.  On radial grids the
-angular integral collapses to a modified-Bessel factor and the kernel becomes
-a dense matrix in radius; columns are renormalised so the discrete operator
-conserves mass exactly against the shared trapezoid weights.  On 2D Cartesian
-grids the kernel separates per axis into two small matrices.
+angular integral collapses to a modified-Bessel factor.  The kernel matrix
+in radius is built on its band |r - c s| <= sqrt(4 a BAND_EXPONENT), outside
+which every entry is below e^-60 of the kernel's peak, and stored as CSR; a
+band that fills more than half the matrix is evaluated whole and stored dense.
+Columns are renormalised so the discrete operator conserves mass exactly
+against the shared trapezoid weights.  On 2D Cartesian grids the kernel
+separates per axis into two small matrices.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import gamma as gamma_fn
 from scipy.special import i0e, i1e, ive
 
@@ -78,6 +82,8 @@ def scaled_sphere_average_cos(dim, z):
     Gamma(n/2) (2/z)^{n/2-1} I_{n/2}(z) exp(-z); tends to z/n as z -> 0.
     """
     z = np.asarray(z, dtype=float)
+    if dim == 2:
+        return i1e(z)
     nu = dim / 2.0 - 1.0
     out = z / dim
     big = z > 1e-12
@@ -87,44 +93,128 @@ def scaled_sphere_average_cos(dim, z):
 
 
 # ---------------------------------------------------------------------------
-# radial propagator matrices
+# radial kernel: one formula, evaluated on its band
 # ---------------------------------------------------------------------------
 
-_PROPAGATOR_CACHE = {}
-_PROPAGATOR_CACHE_BYTES = 500 * 1024**2  # evict oldest beyond this budget
+# Kernel entries with (r - c s)^2 > 4 a BAND_EXPONENT are dropped (the dense
+# layout keeps them; they cost it nothing).  The n-dimensional kernel never
+# exceeds its Gaussian factor, so each dropped entry is below e^-60 (~9e-27)
+# of the kernel's peak (4 pi a)^{-n/2}: far under double-precision rounding
+# of the entries that carry the mass.
+BAND_EXPONENT = 60.0
 
 
-def _radial_propagator(nodes, dim, a, shrink):
-    """Dense matrix P with (P u)_i ~= (kernel_{a,c} u)(r_i), mass-exact.
+def radial_kernel(dim, a, r, s):
+    """Gaussian factor and Bessel argument of the radial heat kernel.
+
+    The angular average of (4 pi a)^{-n/2} exp(-|x - y|^2 / (4a)) over
+    |x| = r, |y| = s is ``gauss * scaled_sphere_average(n, z)``, with
+    gauss = (4 pi a)^{-n/2} exp(-(r - s)^2 / (4a)) and z = r s / (2a); its
+    cosine-weighted average uses :func:`scaled_sphere_average_cos` instead.
+    Returns ``(gauss, z)``; r and s broadcast.
+    """
+    pref = (4.0 * math.pi * a) ** (-dim / 2.0)
+    return pref * np.exp(-((r - s) ** 2) / (4.0 * a)), r * s / (2.0 * a)
+
+
+def _band_edges(points, centers, a):
+    """Index range [lo, hi) of the increasing ``points`` in each center's band."""
+    h = math.sqrt(4.0 * a * BAND_EXPONENT)
+    return (np.searchsorted(points, centers - h, side="left"),
+            np.searchsorted(points, centers + h, side="right"))
+
+
+def kernel_row(nodes, dim, r, a):
+    """The radial kernel of width a at radius r, on the nodes of its band.
+
+    Returns ``(band, gauss, z)``: the slice of ``nodes`` within
+    sqrt(4 a BAND_EXPONENT) of r, and :func:`radial_kernel`'s factors there.
+    """
+    lo, hi = _band_edges(nodes, r, a)
+    band = slice(int(lo), int(hi))
+    gauss, z = radial_kernel(dim, a, r, nodes[band])
+    return band, gauss, z
+
+
+_DENSE_BLOCK_ENTRIES = 1 << 14
+
+
+class _BandMatrix(csr_array):
+    """CSR propagator that reports its storage like a dense array does."""
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def _build_propagator(nodes, dim, a, shrink):
+    """Matrix P with (P u)_i ~= (kernel_{a,c} u)(r_i), mass-exact.
 
     P_ij = k(r_i, c s_j) w_j with w the shared measure weights, columns scaled
     so that sum_i w_i P_ij = w_j exactly (discrete mass conservation; also
-    keeps narrow under-resolved kernels conservative instead of lossy).
+    keeps narrow under-resolved kernels conservative instead of lossy).  Only
+    the band |r_i - c s_j| <= sqrt(4 a BAND_EXPONENT) is evaluated and stored
+    in CSR form.  A band filling more than half the matrix is evaluated whole
+    and stored dense: there the CSR indices cost more than the few entries
+    they skip.  ``P @ u`` applies either layout.
     """
+    size = nodes.size
+    s = shrink * nodes
+    lo, hi = _band_edges(s, nodes, a)  # columns of row i: lo[i] <= j < hi[i]
+    counts = hi - lo
+    nnz = int(counts.sum())
+    w = radial_measure_weights(nodes, dim)
+    if 2 * nnz > size * size:
+        # a block of rows at a time: whole-matrix temporaries go back to the
+        # OS after each single-use build (W_star makes hundreds) and would
+        # be page-faulted in again by the next one
+        kern = np.empty((size, size))
+        step = max(1, _DENSE_BLOCK_ENTRIES // size)
+        for i in range(0, size, step):
+            gauss, z = radial_kernel(dim, a, nodes[i:i + step, None], s[None, :])
+            kern[i:i + step] = gauss * scaled_sphere_average(dim, z)
+        col = kern.T @ w  # integral of the kernel over the output variable
+        col = np.where(col <= 0.0, 1.0, col)
+        kern *= w[None, :] / col[None, :]
+        return kern
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    rows = np.repeat(np.arange(size), counts)
+    cols = np.arange(nnz) - np.repeat(indptr[:-1] - lo, counts)
+    gauss, z = radial_kernel(dim, a, nodes[rows], s[cols])
+    kern = gauss * scaled_sphere_average(dim, z)
+    col = np.bincount(cols, weights=w[rows] * kern, minlength=size)
+    col = np.where(col <= 0.0, 1.0, col)
+    data = kern * (w / col)[cols]
+    return _BandMatrix((data, cols, indptr), shape=(size, size))
+
+
+_PROPAGATOR_CACHE = {}
+_PROPAGATOR_CACHE_BYTES = 500 * 1024**2  # evict oldest beyond this budget
+_cache_used = 0  # bytes held by the matrices in _PROPAGATOR_CACHE
+
+
+def _radial_propagator(nodes, dim, a, shrink):
+    """:func:`_build_propagator`, memoised for kernels that are applied again."""
+    global _cache_used
     key = (nodes.tobytes(), dim, float(a), float(shrink))
     hit = _PROPAGATOR_CACHE.get(key)
     if hit is not None:
         return hit
-    r = nodes[:, None]
-    s = shrink * nodes[None, :]
-    pref = (4.0 * math.pi * a) ** (-dim / 2.0)
-    z = r * s / (2.0 * a)
-    kern = pref * np.exp(-((r - s) ** 2) / (4.0 * a)) * scaled_sphere_average(dim, z)
-    w = radial_measure_weights(nodes, dim)
-    col = kern.T @ w  # integral of the kernel over the output variable
-    col = np.where(col <= 0.0, 1.0, col)
-    mat = kern * (w[None, :] / col[None, :])
-    used = sum(m.nbytes for m in _PROPAGATOR_CACHE.values())
-    while _PROPAGATOR_CACHE and used + mat.nbytes > _PROPAGATOR_CACHE_BYTES:
-        used -= _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE))).nbytes
+    mat = _build_propagator(nodes, dim, a, shrink)
+    while _PROPAGATOR_CACHE and _cache_used + mat.nbytes > _PROPAGATOR_CACHE_BYTES:
+        _cache_used -= _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE))).nbytes
     _PROPAGATOR_CACHE[key] = mat
+    _cache_used += mat.nbytes
     return mat
 
 
-def _apply_radial(field, a, shrink, scale=1.0):
-    mat = _radial_propagator(field.nodes, field.dim, a, shrink)
-    out = scale * (mat @ field.values)
-    return field.with_values(out)
+def _apply_radial(field, a, shrink, cached=True):
+    """Apply the radial kernel to a field; ``cached=False`` builds a
+    single-use matrix that bypasses the propagator cache."""
+    build = _radial_propagator if cached else _build_propagator
+    mat = build(field.nodes, field.dim, a, shrink)
+    return field.with_values(mat @ field.values)
 
 
 # ---------------------------------------------------------------------------
