@@ -22,10 +22,9 @@ from .errors import (
     QuadratureDiverging,
     UseProfileModule,
 )
-from .fields import RadialField, lp_norm
+from .fields import RadialField
 from .grids import (
     SPHERE_AREA,
-    cumulative_integral,
     radial_grid,
     radial_interpolator,
     radial_laplacian,
@@ -35,7 +34,6 @@ from .grids import (
 from .potential import radial_gradient
 from .semigroup import (
     _apply_radial,
-    KernelParams,
     div_gaussian_gradient_values,
     gaussian_enclosed_mass,
     gaussian_values,

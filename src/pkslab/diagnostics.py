@@ -13,9 +13,8 @@ from .errors import (
     BlowupTrajectory,
     DivergentMoment,
     InvalidParameter,
-    OutOfRange,
 )
-from .fields import CartesianField2D, RadialField, lp_norm, moments, total_mass
+from .fields import RadialField, moments, total_mass
 from .grids import radial_measure_weights
 from .potential import (
     cartesian_gradient_2d,

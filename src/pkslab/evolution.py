@@ -9,11 +9,18 @@ limited second-order (MUSCL) reconstruction by default, which keeps the
 scheme positivity-preserving near blow-up without the heavy numerical
 diffusion of plain upwinding; 2D Cartesian fields use dealiased
 pseudo-spectral fluxes.  Both paths conserve the discrete mass to rounding.
+
+Both geometries share one stepper contract: ``advection_rhs(values, weight)``
+returns the flux divergence and ``cfl_limit(values)`` the unweighted advective
+step bound, read from the velocity alone; the velocity is linear in the
+similarity weight, so callers divide the limit by it.  The driver evaluates
+the limit once per step, on the values the step starts from, and the first
+step of a record interval sizes the interval's dt from that same value.
 """
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.fft import fft2, ifft2
@@ -21,14 +28,15 @@ from scipy.fft import fft2, ifft2
 from .errors import (
     InsufficientSampling,
     InvalidParameter,
+    OutOfRange,
     PKSError,
     StepRejected,
     StiffnessFailure,
 )
 from . import diagnostics as _diagnostics
-from .fields import CartesianField2D, RadialField, moments, total_mass
+from .fields import CartesianField2D, RadialField, lp_norm, moments, total_mass
 from .grids import SPHERE_AREA, cumulative_shell_mass, radial_measure_weights
-from .potential import cartesian_gradient_2d, enclosed_mass
+from .potential import cartesian_gradient_2d, check_boundary_decay, enclosed_mass
 from .semigroup import (
     KernelParams,
     _radial_propagator,
@@ -79,14 +87,19 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
-    """Time-ordered run records plus the configuration that produced them."""
+    """Time-ordered run records plus the effective configuration that
+    produced them (the one the stepper ran with)."""
 
     dim: int
     kind: str  # "physical" or "similarity"
     config: SolverConfig
     records: list = dataclass_field(default_factory=list)
-    blowup: bool = False
+    termination: str = "t_end"  # t_end | sup_growth | dt_collapse
     blowup_time: float = math.nan
+
+    @property
+    def blowup(self):
+        return self.termination != "t_end"
 
     def times(self):
         return np.array([rec.time for rec in self.records])
@@ -111,8 +124,6 @@ class Trajectory:
         """Field values interpolated linearly in log-time between records."""
         times = self.times()
         if not times[0] <= t <= times[-1]:
-            from .errors import OutOfRange
-
             raise OutOfRange(f"time {t} outside recorded range [{times[0]}, {times[-1]}]")
         idx = int(np.searchsorted(times, t))
         if idx == 0 or times[idx - 1] == t:
@@ -137,7 +148,17 @@ def _minmod(a, b):
     return out
 
 
-class _RadialStepper:
+class _Stepper:
+    """The contract of the module docstring plus ``diffuse(values, dt)`` and
+    ``weights`` (quadrature weights; None for uniform cells)."""
+
+    def advect(self, values, dt, weight):
+        k1 = self.advection_rhs(values, weight)
+        k2 = self.advection_rhs(values + dt * k1, weight)
+        return values + 0.5 * dt * (k1 + k2)
+
+
+class _RadialStepper(_Stepper):
     def __init__(self, grid_nodes, dim, config, kind):
         self.nodes = grid_nodes
         self.dim = dim
@@ -183,18 +204,12 @@ class _RadialStepper:
         rhs[-1] = af[-1] / self.weights[-1]
         return rhs
 
-    def cfl_limit(self, values, weight):
-        v = np.abs(weight * self.face_velocity(values))
+    def cfl_limit(self, values):
+        v = np.abs(self.face_velocity(values))
         active = v > 0.0
         if not np.any(active):
             return math.inf
         return self.config.cfl_safety * float(np.min(self.dr[active] / v[active]))
-
-    def advect(self, values, dt, weight):
-        k1 = self.advection_rhs(values, weight)
-        mid = values + dt * k1
-        k2 = self.advection_rhs(mid, weight)
-        return values + 0.5 * dt * (k1 + k2)
 
     def diffuse(self, values, dt):
         if self.kind == "physical":
@@ -206,7 +221,7 @@ class _RadialStepper:
         return mat @ values
 
 
-class _CartesianStepper:
+class _CartesianStepper(_Stepper):
     weights = None  # uniform cells: the plain sample sum is the mass
 
     def __init__(self, grid, config, kind):
@@ -223,29 +238,23 @@ class _CartesianStepper:
         self.k2 = self.kx**2 + self.ky**2
         self.h = h
 
-    def velocity(self, values, weight):
-        g = cartesian_gradient_2d(
+    def velocity(self, values):
+        """Unweighted Gauss-law velocity, stacked as (vx, vy)."""
+        return cartesian_gradient_2d(
             self.grid.with_values(values, nonnegative=False), check_domain=False
-        )
-        return weight * g.data[0], weight * g.data[1]
+        ).data
 
     def advection_rhs(self, values, weight):
-        vx, vy = self.velocity(values, weight)
+        vx, vy = weight * self.velocity(values)
         fx_hat = fft2(values * vx) * self.dealias
         fy_hat = fft2(values * vy) * self.dealias
-        div = ifft2(1j * self.kx * fx_hat + 1j * self.ky * fy_hat).real
-        return -div, max(np.abs(vx).max(), np.abs(vy).max())
+        return -ifft2(1j * self.kx * fx_hat + 1j * self.ky * fy_hat).real
 
-    def cfl_limit(self, values, weight):
-        _, vmax = self.advection_rhs(values, weight)
+    def cfl_limit(self, values):
+        vmax = np.abs(self.velocity(values)).max()
         if vmax == 0.0:
             return math.inf
         return self.config.cfl_safety * self.h / vmax
-
-    def advect(self, values, dt, weight):
-        k1, _ = self.advection_rhs(values, weight)
-        k2, _ = self.advection_rhs(values + dt * k1, weight)
-        return values + 0.5 * dt * (k1 + k2)
 
     def diffuse(self, values, dt):
         if self.kind == "physical":
@@ -261,7 +270,7 @@ def _make_stepper(field, config, kind):
         if scheme == "pseudo-spectral":
             raise InvalidParameter("pseudo-spectral advection needs a 2D Cartesian grid")
         return _RadialStepper(field.nodes, field.dim, config, kind)
-    if config.advection_scheme not in ("pseudo-spectral",):
+    if config.advection_scheme != "pseudo-spectral":
         config = replace(config, advection_scheme="pseudo-spectral")
     return _CartesianStepper(field, config, kind)
 
@@ -306,7 +315,7 @@ def step(field, dt, config=None, kind="physical", tau=None):
         t_mid = (tau if tau is not None else 0.0) + 0.5 * dt
         weight = nonlinearity_weight(field.dim, t_mid)
     if config.nonlinearity:
-        limit = stepper.cfl_limit(field.values, weight)
+        limit = stepper.cfl_limit(field.values) / weight
         if dt > limit:
             raise StepRejected(f"dt={dt:.3e} exceeds the advective CFL limit {limit:.3e}")
     values = _strang_step(stepper, field.values, dt, weight, config, field.values.max())
@@ -370,8 +379,6 @@ def _make_record(field, t, kind, config, reference_field, initial_mass):
     l1 = math.nan
     if ref is not None:
         diff = field.with_values(field.values - ref, nonnegative=False)
-        from .fields import lp_norm
-
         l1 = lp_norm(diff, 1)
     return TrajectoryRecord(
         time=t, field=field, moments=mom, sup_norm=sup, free_energy=fe,
@@ -380,11 +387,16 @@ def _make_record(field, t, kind, config, reference_field, initial_mass):
 
 
 def _drive(u0, config, kind, reference_field=None):
+    stepper = _make_stepper(u0, config, kind)
+    config = stepper.config
     traj = Trajectory(dim=u0.dim, kind=kind, config=config)
     schedule = _record_schedule(config, kind)
-    stepper = _make_stepper(u0, config, kind)
     if isinstance(u0, CartesianField2D) and config.nonlinearity:
-        cartesian_gradient_2d(u0)  # validate the boundary-decay precondition once
+        check_boundary_decay(u0)  # the steps' own solves skip it
+
+    def weight_at(t):
+        return nonlinearity_weight(u0.dim, t) if kind == "similarity" else 1.0
+
     initial_mass = total_mass(u0)
     sup0 = float(u0.values.max())
     traj.records.append(
@@ -393,42 +405,33 @@ def _drive(u0, config, kind, reference_field=None):
     values = u0.values.copy()
     steps = 0
     for t_lo, t_hi in zip(schedule[:-1], schedule[1:]):
-        t = t_lo
-        interval = t_hi - t_lo
-        weight = nonlinearity_weight(u0.dim, t) if kind == "similarity" else 1.0
-        dt_target = min(config.dt_max, interval)
-        if config.nonlinearity:
-            dt_target = min(dt_target, stepper.cfl_limit(values, weight))
-        # snap dt to divide the interval exactly: every step inside an
-        # interval reuses the same cached propagator
-        dt = interval / math.ceil(interval / dt_target)
+        t, dt = t_lo, None
         while t < t_hi - 1e-13 * max(1.0, abs(t_hi)):
             if steps >= config.max_steps:
                 raise StiffnessFailure(f"exceeded {config.max_steps} steps")
+            limit = stepper.cfl_limit(values) if config.nonlinearity else math.inf
+            if dt is None:
+                # snap dt to divide the interval exactly: every step inside an
+                # interval reuses the same cached propagator
+                interval = t_hi - t_lo
+                dt_target = min(config.dt_max, interval, limit / weight_at(t_lo))
+                dt = interval / math.ceil(interval / dt_target)
             dt_step = min(dt, t_hi - t)
-            weight = (
-                nonlinearity_weight(u0.dim, t + 0.5 * dt_step)
-                if kind == "similarity"
-                else 1.0
-            )
-            if config.nonlinearity:
-                limit = stepper.cfl_limit(values, weight)
-                while dt_step > limit:
-                    dt = dt_step = 0.5 * dt_step
-                    if dt_step < config.dt_min:
-                        traj.blowup = True
-                        traj.blowup_time = t
-                        return traj
+            weight = weight_at(t + 0.5 * dt_step)
+            limit /= weight
+            while dt_step > limit:
+                dt = dt_step = 0.5 * dt_step
+                if dt_step < config.dt_min:
+                    traj.termination, traj.blowup_time = "dt_collapse", t
+                    return traj
             try:
                 values = _strang_step(stepper, values, dt_step, weight, config, sup0)
             except StepRejected as exc:
                 raise StiffnessFailure(str(exc)) from exc
             t += dt_step
             steps += 1
-            sup = values.max()
-            if sup > config.blowup_factor * sup0:
-                traj.blowup = True
-                traj.blowup_time = t
+            if values.max() > config.blowup_factor * sup0:
+                traj.termination, traj.blowup_time = "sup_growth", t
                 return traj
         field = u0.with_values(values)
         traj.records.append(
@@ -458,14 +461,14 @@ def evolve_similarity(U0, config=None, reference_field=None):
 # Duhamel (mild-solution) residual
 # ---------------------------------------------------------------------------
 
-def duhamel_residual(trajectory, sample_points=None, zero_nonlinear=False,
-                     n_time_nodes=192):
+def duhamel_residual(trajectory, zero_nonlinear=False):
     """Max relative mismatch of the mild-solution identity at sampled (r, t).
 
     The identity writes u(x, t) as heat flow from the first record plus the
     time-integrated nonlinear correction; the correction's spatial integral
     reduces, for radial data, to Bessel-weighted quadrature.  The time
-    integral is regularised by the substitution q = sqrt(t - s).
+    integral is regularised by the substitution q = sqrt(t - s); the field
+    and its velocity at each q node serve every sample radius.
     ``zero_nonlinear`` drops the correction (negative control); trajectories
     integrated with the nonlinearity switched off are checked against the
     plain heat identity, whose correction is identically zero.
@@ -481,46 +484,42 @@ def duhamel_residual(trajectory, sample_points=None, zero_nonlinear=False,
     dim = rec0.field.dim
     t0 = rec0.time
     times = trajectory.times()
-    if sample_points is None:
-        radii = [0.0, nodes[int(0.15 * nodes.size)], nodes[int(0.35 * nodes.size)]]
-        t_samples = times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]
-        sample_points = [(r, t) for r in radii for t in t_samples]
+    radii = [0.0, nodes[int(0.15 * nodes.size)], nodes[int(0.35 * nodes.size)]]
+    nonlinear = not zero_nonlinear and trajectory.config.nonlinearity
     w = radial_measure_weights(nodes, dim)
     area = np.where(nodes > 0, SPHERE_AREA[dim] * nodes ** (dim - 1), 1.0)
     worst = 0.0
-    for r, t in sample_points:
+    for t in times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]:
         field_t = trajectory.field_at(t)
-        u_actual = float(rec0.field.interpolator()(np.array([r]))[0]) if t == t0 else float(
-            field_t.interpolator()(np.array([r]))[0]
-        )
-        # quadrature rows of the heat kernel (raw, not renormalised), on its band
-        band, gauss, z = kernel_row(nodes, dim, r, t - t0)
-        heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
-                     @ rec0.field.values[band])
-        correction = 0.0
-        if not zero_nonlinear and trajectory.config.nonlinearity:
+        interp = (rec0.field if t == t0 else field_t).interpolator()
+        if nonlinear:
             q_max = math.sqrt(t - t0)
-            qs = np.linspace(1e-3 * q_max, q_max, n_time_nodes)
-            vals = np.empty_like(qs)
+            qs = np.linspace(1e-3 * q_max, q_max, 192)
+            vals = np.empty((len(radii), qs.size))
             for k, q in enumerate(qs):
                 s = max(t - q * q, t0)  # guard the rounding at q = q_max
-                dt_gap = t - s
                 fld = trajectory.field_at(s)
                 vprime = -enclosed_mass(fld) / area
                 vprime[nodes == 0] = 0.0
-                band, gauss, z = kernel_row(nodes, dim, r, dt_gap)
-                lam0 = scaled_sphere_average(dim, z)
-                lam1 = scaled_sphere_average_cos(dim, z)
-                inner = float(np.sum(
-                    w[band] * fld.values[band] * vprime[band] * gauss
-                    * (nodes[band] * lam0 - r * lam1)
-                ))
-                # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
-                vals[k] = -0.5 * inner * 2.0 / q
-            correction = float(np.trapezoid(vals, qs))
-        rhs = heat + correction
+                flux = w * fld.values * vprime
+                for i, r in enumerate(radii):
+                    band, gauss, z = kernel_row(nodes, dim, r, t - s)
+                    lam0 = scaled_sphere_average(dim, z)
+                    lam1 = scaled_sphere_average_cos(dim, z)
+                    inner = float(np.sum(
+                        flux[band] * gauss * (nodes[band] * lam0 - r * lam1)
+                    ))
+                    # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
+                    vals[i, k] = -0.5 * inner * 2.0 / q
         scale = max(float(np.abs(field_t.values).max()), 1e-300)
-        worst = max(worst, abs(rhs - u_actual) / scale)
+        for i, r in enumerate(radii):
+            u_actual = float(interp(np.array([r]))[0])
+            # quadrature rows of the heat kernel (raw, not renormalised), on its band
+            band, gauss, z = kernel_row(nodes, dim, r, t - t0)
+            heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
+                         @ rec0.field.values[band])
+            correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0
+            worst = max(worst, abs(heat + correction - u_actual) / scale)
     return worst
 
 
@@ -529,7 +528,8 @@ def duhamel_residual(trajectory, sample_points=None, zero_nonlinear=False,
 # ---------------------------------------------------------------------------
 
 def export_trajectory(trajectory, csv_path, manifest_path=None):
-    """One CSV row per record plus a JSON manifest echoing the configuration."""
+    """One CSV row per record plus a JSON manifest echoing the termination
+    reason and the full effective configuration."""
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy\n")
         for rec in trajectory.records:
@@ -539,25 +539,20 @@ def export_trajectory(trajectory, csv_path, manifest_path=None):
                 f"{rec.l1_dist_to_profile:.17g},{rec.free_energy:.17g}\n"
             )
     if manifest_path:
-        cfg = trajectory.config
+        # strict JSON: non-finite settings (dt_max = inf) are written as text
+        config = {
+            key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in asdict(trajectory.config).items()
+        }
         manifest = {
             "dim": trajectory.dim,
             "kind": trajectory.kind,
             "records": len(trajectory.records),
+            "termination": trajectory.termination,
             "blowup_flag": trajectory.blowup,
             "blowup_time": None if math.isnan(trajectory.blowup_time) else trajectory.blowup_time,
-            "config": {
-                "cfl_safety": cfg.cfl_safety,
-                "t_init": cfg.t_init,
-                "t_end": cfg.t_end,
-                "advection_scheme": cfg.advection_scheme,
-                "nonlinearity": cfg.nonlinearity,
-                "clamp_tolerance": cfg.clamp_tolerance,
-                "records_per_decade": cfg.records_per_decade,
-                "blowup_factor": cfg.blowup_factor,
-                "reference": cfg.reference,
-            },
+            "config": config,
         }
         with open(manifest_path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")

@@ -7,18 +7,13 @@ operations are pure functions.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import InvalidField, InvalidParameter
-from .grids import (
-    radial_grid,
-    radial_interpolator,
-    radial_measure_weights,
-    trapezoid_weights,
-)
+from .grids import radial_interpolator, radial_measure_weights
 
 # Negative samples no larger than this times the sup norm are treated as
 # spectral ringing and clamped to zero; anything worse is a hard error.
@@ -28,7 +23,7 @@ DEFAULT_EXTENT = 20.0
 DEFAULT_SIZE = 256
 
 
-def _clean_values(values, nonnegative, clamp_rtol):
+def _clean_values(values, nonnegative):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise InvalidField("field contains non-finite samples")
@@ -36,10 +31,10 @@ def _clean_values(values, nonnegative, clamp_rtol):
         low = values.min()
         if low < 0.0:
             scale = np.abs(values).max()
-            if scale > 0.0 and low < -clamp_rtol * scale:
+            if scale > 0.0 and low < -CLAMP_RTOL * scale:
                 raise InvalidField(
                     f"negative samples ({low:.3e}) exceed the clamp tolerance "
-                    f"{clamp_rtol:.1e} * sup = {clamp_rtol * scale:.3e}"
+                    f"{CLAMP_RTOL:.1e} * sup = {CLAMP_RTOL * scale:.3e}"
                 )
             values = np.maximum(values, 0.0)
     return values
@@ -57,7 +52,6 @@ class RadialField:
     nodes: np.ndarray
     values: np.ndarray
     nonnegative: bool = True
-    clamp_rtol: float = CLAMP_RTOL
 
     def __post_init__(self):
         if self.dim not in (2, 3, 4, 5):
@@ -67,7 +61,7 @@ class RadialField:
             raise InvalidField("radial grid must be a 1D array of >= 8 nodes")
         if nodes[0] < 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise InvalidField("radial nodes must be strictly increasing and >= 0")
-        values = _clean_values(self.values, self.nonnegative, self.clamp_rtol)
+        values = _clean_values(self.values, self.nonnegative)
         if values.shape != nodes.shape:
             raise InvalidField("values and nodes must have matching shape")
         nodes.flags.writeable = False
@@ -102,10 +96,9 @@ class CartesianField2D:
     extent: float
     values: np.ndarray
     nonnegative: bool = True
-    clamp_rtol: float = CLAMP_RTOL
 
     def __post_init__(self):
-        values = _clean_values(self.values, self.nonnegative, self.clamp_rtol)
+        values = _clean_values(self.values, self.nonnegative)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise InvalidField("2D field values must be a square array")
         n = values.shape[0]
@@ -289,13 +282,6 @@ def from_similarity(state):
 # ---------------------------------------------------------------------------
 # constructors used throughout tests and scenarios
 # ---------------------------------------------------------------------------
-
-def default_radial_field(dim, values_fn, num=None, r_max=None, kind="graded"):
-    """Sample ``values_fn(r)`` on the package-default radial grid."""
-    nodes = radial_grid(
-        num or 4096, r_max if r_max is not None else 40.0, kind=kind
-    )
-    return RadialField(dim=dim, nodes=nodes, values=values_fn(nodes))
 
 def indicator_disk(nodes, radius=1.0, dim=2):
     """Indicator of the ball of given radius, 1/2 on a node exactly at the rim."""

@@ -136,23 +136,32 @@ def _green_hat_2d(extent, size):
     return out
 
 
+def check_boundary_decay(u):
+    """Raise DomainTooSmall unless the 2D density u decays before the boundary.
+
+    The truncated-kernel solve is exact for any source inside the box, so the
+    real requirement is decay before the boundary: check the outer 5% band
+    rather than the full outer half.
+    """
+    mass = total_mass(u) if u.nonnegative else float(np.sum(np.abs(u.values)) * u.cell_area())
+    if mass <= 0:
+        return
+    xx, yy = u.meshgrid()
+    band = 0.95 * u.extent
+    outside = (np.abs(xx) > band) | (np.abs(yy) > band)
+    stray = float(np.sum(np.abs(u.values[outside])) * u.cell_area())
+    if stray > 1e-8 * abs(mass):
+        raise DomainTooSmall(
+            f"mass fraction {stray / abs(mass):.2e} in the outer 5% band "
+            "of the grid; enlarge the domain"
+        )
+
+
 def _free_space_solve(u, mode, check_domain=True):
     if not isinstance(u, CartesianField2D):
         raise InvalidParameter("the FFT path expects a CartesianField2D")
-    mass = total_mass(u) if u.nonnegative else float(np.sum(np.abs(u.values)) * u.cell_area())
-    if mass > 0 and check_domain:
-        # the truncated-kernel solve is exact for any source inside the box,
-        # so the real requirement is decay before the boundary: check the
-        # outer 5% band rather than the full outer half
-        xx, yy = u.meshgrid()
-        band = 0.95 * u.extent
-        outside = (np.abs(xx) > band) | (np.abs(yy) > band)
-        stray = float(np.sum(np.abs(u.values[outside])) * u.cell_area())
-        if stray > 1e-8 * abs(mass):
-            raise DomainTooSmall(
-                f"mass fraction {stray / abs(mass):.2e} in the outer 5% band "
-                "of the grid; enlarge the domain"
-            )
+    if check_domain:
+        check_boundary_decay(u)
     padded, kx, ky, ghat = _green_hat_2d(u.extent, u.size)
     src = np.zeros((padded, padded))
     src[: u.size, : u.size] = u.values
@@ -172,8 +181,8 @@ def cartesian_potential_2d(u, check_domain=True):
 def cartesian_gradient_2d(u, check_domain=True):
     """grad(E_2 * u) for a compactly supported 2D density.
 
-    ``check_domain=False`` skips the boundary-decay precondition; time
-    steppers verify it once on their initial data and then trust the run.
+    ``check_domain=False`` skips :func:`check_boundary_decay`; time steppers
+    run that check once on their initial data and then trust the run.
     """
     return GradientField(
         kind="cart2d", dim=2, data=_free_space_solve(u, "gradient", check_domain)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FixedPointStalled, InvalidParameter, SupercriticalMass
-from .fields import RadialField, total_mass
+from .fields import RadialField
 from .grids import radial_grid, radial_laplacian, radial_measure_weights, radial_derivatives
 from .potential import radial_gradient, radial_potential
 from .semigroup import gaussian_values

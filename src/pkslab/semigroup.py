@@ -25,7 +25,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import i0e, i1e, ive
 
 from .errors import InvalidParameter, OutOfValidatedRange
-from .fields import CartesianField2D, RadialField, moments, total_mass
+from .fields import RadialField, moments
 from .grids import SPHERE_AREA, radial_measure_weights, trapezoid_weights
 
 
@@ -233,10 +233,9 @@ def line_propagator(x, a, shrink):
     return kern * (w[None, :] / col[None, :])
 
 
-def _apply_cartesian(field, a, shrink, scale=1.0):
+def _apply_cartesian(field, a, shrink):
     k = line_propagator(field.axis(), a, shrink)
-    out = scale * (k @ field.values @ k.T)
-    return field.with_values(out)
+    return field.with_values(k @ field.values @ k.T)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +397,7 @@ def div_gaussian_gradient_values(dim, r):
     """
     r = np.asarray(r, dtype=float)
     g = gaussian_values(dim, r)
-    m = _gaussian_enclosed_mass(dim, r)
+    m = gaussian_enclosed_mass(dim, r)
     area = SPHERE_AREA[dim]
     term = np.zeros_like(r)
     mask = r > 0
@@ -406,7 +405,7 @@ def div_gaussian_gradient_values(dim, r):
     return g * (term - g)
 
 
-def _gaussian_enclosed_mass(dim, r):
+def gaussian_enclosed_mass(dim, r):
     """Closed-form mass of G_n inside radius r (unit total mass)."""
     from scipy.special import erf
 
@@ -421,8 +420,3 @@ def _gaussian_enclosed_mass(dim, r):
     if dim == 5:
         return erf(half) - (r + r**3 / 6.0) * np.exp(-(half**2)) / math.sqrt(math.pi)
     raise InvalidParameter(f"unsupported dimension {dim}")
-
-
-def gaussian_enclosed_mass(dim, r):
-    """Public alias of the closed-form Gaussian shell mass."""
-    return _gaussian_enclosed_mass(dim, r)

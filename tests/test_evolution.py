@@ -1,5 +1,6 @@
 """Time integration: splitting steps, drivers, blow-up, Duhamel residual."""
 
+import dataclasses
 import json
 import math
 
@@ -123,10 +124,62 @@ def test_blowup_supercritical():
     u0 = gaussian_radial(2, mass, nodes, t0=1.0)
     cfg = ev.SolverConfig(t_init=1.0, t_end=7.0, blowup_factor=1e3)
     traj = ev.evolve(u0, cfg)
-    assert traj.blowup
+    assert traj.blowup and traj.termination == "sup_growth"
     m2_0 = traj.records[0].moments.second_moment
     deadline = 1.2 * m2_0 / abs(4.0 * mass * (1.0 - mass / (8.0 * math.pi)))
     assert traj.blowup_time - 1.0 <= deadline
+
+
+def test_dt_collapse_termination():
+    # a supercritical run with no sup-growth trigger ends when the CFL bound
+    # halves the step below dt_min
+    u0 = gaussian_radial(2, 10.0 * math.pi, radial_grid(64, 20.0))
+    cfg = ev.SolverConfig(t_init=1.0, t_end=7.0, dt_min=1e-3, blowup_factor=math.inf)
+    traj = ev.evolve(u0, cfg)
+    assert traj.termination == "dt_collapse" and traj.blowup
+    assert 1.0 < traj.blowup_time < 7.0
+
+
+def _small_cartesian_run():
+    u0 = fields.gaussian_cartesian(4.0 * math.pi, extent=10.0, size=64)
+    return ev.evolve(u0, ev.SolverConfig(t_end=1.2, clamp_tolerance=3e-8))
+
+
+def test_cartesian_run_solves_once_per_cfl_and_rhs(monkeypatch):
+    # per step: two advection rhs solves plus one advective-limit solve
+    counts = {"solves": 0, "steps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ev, "cartesian_gradient_2d", counted("solves", ev.cartesian_gradient_2d))
+    monkeypatch.setattr(ev, "_strang_step", counted("steps", ev._strang_step))
+    traj = _small_cartesian_run()
+    assert traj.termination == "t_end"
+    assert counts["steps"] > 0
+    assert counts["solves"] <= 3 * counts["steps"] + 1
+
+
+def test_cartesian_manifest_reports_effective_scheme(tmp_path):
+    # the default scheme (muscl) is replaced on Cartesian grids; the
+    # trajectory and the manifest report the scheme that ran
+    traj = _small_cartesian_run()
+    assert traj.config.advection_scheme == "pseudo-spectral"
+    manifest_path = tmp_path / "manifest.json"
+    ev.export_trajectory(traj, tmp_path / "traj.csv", manifest_path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(manifest_path) as fh:
+        manifest = json.load(fh, parse_constant=reject)
+    assert manifest["config"]["advection_scheme"] == "pseudo-spectral"
+    assert manifest["termination"] == "t_end"
+    assert manifest["config"]["dt_max"] == "inf"
 
 
 def test_evolve_similarity_fn_weights():
@@ -164,7 +217,11 @@ def test_export_trajectory(tmp_path, phi_run_2d):
     assert header == "t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy"
     manifest = json.loads(manifest_path.read_text())
     assert manifest["blowup_flag"] is False
+    assert manifest["termination"] == "t_end"
     assert manifest["config"]["advection_scheme"] == "muscl"
+    config = dataclasses.asdict(phi_run_2d.config)
+    assert set(manifest["config"]) == set(config)
+    assert manifest["config"]["record_times"] == list(config["record_times"])
     # 17 significant digits in the rows
     row = csv_path.read_text().splitlines()[1].split(",")
     assert len(row[1]) >= 17
