@@ -17,8 +17,7 @@ from pkslab.diagnostics import virial_prediction_2d, virial_slope
 for mult in (2, 4, 6, 8):
     mass = mult * math.pi
     u0 = fields.gaussian_cartesian(mass, extent=20.0, size=256, t0=1.0)
-    cfg = SolverConfig(t_init=1.0, t_end=5.0, advection_scheme="pseudo-spectral",
-                       clamp_tolerance=3e-8)
+    cfg = SolverConfig(t_init=1.0, t_end=5.0)
     traj = evolve(u0, cfg)
     slope = virial_slope(traj)
     law = virial_prediction_2d(mass)

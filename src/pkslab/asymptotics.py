@@ -37,6 +37,7 @@ from .semigroup import (
     div_gaussian_gradient_values,
     gaussian_enclosed_mass,
     gaussian_values,
+    kernel_width_shrink,
 )
 
 
@@ -133,8 +134,8 @@ def w_star(grid=None, s_max=None, tol=1e-10, s_step=0.6):
             integrand = source.values
         else:
             # each s-node's kernel is used once: keep it out of the cache
-            evolved = _apply_radial(source, a=-math.expm1(-s),
-                                    shrink=math.exp(-s / 2.0), cached=False)
+            a, shrink = kernel_width_shrink(s)
+            evolved = _apply_radial(source, a=a, shrink=shrink, cached=False)
             integrand = math.exp(s / 2.0) * evolved.values
         slices.append(integrand)
         l1_list.append(float(np.sum(w_meas * np.abs(integrand))))

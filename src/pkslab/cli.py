@@ -35,7 +35,6 @@ class Scenario:
     name: str
     dim: int
     seed: int
-    kind: str  # evolve | evolve_similarity | compute
     initial: dict
     grid: dict
     solver: dict
@@ -48,6 +47,24 @@ class Scenario:
 
 def _parse_floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+# the keys each section may hold, by [initial] kind and [grid] geometry
+_INITIAL_KEYS = {"gaussian": {"kind", "mass", "t0"},
+                 "custom-file": {"kind", "mass", "file"}}
+_GRID_KEYS = {"radial": {"geometry", "nodes", "rmax"},
+              "cartesian": {"geometry", "size", "extent"}}
+_SOLVER_CASTS = {"t_init": float, "t_end": float, "records_per_decade": int,
+                 "blowup_factor": float, "reference": str}
+# scheme and clamp_tolerance are assertions on the stepper's fixed values
+_SOLVER_KEYS = set(_SOLVER_CASTS) | {"nonlinearity", "record_window", "scheme",
+                                    "clamp_tolerance"}
+
+
+def _choice(path, key, value, allowed):
+    if value not in allowed:
+        raise ScenarioConfigError(f"{path}: {key} must be one of {sorted(allowed)}, got {value!r}")
+    return value
 
 
 def load_scenario(path):
@@ -85,8 +102,20 @@ def load_scenario(path):
         checks.append((name, params))
     if not checks:
         raise ScenarioConfigError(f"{path}: a scenario needs at least one [check:*]")
-    initial = dict(parser["initial"]) if "initial" in parser else {}
-    if initial.get("kind") == "custom-file":
+    _choice(path, "[scenario] kind", base.get("kind", "evolve"), {"evolve", "compute"})
+    initial, grid, solver = (dict(parser[name]) if name in parser else {}
+                             for name in ("initial", "grid", "solver"))
+    initial_kind = _choice(path, "[initial] kind", initial.get("kind", "gaussian"),
+                           _INITIAL_KEYS)
+    geometry = _choice(path, "[grid] geometry", grid.get("geometry", "radial"),
+                       _GRID_KEYS)
+    for name, section, allowed in (("initial", initial, _INITIAL_KEYS[initial_kind]),
+                                   ("grid", grid, _GRID_KEYS[geometry]),
+                                   ("solver", solver, _SOLVER_KEYS)):
+        unread = sorted(set(section) - allowed)
+        if unread:
+            raise ScenarioConfigError(f"{path}: [{name}] does not read {', '.join(unread)}")
+    if initial_kind == "custom-file":
         source = initial.get("file", "")
         if not source or not Path(source).exists():
             raise ScenarioConfigError(f"{path}: initial data file {source!r} not found")
@@ -94,10 +123,9 @@ def load_scenario(path):
         name=base.get("name", Path(path).stem),
         dim=dim,
         seed=seed,
-        kind=base.get("kind", "evolve"),
         initial=initial,
-        grid=dict(parser["grid"]) if "grid" in parser else {},
-        solver=dict(parser["solver"]) if "solver" in parser else {},
+        grid=grid,
+        solver=solver,
         checks=checks,
     )
 
@@ -106,56 +134,42 @@ def _build_grid(scenario):
     g = scenario.grid
     if g.get("geometry", "radial") == "cartesian":
         return ("cartesian", int(g.get("size", 256)), float(g.get("extent", 20.0)))
-    return (
-        "radial",
-        radial_grid(
-            int(g.get("nodes", 1536)),
-            float(g.get("rmax", 40.0)),
-            g.get("grading", "graded"),
-        ),
-    )
+    return ("radial", radial_grid(int(g.get("nodes", 1536)), float(g.get("rmax", 40.0))))
 
 
 def _build_initial(scenario):
     spec = scenario.initial
-    kind = spec.get("kind", "gaussian")
+    if spec.get("kind") == "custom-file":
+        field, _ = fields.read_snapshot(spec["file"])
+        return field
     mass = float(spec.get("mass", 1.0))
     t0 = float(spec.get("t0", 1.0))
     grid = _build_grid(scenario)
-    if kind == "custom-file":
-        field, _ = fields.read_snapshot(spec["file"])
-        return field
     if grid[0] == "cartesian":
         _, size, extent = grid
-        shift = _parse_floats(spec.get("shift", "0 0")) if kind == "shifted_gaussian" else (0.0, 0.0)
-        return fields.gaussian_cartesian(mass, extent=extent, size=size,
-                                         center=tuple(shift), t0=t0)
+        return fields.gaussian_cartesian(mass, extent=extent, size=size, t0=t0)
     _, nodes = grid
     n = scenario.dim
-    if kind == "disk":
-        base = fields.indicator_disk(nodes, radius=float(spec.get("radius", 1.0)), dim=n)
-        scale = mass / fields.total_mass(base) if mass > 0 else 1.0
-        return base.with_values(scale * base.values)
     values = mass * (4.0 * math.pi * t0) ** (-n / 2.0) * np.exp(-nodes**2 / (4.0 * t0))
     return fields.RadialField(dim=n, nodes=nodes, values=values)
 
 
-def _build_solver_config(scenario):
+def _build_solver_config(scenario, u0):
+    """The SolverConfig of the [solver] section.  Scenario runs are physical:
+    ``scheme`` and ``clamp_tolerance``, when given, must equal the values the
+    stepper uses on ``u0``'s geometry, and ``reference`` must be one a
+    physical run computes."""
     s = scenario.solver
-    kwargs = {}
-    for key, cast in [
-        ("t_init", float), ("t_end", float), ("dt_max", float),
-        ("clamp_tolerance", float), ("records_per_decade", int),
-        ("blowup_factor", float), ("cfl_safety", float),
-    ]:
-        if key in s:
-            kwargs[key] = cast(s[key])
-    if "scheme" in s:
-        kwargs["advection_scheme"] = s["scheme"]
+    stepper = evolution._make_stepper(u0, "physical")
+    for key, used in (("scheme", stepper.scheme),
+                      ("clamp_tolerance", stepper.clamp_tolerance)):
+        if key in s and type(used)(s[key]) != used:
+            raise ScenarioConfigError(f"[solver] {key} = {s[key]}, but this grid runs {used}")
+    if s.get("reference") and evolution.REFERENCES.get(s["reference"]) != "physical":
+        raise ScenarioConfigError(f"[solver] reference {s['reference']!r} is not for physical runs")
+    kwargs = {key: cast(s[key]) for key, cast in _SOLVER_CASTS.items() if key in s}
     if "nonlinearity" in s:
         kwargs["nonlinearity"] = s["nonlinearity"].lower() in ("on", "true", "1")
-    if "reference" in s:
-        kwargs["reference"] = s["reference"]
     if "record_window" in s:
         lo, hi, step = _parse_floats(s["record_window"])
         kwargs["record_times"] = tuple(np.round(np.arange(lo, hi + step / 2, step), 9))
@@ -303,9 +317,7 @@ def _check_profile_stationarity(ctx, params):
     mass = float(params.get("mass", ctx.scenario.mass))
     tau_end = float(params.get("tau_end", 5.0))
     gm = ctx.gm(mass, (1536, 30.0)).field
-    cfg = evolution.SolverConfig(
-        t_init=0.0, t_end=tau_end, advection_scheme="central", reference="profile"
-    )
+    cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
     traj = evolution.evolve_similarity(gm, cfg, reference_field=gm)
     drift = float(np.nanmax(traj.l1_errors()))
     return _result("profile_stationarity", drift <= tol, drift, 0.0, tol,
@@ -318,9 +330,7 @@ def _check_profile_relaxation(ctx, params):
     frac = float(params.get("final_fraction", 0.05))
     gm = ctx.gm(mass, (1536, 30.0)).field
     g0 = profiles.gaussian_profile(2, mass, grid=gm.nodes)
-    cfg = evolution.SolverConfig(
-        t_init=0.0, t_end=tau_end, advection_scheme="central", reference="profile"
-    )
+    cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
     traj = evolution.evolve_similarity(g0, cfg, reference_field=gm)
     errs = traj.l1_errors()
     ok = bool(np.all(np.diff(errs) < 1e-12)) and errs[-1] <= frac * mass
@@ -575,7 +585,11 @@ def run_scenario(config_path, out_dir=None, seed=None):
         for name, _ in scenario.checks:
             if name not in CHECKS:
                 raise ScenarioConfigError(f"unknown check {name!r}")
-    except (ScenarioConfigError, KeyError, ValueError) as exc:
+        needs_trajectory = any(CHECKS[name][1] for name, _ in scenario.checks)
+        if needs_trajectory:
+            u0 = _build_initial(scenario)
+            cfg = _build_solver_config(scenario, u0)
+    except (PKSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if seed is not None:
@@ -583,15 +597,9 @@ def run_scenario(config_path, out_dir=None, seed=None):
     out = Path(out_dir) if out_dir else Path.cwd() / f"pks_out_{scenario.name}"
     out.mkdir(parents=True, exist_ok=True)
     ctx = CheckContext(scenario, out)
-    needs_trajectory = any(CHECKS[name][1] for name, _ in scenario.checks)
     try:
         if needs_trajectory:
-            u0 = _build_initial(scenario)
-            cfg = _build_solver_config(scenario)
-            if scenario.kind == "evolve_similarity":
-                ctx.trajectory = evolution.evolve_similarity(u0, cfg)
-            else:
-                ctx.trajectory = evolution.evolve(u0, cfg)
+            ctx.trajectory = evolution.evolve(u0, cfg)
             evolution.export_trajectory(
                 ctx.trajectory, out / "trajectory.csv", out / "manifest.json"
             )

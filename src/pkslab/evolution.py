@@ -4,11 +4,20 @@ variables, plus a mild-solution (Duhamel) residual verifier.
 The integrator is a Strang splitting: an exact kernel substep (free heat
 kernel in physical variables; the full drift-diffusion semigroup S_n in
 similarity variables) wrapped around a conservative finite-volume advection
-substep driven by the Gauss-law velocity.  Advection of radial fields uses a
-limited second-order (MUSCL) reconstruction by default, which keeps the
-scheme positivity-preserving near blow-up without the heavy numerical
-diffusion of plain upwinding; 2D Cartesian fields use dealiased
-pseudo-spectral fluxes.  Both paths conserve the discrete mass to rounding.
+substep driven by the Gauss-law velocity.  Both paths conserve the discrete
+mass to rounding.
+
+The geometry and the kind of run fix the advection scheme and the clamp
+tolerance; neither is a setting, and each trajectory records the pair used.
+Radial physical runs use limited second-order (MUSCL) fluxes, which stay
+positivity-preserving near blow-up without the heavy numerical diffusion of
+plain upwinding.  Radial similarity runs relax to smooth strictly positive
+profiles, where the limiter would cost accuracy at the peak, and use central
+fluxes.  Both clamp at 1e-12.  2D Cartesian runs use dealiased pseudo-spectral
+fluxes and clamp at 3e-8, which admits their ringing below zero in the nearly
+empty far field.  The clamp zeroes negative samples no deeper than the
+tolerance times the run's peak, restoring the mass, and rejects the step
+otherwise.
 
 Both geometries share one stepper contract: ``advection_rhs(values, weight)``
 returns the flux divergence and ``cfl_limit(values)`` the unweighted advective
@@ -20,7 +29,7 @@ step of a record interval sizes the interval's dt from that same value.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.fft import fft2, ifft2
@@ -38,13 +47,19 @@ from .fields import CartesianField2D, RadialField, lp_norm, moments, total_mass
 from .grids import SPHERE_AREA, cumulative_shell_mass, radial_measure_weights
 from .potential import cartesian_gradient_2d, check_boundary_decay, enclosed_mass
 from .semigroup import (
-    KernelParams,
     _radial_propagator,
     kernel_row,
+    kernel_width_shrink,
     line_propagator,
     scaled_sphere_average,
     scaled_sphere_average_cos,
 )
+
+CFL_SAFETY = 0.45  # fraction of the advective CFL bound a step may take
+MAX_STEPS = 5_000_000
+
+# the run kind each SolverConfig.reference can be computed for
+REFERENCES = {"m_gamma_t": "physical", "profile": "similarity"}
 
 
 def nonlinearity_weight(dim, tau):
@@ -54,25 +69,24 @@ def nonlinearity_weight(dim, tau):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of a time-integration run."""
+    """Settings of a time-integration run.
 
-    dt_max: float = math.inf
-    cfl_safety: float = 0.45
+    The advection scheme and the clamp tolerance are not settings: the
+    geometry and the kind of run fix them (see the module docstring), and
+    the :class:`Trajectory` records the pair used.  ``reference`` names the
+    field each record's ``l1_dist_to_profile`` is measured against:
+    ``m_gamma_t`` (the mass-M heat kernel) in physical runs, ``profile`` (the
+    ``reference_field`` passed in) in similarity runs.
+    """
+
     t_end: float = 10.0
     t_init: float = 1.0
-    advection_scheme: str = "muscl"  # muscl | conservative-upwind | central | pseudo-spectral
     nonlinearity: bool = True
-    clamp_tolerance: float = 1e-12
     records_per_decade: int = 32
     record_times: tuple = ()  # explicit schedule overriding the log spacing
     blowup_factor: float = 1e6
     dt_min: float = 1e-12
-    max_steps: int = 5_000_000
-    reference: str = ""  # "", "m_gamma_t", "m_gaussian", "profile"
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl_safety < 1.0:
-            raise InvalidParameter("cfl_safety must lie in (0, 1)")
+    reference: str = ""  # "", "m_gamma_t" or "profile"
 
 
 @dataclass(frozen=True)
@@ -87,12 +101,14 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
-    """Time-ordered run records plus the effective configuration that
-    produced them (the one the stepper ran with)."""
+    """Time-ordered run records plus the configuration, advection scheme and
+    clamp tolerance that produced them."""
 
     dim: int
     kind: str  # "physical" or "similarity"
     config: SolverConfig
+    scheme: str  # advection scheme: muscl | central | pseudo-spectral
+    clamp_tolerance: float
     records: list = dataclass_field(default_factory=list)
     termination: str = "t_end"  # t_end | sup_growth | dt_collapse
     blowup_time: float = math.nan
@@ -149,8 +165,9 @@ def _minmod(a, b):
 
 
 class _Stepper:
-    """The contract of the module docstring plus ``diffuse(values, dt)`` and
-    ``weights`` (quadrature weights; None for uniform cells)."""
+    """The contract of the module docstring plus ``diffuse(values, dt)``,
+    ``weights`` (quadrature weights; None for uniform cells), and the
+    ``scheme`` and ``clamp_tolerance`` the stepper runs with."""
 
     def advect(self, values, dt, weight):
         k1 = self.advection_rhs(values, weight)
@@ -159,11 +176,13 @@ class _Stepper:
 
 
 class _RadialStepper(_Stepper):
-    def __init__(self, grid_nodes, dim, config, kind):
+    clamp_tolerance = 1e-12
+
+    def __init__(self, grid_nodes, dim, kind):
         self.nodes = grid_nodes
         self.dim = dim
-        self.config = config
         self.kind = kind
+        self.scheme = "muscl" if kind == "physical" else "central"
         self.weights = radial_measure_weights(grid_nodes, dim)
         self.faces = 0.5 * (grid_nodes[1:] + grid_nodes[:-1])
         self.face_area = SPHERE_AREA[dim] * self.faces ** (dim - 1)
@@ -180,19 +199,13 @@ class _RadialStepper(_Stepper):
 
     def advection_rhs(self, values, weight):
         v = weight * self.face_velocity(values)
-        scheme = self.config.advection_scheme
-        if scheme == "central":
+        if self.scheme == "central":
             u_face = 0.5 * (values[1:] + values[:-1])
             flux = v * u_face
         else:
-            if scheme == "muscl":
-                slopes = np.zeros_like(values)
-                d = np.diff(values) / self.dr
-                slopes[1:-1] = _minmod(d[:-1], d[1:])
-            elif scheme == "conservative-upwind":
-                slopes = np.zeros_like(values)
-            else:
-                raise InvalidParameter(f"unknown radial scheme {scheme!r}")
+            slopes = np.zeros_like(values)
+            d = np.diff(values) / self.dr
+            slopes[1:-1] = _minmod(d[:-1], d[1:])
             left = values[:-1] + slopes[:-1] * (self.faces - self.nodes[:-1])
             right = values[1:] + slopes[1:] * (self.faces - self.nodes[1:])
             flux = np.where(v >= 0.0, v * left, v * right)
@@ -209,24 +222,21 @@ class _RadialStepper(_Stepper):
         active = v > 0.0
         if not np.any(active):
             return math.inf
-        return self.config.cfl_safety * float(np.min(self.dr[active] / v[active]))
+        return CFL_SAFETY * float(np.min(self.dr[active] / v[active]))
 
     def diffuse(self, values, dt):
-        if self.kind == "physical":
-            a, shrink = dt, 1.0
-        else:
-            params = KernelParams(dim=self.dim, tau=dt)
-            a, shrink = params.a, params.shrink
+        a, shrink = (dt, 1.0) if self.kind == "physical" else kernel_width_shrink(dt)
         mat = _radial_propagator(self.nodes, self.dim, a, shrink)
         return mat @ values
 
 
 class _CartesianStepper(_Stepper):
     weights = None  # uniform cells: the plain sample sum is the mass
+    scheme = "pseudo-spectral"
+    clamp_tolerance = 3e-8
 
-    def __init__(self, grid, config, kind):
+    def __init__(self, grid, kind):
         self.grid = grid
-        self.config = config
         self.kind = kind
         n, h = grid.size, grid.spacing
         k1 = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
@@ -254,34 +264,29 @@ class _CartesianStepper(_Stepper):
         vmax = np.abs(self.velocity(values)).max()
         if vmax == 0.0:
             return math.inf
-        return self.config.cfl_safety * self.h / vmax
+        return CFL_SAFETY * self.h / vmax
 
     def diffuse(self, values, dt):
         if self.kind == "physical":
             return ifft2(fft2(values) * np.exp(-self.k2 * dt)).real
-        params = KernelParams(dim=2, tau=dt)
-        k = line_propagator(self.grid.axis(), params.a, params.shrink)
+        k = line_propagator(self.grid.axis(), *kernel_width_shrink(dt))
         return k @ values @ k.T
 
 
-def _make_stepper(field, config, kind):
+def _make_stepper(field, kind):
     if isinstance(field, RadialField):
-        scheme = config.advection_scheme
-        if scheme == "pseudo-spectral":
-            raise InvalidParameter("pseudo-spectral advection needs a 2D Cartesian grid")
-        return _RadialStepper(field.nodes, field.dim, config, kind)
-    if config.advection_scheme != "pseudo-spectral":
-        config = replace(config, advection_scheme="pseudo-spectral")
-    return _CartesianStepper(field, config, kind)
+        return _RadialStepper(field.nodes, field.dim, kind)
+    return _CartesianStepper(field, kind)
 
 
-def _clamp(values, config, sup_reference, weights):
-    """Zero small negative samples, then rescale to restore the discrete mass
-    sum(weights * values); ``weights=None`` means uniform cells."""
+def _clamp(values, tolerance, sup_reference, weights):
+    """Zero negative samples no deeper than ``tolerance`` times the peak, then
+    rescale to restore the discrete mass sum(weights * values);
+    ``weights=None`` means uniform cells."""
     low = values.min()
     if low >= 0.0:
         return values
-    tol = config.clamp_tolerance * max(sup_reference, values.max(), 1e-300)
+    tol = tolerance * max(sup_reference, values.max(), 1e-300)
     if low < -tol:
         raise StepRejected(
             f"negative samples ({low:.3e}) beyond the clamp tolerance {tol:.3e}"
@@ -301,7 +306,7 @@ def _strang_step(stepper, values, dt, weight, config, sup0):
     if config.nonlinearity:
         half = stepper.advect(half, dt, weight)
     out = stepper.diffuse(half, 0.5 * dt)
-    return _clamp(out, config, sup0, stepper.weights)
+    return _clamp(out, stepper.clamp_tolerance, sup0, stepper.weights)
 
 
 def step(field, dt, config=None, kind="physical", tau=None):
@@ -309,7 +314,7 @@ def step(field, dt, config=None, kind="physical", tau=None):
     config = config or SolverConfig()
     if dt <= 0:
         raise InvalidParameter("dt must be positive")
-    stepper = _make_stepper(field, config, kind)
+    stepper = _make_stepper(field, kind)
     weight = 1.0
     if kind == "similarity":
         t_mid = (tau if tau is not None else 0.0) + 0.5 * dt
@@ -344,29 +349,27 @@ def _record_schedule(config, kind):
     return np.linspace(config.t_init, config.t_end, count)
 
 
-def _reference_values(config, kind, field, t, mass, reference_field):
-    if config.reference == "m_gamma_t" and kind == "physical":
+def _check_reference(config, kind, reference_field):
+    ref = config.reference
+    if ref and REFERENCES.get(ref) != kind:
+        raise InvalidParameter(f"reference {ref!r} cannot be computed in a {kind} run")
+    if ref == "profile" and reference_field is None:
+        raise InvalidParameter("reference 'profile' needs a reference_field")
+
+
+def _reference_values(config, field, t, mass, reference_field):
+    if config.reference == "m_gamma_t":
         n = field.dim
         if isinstance(field, RadialField):
             return mass * (4 * math.pi * t) ** (-n / 2.0) * np.exp(-field.nodes**2 / (4 * t))
         xx, yy = field.meshgrid()
         return mass / (4 * math.pi * t) * np.exp(-(xx**2 + yy**2) / (4 * t))
-    if config.reference == "m_gaussian" and kind == "similarity":
-        n = field.dim
-        if isinstance(field, RadialField):
-            return mass * (4 * math.pi) ** (-n / 2.0) * np.exp(-field.nodes**2 / 4.0)
-        xx, yy = field.meshgrid()
-        return mass / (4 * math.pi) * np.exp(-(xx**2 + yy**2) / 4.0)
-    if config.reference == "profile" and reference_field is not None:
-        if kind == "similarity":
-            return reference_field.values
-        interp = reference_field.interpolator()
-        n = field.dim
-        return t ** (-n / 2.0) * interp(field.nodes / math.sqrt(t))
+    if config.reference == "profile":
+        return reference_field.values
     return None
 
 
-def _make_record(field, t, kind, config, reference_field, initial_mass):
+def _make_record(field, t, config, reference_field, initial_mass):
     mom = moments(field)
     sup = float(np.abs(field.values).max())
     fe = math.nan
@@ -375,7 +378,7 @@ def _make_record(field, t, kind, config, reference_field, initial_mass):
             fe = _diagnostics.free_energy_2d(field).value
         except PKSError:
             pass
-    ref = _reference_values(config, kind, field, t, initial_mass, reference_field)
+    ref = _reference_values(config, field, t, initial_mass, reference_field)
     l1 = math.nan
     if ref is not None:
         diff = field.with_values(field.values - ref, nonnegative=False)
@@ -387,9 +390,11 @@ def _make_record(field, t, kind, config, reference_field, initial_mass):
 
 
 def _drive(u0, config, kind, reference_field=None):
-    stepper = _make_stepper(u0, config, kind)
-    config = stepper.config
-    traj = Trajectory(dim=u0.dim, kind=kind, config=config)
+    _check_reference(config, kind, reference_field)
+    stepper = _make_stepper(u0, kind)
+    traj = Trajectory(dim=u0.dim, kind=kind, config=config,
+                      scheme=stepper.scheme,
+                      clamp_tolerance=stepper.clamp_tolerance)
     schedule = _record_schedule(config, kind)
     if isinstance(u0, CartesianField2D) and config.nonlinearity:
         check_boundary_decay(u0)  # the steps' own solves skip it
@@ -400,21 +405,21 @@ def _drive(u0, config, kind, reference_field=None):
     initial_mass = total_mass(u0)
     sup0 = float(u0.values.max())
     traj.records.append(
-        _make_record(u0, schedule[0], kind, config, reference_field, initial_mass)
+        _make_record(u0, schedule[0], config, reference_field, initial_mass)
     )
     values = u0.values.copy()
     steps = 0
     for t_lo, t_hi in zip(schedule[:-1], schedule[1:]):
         t, dt = t_lo, None
         while t < t_hi - 1e-13 * max(1.0, abs(t_hi)):
-            if steps >= config.max_steps:
-                raise StiffnessFailure(f"exceeded {config.max_steps} steps")
+            if steps >= MAX_STEPS:
+                raise StiffnessFailure(f"exceeded {MAX_STEPS} steps")
             limit = stepper.cfl_limit(values) if config.nonlinearity else math.inf
             if dt is None:
                 # snap dt to divide the interval exactly: every step inside an
                 # interval reuses the same cached propagator
                 interval = t_hi - t_lo
-                dt_target = min(config.dt_max, interval, limit / weight_at(t_lo))
+                dt_target = min(interval, limit / weight_at(t_lo))
                 dt = interval / math.ceil(interval / dt_target)
             dt_step = min(dt, t_hi - t)
             weight = weight_at(t + 0.5 * dt_step)
@@ -435,7 +440,7 @@ def _drive(u0, config, kind, reference_field=None):
                 return traj
         field = u0.with_values(values)
         traj.records.append(
-            _make_record(field, t_hi, kind, config, reference_field, initial_mass)
+            _make_record(field, t_hi, config, reference_field, initial_mass)
         )
     return traj
 
@@ -447,13 +452,8 @@ def evolve(u0, config=None, reference_field=None):
 
 
 def evolve_similarity(U0, config=None, reference_field=None):
-    """Integrate the similarity-variable equation from U0 at tau = config.t_init.
-
-    The default advection flux is the central second-order one: similarity
-    runs target smooth strictly positive profiles, where the limiter of the
-    muscl flux would cost accuracy at the density peak.
-    """
-    config = config or SolverConfig(t_init=0.0, t_end=5.0, advection_scheme="central")
+    """Integrate the similarity-variable equation from U0 at tau = config.t_init."""
+    config = config or SolverConfig(t_init=0.0, t_end=5.0)
     return _drive(U0, config, "similarity", reference_field)
 
 
@@ -529,7 +529,8 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
 
 def export_trajectory(trajectory, csv_path, manifest_path=None):
     """One CSV row per record plus a JSON manifest echoing the termination
-    reason and the full effective configuration."""
+    reason, the full configuration, and the advection scheme and clamp
+    tolerance the run used."""
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy\n")
         for rec in trajectory.records:
@@ -539,7 +540,7 @@ def export_trajectory(trajectory, csv_path, manifest_path=None):
                 f"{rec.l1_dist_to_profile:.17g},{rec.free_energy:.17g}\n"
             )
     if manifest_path:
-        # strict JSON: non-finite settings (dt_max = inf) are written as text
+        # strict JSON: non-finite settings (blowup_factor = inf) are written as text
         config = {
             key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
             for key, value in asdict(trajectory.config).items()
@@ -552,6 +553,8 @@ def export_trajectory(trajectory, csv_path, manifest_path=None):
             "blowup_flag": trajectory.blowup,
             "blowup_time": None if math.isnan(trajectory.blowup_time) else trajectory.blowup_time,
             "config": config,
+            "advection_scheme": trajectory.scheme,
+            "clamp_tolerance": trajectory.clamp_tolerance,
         }
         with open(manifest_path, "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)

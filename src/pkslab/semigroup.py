@@ -17,7 +17,6 @@ separates per axis into two small matrices.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -29,24 +28,10 @@ from .fields import RadialField, moments
 from .grids import SPHERE_AREA, radial_measure_weights, trapezoid_weights
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Width and shrink parameters of S_n(tau)."""
-
-    dim: int
-    tau: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidParameter(f"tau must be positive, got {self.tau}")
-
-    @property
-    def a(self):
-        return -math.expm1(-self.tau)  # 1 - e^{-tau}, accurately for small tau
-
-    @property
-    def shrink(self):
-        return math.exp(-self.tau / 2.0)
+def kernel_width_shrink(tau):
+    """Width a = 1 - e^{-tau} (accurate for small tau) and shrink factor
+    c = e^{-tau/2} of S_n(tau), the same in every dimension."""
+    return -math.expm1(-tau), math.exp(-tau / 2.0)
 
 
 def scaled_sphere_average(dim, z):
@@ -255,13 +240,12 @@ def similarity_semigroup(field, tau, dim=None):
     """Apply S_n(tau) to a field in similarity variables."""
     if tau <= 0:
         raise InvalidParameter(f"tau must be positive, got {tau}")
-    n = dim if dim is not None else field.dim
-    if n != field.dim:
+    if dim is not None and dim != field.dim:
         raise InvalidParameter("dimension tag does not match the field")
-    params = KernelParams(dim=n, tau=tau)
+    a, shrink = kernel_width_shrink(tau)
     if isinstance(field, RadialField):
-        return _apply_radial(field, a=params.a, shrink=params.shrink)
-    return _apply_cartesian(field, a=params.a, shrink=params.shrink)
+        return _apply_radial(field, a=a, shrink=shrink)
+    return _apply_cartesian(field, a=a, shrink=shrink)
 
 
 def gaussian_values(dim, r):
@@ -339,8 +323,7 @@ def kernel_lhs(xi, z, s, dim):
     """The exact rescaled kernel (1-e^{-s})^{-n/2} e^{-|xi - e^{-s/2} z|^2/(4(1-e^{-s}))}."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    a = -math.expm1(-s)
-    c = math.exp(-s / 2.0)
+    a, c = kernel_width_shrink(s)
     diff = xi - c * z
     return a ** (-dim / 2.0) * math.exp(-float(diff @ diff) / (4.0 * a))
 

@@ -39,9 +39,7 @@ def reference_run_2d():
     mild-solution quadrature (>= 64 records)."""
     nodes = radial_grid(1536, 80.0)
     u0 = gaussian_radial(2, 4.0 * math.pi, nodes)
-    cfg = evolution.SolverConfig(
-        t_init=1.0, t_end=8.0, advection_scheme="muscl", records_per_decade=80
-    )
+    cfg = evolution.SolverConfig(t_init=1.0, t_end=8.0, records_per_decade=80)
     return evolution.evolve(u0, cfg)
 
 
@@ -62,9 +60,7 @@ def phi_run_2d():
     nodes = radial_grid(1536, 40.0)
     u0 = gaussian_radial(2, 4.0 * math.pi, nodes, t0=0.99)
     times = tuple(np.round(np.arange(0.99, 2.0001, 0.0025), 6))
-    cfg = evolution.SolverConfig(
-        t_init=0.99, t_end=2.0, advection_scheme="muscl", record_times=times
-    )
+    cfg = evolution.SolverConfig(t_init=0.99, t_end=2.0, record_times=times)
     return evolution.evolve(u0, cfg)
 
 

@@ -89,6 +89,44 @@ def test_missing_initial_file_rejected(tmp_path):
     assert cli.run_scenario(str(cfg)) == 2
 
 
+# edits of TINY_RUN that the parser cannot honour
+UNHONOURED = {
+    "initial_unread_key": ("t0 = 1.0", "t0 = 1.0\nradius = 1.0"),
+    "grid_unread_key": ("rmax = 40.0", "rmax = 40.0\ngrading = graded"),
+    "solver_dt_max": ("t_end = 1.6", "t_end = 1.6\ndt_max = 0.1"),
+    "solver_cfl_safety": ("t_end = 1.6", "t_end = 1.6\ncfl_safety = 0.3"),
+    "initial_kind": ("kind = gaussian", "kind = disk"),
+    "geometry": ("geometry = radial", "geometry = polar"),
+    "scenario_kind": ("kind = evolve", "kind = evolve_similarity"),
+    "scheme_mismatch": ("scheme = muscl", "scheme = central"),
+    "clamp_tolerance_mismatch": ("t_end = 1.6", "t_end = 1.6\nclamp_tolerance = 3e-8"),
+    "reference": ("t_end = 1.6", "t_end = 1.6\nreference = m_gaussian"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(UNHONOURED))
+def test_unhonoured_scenario_input_exits_2(tmp_path, capsys, edit):
+    old, new = UNHONOURED[edit]
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(TINY_RUN.replace(old, new))
+    assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 2
+    assert "config error" in capsys.readouterr().err
+
+
+SCENARIO_FILES = sorted(cli.SCENARIO_DIR.glob("*.cfg")) + sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios").glob("*.cfg")
+)
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES,
+                         ids=lambda p: f"{p.parent.parent.name}/{p.stem}")
+def test_scenario_file_parses_and_builds(path):
+    # read-only: the bundled scenarios and the benchmark templates
+    scenario = cli.load_scenario(path)
+    u0 = cli._build_initial(scenario)
+    assert isinstance(cli._build_solver_config(scenario, u0), cli.evolution.SolverConfig)
+
+
 def test_scenario_pass_and_summary(tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_SCENARIO)

@@ -151,9 +151,7 @@ def test_decay_envelope_blowup_guard():
 
 
 def test_virial_slope_and_prediction(gaussian_2d_4pi):
-    cfg = ev.SolverConfig(t_init=1.0, t_end=2.0,
-                          advection_scheme="pseudo-spectral",
-                          clamp_tolerance=1e-9)
+    cfg = ev.SolverConfig(t_init=1.0, t_end=2.0)
     traj = ev.evolve(gaussian_2d_4pi, cfg)
     slope = dg.virial_slope(traj)
     pred = dg.virial_prediction_2d(4.0 * math.pi)

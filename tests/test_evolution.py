@@ -17,14 +17,9 @@ from pkslab.errors import (
     StepRejected,
 )
 from pkslab.fields import l1_distance, total_mass
-from pkslab.grids import radial_grid
+from pkslab.grids import radial_grid, radial_measure_weights
 
 from conftest import gaussian_radial
-
-
-def test_solver_config_validation():
-    with pytest.raises(InvalidParameter):
-        ev.SolverConfig(cfl_safety=1.5)
 
 
 def test_step_pure_diffusion_exact(default_nodes):
@@ -53,17 +48,18 @@ def test_step_mass_conservation(default_nodes):
 
 
 def test_clamp_keeps_mass_on_graded_grid():
-    # a shell sends no flux through the origin; the central flux undershoots
-    # at its sharp edges, so the step has to clamp negative samples
+    # the clamp restores the measure-weighted mass, not the plain sample sum,
+    # which differ on a graded grid; undershoots beyond the tolerance reject
     nodes = radial_grid(32, 10.0)
-    shell = np.where((nodes > 2.0) & (nodes < 4.0), 10.0, 0.0)
-    u0 = fields.RadialField(dim=2, nodes=nodes, values=shell)
+    weights = radial_measure_weights(nodes, 2)
+    values = np.exp(-((nodes - 3.0) ** 2))
+    values[[4, 20]] = -0.1
+    out = ev._clamp(values, 0.5, 1.0, weights)
+    assert out.min() >= 0.0
+    mass = np.sum(weights * values)
+    assert abs(np.sum(weights * out) - mass) <= 1e-14 * mass
     with pytest.raises(StepRejected):
-        ev.step(u0, 0.01, ev.SolverConfig(advection_scheme="central"))
-    cfg = ev.SolverConfig(advection_scheme="central", clamp_tolerance=0.5)
-    out = ev.step(u0, 0.01, cfg)
-    assert out.values.min() >= 0.0
-    assert abs(total_mass(out) - total_mass(u0)) <= 1e-14 * total_mass(u0)
+        ev._clamp(values, 1e-12, 1.0, weights)
 
 
 def test_record_free_energy_catches_only_package_errors(monkeypatch):
@@ -89,6 +85,20 @@ def test_small_mass_tracks_pure_heat():
     traj = ev.evolve(u0, cfg_on)
     rel = traj.l1_errors() / mass
     assert np.nanmax(rel) < 1e-6
+
+
+@pytest.mark.parametrize("kind, reference, with_field", [
+    ("physical", "m_gaussian", False),
+    ("physical", "profile", True),
+    ("similarity", "m_gamma_t", False),
+    ("similarity", "profile", False),
+])
+def test_reference_the_run_cannot_compute_is_rejected(kind, reference, with_field):
+    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+    run = ev.evolve if kind == "physical" else ev.evolve_similarity
+    cfg = ev.SolverConfig(t_init=1.0, t_end=1.01, reference=reference)
+    with pytest.raises(InvalidParameter):
+        run(u0, cfg, reference_field=u0 if with_field else None)
 
 
 def test_record_schedule_log_spaced():
@@ -130,7 +140,18 @@ def test_blowup_supercritical():
     assert traj.blowup_time - 1.0 <= deadline
 
 
-def test_dt_collapse_termination():
+def _read_manifest(traj, tmp_path):
+    manifest_path = tmp_path / "manifest.json"
+    ev.export_trajectory(traj, tmp_path / "traj.csv", manifest_path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(manifest_path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_dt_collapse_termination(tmp_path):
     # a supercritical run with no sup-growth trigger ends when the CFL bound
     # halves the step below dt_min
     u0 = gaussian_radial(2, 10.0 * math.pi, radial_grid(64, 20.0))
@@ -138,11 +159,25 @@ def test_dt_collapse_termination():
     traj = ev.evolve(u0, cfg)
     assert traj.termination == "dt_collapse" and traj.blowup
     assert 1.0 < traj.blowup_time < 7.0
+    # strict JSON: the infinite setting is written as text
+    assert _read_manifest(traj, tmp_path)["config"]["blowup_factor"] == "inf"
 
 
 def _small_cartesian_run():
     u0 = fields.gaussian_cartesian(4.0 * math.pi, extent=10.0, size=64)
-    return ev.evolve(u0, ev.SolverConfig(t_end=1.2, clamp_tolerance=3e-8))
+    return ev.evolve(u0, ev.SolverConfig(t_end=1.2))
+
+
+@pytest.fixture(scope="module")
+def cartesian_run():
+    return _small_cartesian_run()
+
+
+def test_default_config_runs_cartesian(cartesian_run):
+    # the Cartesian clamp tolerance admits the pseudo-spectral ringing that
+    # the radial tolerance rejected as a stiffness failure
+    assert cartesian_run.termination == "t_end"
+    assert cartesian_run.records[-1].time == 1.2
 
 
 def test_cartesian_run_solves_once_per_cfl_and_rhs(monkeypatch):
@@ -164,22 +199,23 @@ def test_cartesian_run_solves_once_per_cfl_and_rhs(monkeypatch):
     assert counts["solves"] <= 3 * counts["steps"] + 1
 
 
-def test_cartesian_manifest_reports_effective_scheme(tmp_path):
-    # the default scheme (muscl) is replaced on Cartesian grids; the
-    # trajectory and the manifest report the scheme that ran
-    traj = _small_cartesian_run()
-    assert traj.config.advection_scheme == "pseudo-spectral"
-    manifest_path = tmp_path / "manifest.json"
-    ev.export_trajectory(traj, tmp_path / "traj.csv", manifest_path)
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    with open(manifest_path) as fh:
-        manifest = json.load(fh, parse_constant=reject)
-    assert manifest["config"]["advection_scheme"] == "pseudo-spectral"
-    assert manifest["termination"] == "t_end"
-    assert manifest["config"]["dt_max"] == "inf"
+@pytest.mark.parametrize("geometry, kind, scheme, tolerance", [
+    ("radial", "physical", "muscl", 1e-12),
+    ("radial", "similarity", "central", 1e-12),
+    ("cartesian", "physical", "pseudo-spectral", 3e-8),
+], ids=["radial_physical", "radial_similarity", "cartesian_physical"])
+def test_manifest_names_the_scheme_that_ran(tmp_path, cartesian_run, geometry, kind,
+                                            scheme, tolerance):
+    if geometry == "cartesian":
+        traj = cartesian_run
+    else:
+        u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+        run = ev.evolve if kind == "physical" else ev.evolve_similarity
+        traj = run(u0, ev.SolverConfig(t_init=1.0, t_end=1.05))
+    assert (traj.scheme, traj.clamp_tolerance) == (scheme, tolerance)
+    manifest = _read_manifest(traj, tmp_path)
+    assert (manifest["advection_scheme"], manifest["clamp_tolerance"]) == (scheme, tolerance)
+    assert manifest["kind"] == kind and manifest["termination"] == "t_end"
 
 
 def test_evolve_similarity_fn_weights():
@@ -218,7 +254,7 @@ def test_export_trajectory(tmp_path, phi_run_2d):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["blowup_flag"] is False
     assert manifest["termination"] == "t_end"
-    assert manifest["config"]["advection_scheme"] == "muscl"
+    assert manifest["advection_scheme"] == "muscl"
     config = dataclasses.asdict(phi_run_2d.config)
     assert set(manifest["config"]) == set(config)
     assert manifest["config"]["record_times"] == list(config["record_times"])
@@ -234,9 +270,7 @@ def test_route_comparison_physical_vs_similarity():
     u0 = gaussian_radial(2, mass, nodes, t0=1.0)
     traj_p = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=math.e**2))
     U0 = fields.to_similarity(u0, 1.0).field
-    traj_s = ev.evolve_similarity(
-        U0, ev.SolverConfig(t_init=0.0, t_end=2.0, advection_scheme="central")
-    )
+    traj_s = ev.evolve_similarity(U0, ev.SolverConfig(t_init=0.0, t_end=2.0))
     end_p = fields.to_similarity(
         traj_p.records[-1].field, traj_p.records[-1].time
     ).field
