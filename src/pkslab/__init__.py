@@ -17,6 +17,7 @@ from .asymptotics import (
     fit_rate,
     w_function,
     w_star,
+    w_star_quadrature,
 )
 from .diagnostics import (
     decay_envelope,

@@ -4,9 +4,11 @@ log-log rate fitting.
 
 W_star is the s-integral of e^{s/2} S_3(s) applied to the source profile
 div(G_3 grad V_3); its self-similar evaluation W(x,t) = t^{-2} W_star(x/sqrt(t))
-is the second-order correction in three dimensions.  The constants are
-quadratures of |z|^2 against divergence-form sources; each one is computed two
-independent ways (display quadrature vs. a reduced 1D form or Monte Carlo).
+is the second-order correction in three dimensions.  It is computed by one
+radial boundary-value solve, and by the s-quadrature as its oracle.  The
+constants are quadratures of |z|^2 against divergence-form sources; each one
+is computed two independent ways (display quadrature vs. a reduced 1D form or
+Monte Carlo).
 """
 
 import math
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import (
     DependencyMissing,
@@ -25,6 +28,7 @@ from .errors import (
 from .fields import RadialField
 from .grids import (
     SPHERE_AREA,
+    nested_refinement,
     radial_grid,
     radial_interpolator,
     radial_laplacian,
@@ -77,15 +81,24 @@ def fit_exponential_rate(taus, errors):
 # W_star
 # ---------------------------------------------------------------------------
 
+# W_star's default output grid, and the fine cells per output cell of its
+# boundary-value solve: 16 put the second-order discretisation error near
+# 1e-6 of max|W_star| (one cell per cell is off by 2e-3 in the 4th moment)
+W_STAR_GRID = (768, 28.0)
+W_STAR_REFINEMENT = 16
+
+
 @dataclass(frozen=True)
 class WStarField:
-    """The 3D correction profile with its quadrature metadata."""
+    """The 3D correction profile.  ``s_nodes`` counts the s-quadrature nodes
+    (0 for the direct solve); the other quadrature metadata is set only by
+    :func:`w_star_quadrature`."""
 
     field: RadialField
-    s_max: float
-    s_nodes: int
-    tail_estimate: float
-    integrand_slope: float
+    s_nodes: int = 0
+    s_max: float | None = None
+    tail_estimate: float | None = None
+    integrand_slope: float | None = None
 
     def interpolator(self):
         return radial_interpolator(self.field.nodes, self.field.values)
@@ -101,8 +114,57 @@ class WStarField:
         return float(np.sum(w * np.abs(self.field.values) * self.field.nodes**k))
 
 
-def w_star(grid=None, s_max=None, tol=1e-10, s_step=0.6):
-    """Quadrature of int_0^inf e^{s/2} S_3(s)[div(G_3 grad V_3)] ds.
+def _wstar_nodes(grid):
+    return radial_grid(*W_STAR_GRID) if grid is None else np.asarray(grid, dtype=float)
+
+
+def _without_mass(nodes, values):
+    """``values`` minus the multiple of G_3 that carries their quadrature mass."""
+    w_meas = radial_measure_weights(nodes, 3)
+    gauss = gaussian_values(3, nodes)
+    return values - gauss * (float(np.sum(w_meas * values)) / float(np.sum(w_meas * gauss)))
+
+
+def w_star(grid=None):
+    """W_star = int_0^inf e^{s/2} S_3(s) f ds, f = div(G_3 grad V_3), by one
+    boundary-value solve.
+
+    f has zero mass and the radial spectrum of L_3 = Lap + xi.grad/2 + 3/2 is
+    {0, -1, -2, ...}, so the integral is -(L_3 + 1/2)^{-1} f: the decaying
+    solution of W'' + (2/r + r/2) W' + 2 W = -f with W'(0) = 0.  It is
+    discretised by 3-point finite differences on the W_STAR_REFINEMENT-fold
+    nested refinement of the grid (origin row 3 W''(0) + 2 W(0), W(r_max) = 0),
+    solved as one tridiagonal system and read back on the grid nodes.  The
+    source on the fine grid and the result on the grid each have their
+    quadrature mass projected out along G_3.  :func:`w_star_quadrature`
+    evaluates the s-integral itself and is the oracle of this solve.
+    """
+    nodes = _wstar_nodes(grid)
+    if nodes[0] != 0.0:
+        raise InvalidParameter("the W_star solve needs a grid that starts at r = 0")
+    r = nested_refinement(nodes, W_STAR_REFINEMENT)
+    h = np.diff(r)
+    hm, hp, ri = h[:-1], h[1:], r[1:-1]
+    drift = 2.0 / ri + 0.5 * ri  # the coefficient of W'
+    den = hm * hp * (hm + hp)
+    bands = np.zeros((3, r.size))  # rows: upper, main and lower diagonal
+    bands[0, 2:] = (2.0 * hm + drift * hm**2) / den
+    bands[1, 1:-1] = 2.0 + (drift * (hp**2 - hm**2) - 2.0 * (hm + hp)) / den
+    bands[2, :-2] = (2.0 * hp - drift * hp**2) / den
+    # origin: Lap W = 3 W'', with the even ghost value W(-h) = W(h)
+    bands[0, 1] = 6.0 / h[0] ** 2
+    bands[1, 0] = 2.0 - 6.0 / h[0] ** 2
+    bands[1, -1] = 1.0
+    rhs = -_without_mass(r, div_gaussian_gradient_values(3, r))
+    rhs[-1] = 0.0
+    fine = solve_banded((1, 1), bands, rhs)
+    values = _without_mass(nodes, fine[::W_STAR_REFINEMENT])
+    return WStarField(field=RadialField(dim=3, nodes=nodes, values=values, nonnegative=False))
+
+
+def w_star_quadrature(grid=None, s_max=None, tol=1e-10, s_step=0.6):
+    """Quadrature of int_0^inf e^{s/2} S_3(s)[div(G_3 grad V_3)] ds, the
+    oracle of :func:`w_star`.
 
     Nodes are log-spaced in 1+s (dense near s=0 where the kernel width moves
     fastest, spacing <= s_step at the tail) with composite Simpson weights;
@@ -112,16 +174,14 @@ def w_star(grid=None, s_max=None, tol=1e-10, s_step=0.6):
     """
     from scipy.integrate import simpson
 
-    nodes = radial_grid(768, 28.0) if grid is None else np.asarray(grid, dtype=float)
+    nodes = _wstar_nodes(grid)
     if s_max is None:
         s_max = 60.0  # hard ceiling; the L1 threshold below truncates earlier
     w_meas = radial_measure_weights(nodes, 3)
-    src = div_gaussian_gradient_values(3, nodes)
     # enforce the null condition int source = 0 at quadrature level exactly:
     # the e^{s/2} weight would otherwise amplify the ~1e-13 quadrature mass
     # defect into a spurious tail mode
-    gauss = gaussian_values(3, nodes)
-    src = src - gauss * (float(np.sum(w_meas * src)) / float(np.sum(w_meas * gauss)))
+    src = _without_mass(nodes, div_gaussian_gradient_values(3, nodes))
     source = RadialField(dim=3, nodes=nodes, values=src, nonnegative=False)
     x_hi = math.log1p(s_max)
     count = max(65, int(math.ceil(x_hi / (s_step / (1.0 + s_max)))) + 1)

@@ -5,7 +5,11 @@ datum, a solver configuration, and a list of named checks with tolerances.
 ``pks run`` executes scenarios and writes a trajectory CSV, a diagnostics CSV,
 and a JSON summary {check: pass/fail, measured, expected, tolerance,
 params}; the exit code is 0 iff every check passed, 2 for configuration errors, 3 for
-numerical failures, 1 for check failures.
+numerical failures, 1 for check failures.  An ``evolve`` scenario runs the
+evolution its checks read and a ``compute`` scenario runs none; a scenario
+whose checks disagree with its kind is a configuration error.  A check that
+raises still lets the others run: its summary entry carries the error text
+and the exit code is 3.
 """
 
 import argparse
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, diagnostics, evolution, fields, potential, profiles, semigroup
-from .errors import PKSError, ScenarioConfigError, StiffnessFailure, UseProfileModule
+from .errors import PKSError, ScenarioConfigError, UseProfileModule
 from .grids import radial_grid
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
@@ -33,6 +37,7 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 @dataclass
 class Scenario:
     name: str
+    kind: str
     dim: int
     seed: int
     initial: dict
@@ -102,7 +107,8 @@ def load_scenario(path):
         checks.append((name, params))
     if not checks:
         raise ScenarioConfigError(f"{path}: a scenario needs at least one [check:*]")
-    _choice(path, "[scenario] kind", base.get("kind", "evolve"), {"evolve", "compute"})
+    kind = _choice(path, "[scenario] kind", base.get("kind", "evolve"),
+                   {"evolve", "compute"})
     initial, grid, solver = (dict(parser[name]) if name in parser else {}
                              for name in ("initial", "grid", "solver"))
     initial_kind = _choice(path, "[initial] kind", initial.get("kind", "gaussian"),
@@ -121,6 +127,7 @@ def load_scenario(path):
             raise ScenarioConfigError(f"{path}: initial data file {source!r} not found")
     return Scenario(
         name=base.get("name", Path(path).stem),
+        kind=kind,
         dim=dim,
         seed=seed,
         initial=initial,
@@ -390,7 +397,7 @@ def _check_phi_pure_heat(ctx, params):
 
 
 def _check_wstar_quadrature(ctx, params):
-    ws = ctx.wstar()
+    ws = asymptotics.w_star_quadrature()
     tol_mass = float(params.get("mass_tolerance", 1e-6))
     ok = ws.integrand_slope >= 0.45 and abs(ws.mass_defect()) <= tol_mass
     return _result(
@@ -403,7 +410,7 @@ def _check_wstar_quadrature(ctx, params):
 def _check_wstar_moment_stability(ctx, params):
     tol = float(params.get("tolerance", 0.01))
     ws = ctx.wstar()
-    refined = asymptotics.w_star(grid=radial_grid(1536, 28.0), s_step=0.3)
+    refined = asymptotics.w_star(grid=radial_grid(1536, 28.0))
     worst = 0.0
     for k in (0, 2, 4):
         a, b = ws.moment(k), refined.moment(k)
@@ -585,8 +592,13 @@ def run_scenario(config_path, out_dir=None, seed=None):
         for name, _ in scenario.checks:
             if name not in CHECKS:
                 raise ScenarioConfigError(f"unknown check {name!r}")
-        needs_trajectory = any(CHECKS[name][1] for name, _ in scenario.checks)
-        if needs_trajectory:
+        evolving = [name for name, _ in scenario.checks if CHECKS[name][1]]
+        if scenario.kind == "compute" and evolving:
+            raise ScenarioConfigError(
+                f"kind = compute, but check {evolving[0]!r} needs a trajectory")
+        if scenario.kind == "evolve" and not evolving:
+            raise ScenarioConfigError("kind = evolve, but no check needs a trajectory")
+        if scenario.kind == "evolve":
             u0 = _build_initial(scenario)
             cfg = _build_solver_config(scenario, u0)
     except (PKSError, KeyError, ValueError) as exc:
@@ -598,19 +610,23 @@ def run_scenario(config_path, out_dir=None, seed=None):
     out.mkdir(parents=True, exist_ok=True)
     ctx = CheckContext(scenario, out)
     try:
-        if needs_trajectory:
+        if scenario.kind == "evolve":
             ctx.trajectory = evolution.evolve(u0, cfg)
             evolution.export_trajectory(
                 ctx.trajectory, out / "trajectory.csv", out / "manifest.json"
             )
             diagnostics.diagnostics_csv(ctx.trajectory, out / "diagnostics.csv")
-        results = []
-        for name, params in scenario.checks:
-            fn, _ = CHECKS[name]
-            results.append(fn(ctx, params))
-    except (StiffnessFailure, PKSError) as exc:
+    except PKSError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    # a check that raises fails alone: the others still run and report
+    results = []
+    for name, params in scenario.checks:
+        try:
+            results.append(CHECKS[name][0](ctx, params))
+        except PKSError as exc:
+            print(f"numerical failure in {name}: {exc}", file=sys.stderr)
+            results.append(dict(_result(name, False, None, None, None), error=str(exc)))
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -621,8 +637,10 @@ def run_scenario(config_path, out_dir=None, seed=None):
         json.dump(summary, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     for r in results:
-        state = "pass" if r["pass"] else "FAIL"
+        state = "ERROR" if "error" in r else "pass" if r["pass"] else "FAIL"
         print(f"[{state}] {scenario.name}:{r['check']}  measured={r['measured']}")
+    if any("error" in r for r in results):
+        return 3
     return 0 if summary["all_pass"] else 1
 
 

@@ -529,8 +529,8 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
 
 def export_trajectory(trajectory, csv_path, manifest_path=None):
     """One CSV row per record plus a JSON manifest echoing the termination
-    reason, the full configuration, and the advection scheme and clamp
-    tolerance the run used."""
+    reason, the full configuration, the advection scheme and clamp
+    tolerance the run used, and the pkslab, numpy and scipy versions."""
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy\n")
         for rec in trajectory.records:
@@ -540,6 +540,10 @@ def export_trajectory(trajectory, csv_path, manifest_path=None):
                 f"{rec.l1_dist_to_profile:.17g},{rec.free_energy:.17g}\n"
             )
     if manifest_path:
+        import scipy
+
+        from . import __version__
+
         # strict JSON: non-finite settings (blowup_factor = inf) are written as text
         config = {
             key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
@@ -555,6 +559,8 @@ def export_trajectory(trajectory, csv_path, manifest_path=None):
             "config": config,
             "advection_scheme": trajectory.scheme,
             "clamp_tolerance": trajectory.clamp_tolerance,
+            "versions": {"pkslab": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__},
         }
         with open(manifest_path, "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)

@@ -45,6 +45,23 @@ def radial_grid(num=DEFAULT_RADIAL_NODES, r_max=DEFAULT_RADIAL_RMAX, kind="grade
     raise InvalidParameter(f"unknown grid kind {kind!r}")
 
 
+def nested_refinement(nodes, factor):
+    """A node set with ``factor`` cells per cell of ``nodes`` and
+    ``fine[::factor] == nodes`` exactly.
+
+    The fine nodes follow the cubic spline of the nodes against their index,
+    which reproduces the graded and uniform grids (polynomials in the index)
+    to rounding, so the fine spacing is as smooth as the coarse one.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    index = np.arange(factor * (nodes.size - 1) + 1) / factor
+    fine = CubicSpline(np.arange(nodes.size), nodes)(index)
+    fine[::factor] = nodes
+    if np.any(np.diff(fine) <= 0.0):
+        raise InvalidParameter("nodes too irregular for a monotone refinement")
+    return fine
+
+
 def trapezoid_weights(nodes):
     """Trapezoid-rule weights for an arbitrary strictly increasing node set.
 

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The expensive simulation objects (reference subcritical run, the dense-window
-run behind the Phi scans, the W_star profile) are session-scoped so the whole
-suite pays for each of them once.
+run behind the Phi scans, the W_star profile and its s-quadrature oracle) are
+session-scoped so the whole suite pays for each of them once.
 """
 
 import math
@@ -31,6 +31,11 @@ def default_nodes():
 @pytest.fixture(scope="session")
 def wstar_default():
     return asymptotics.w_star()
+
+
+@pytest.fixture(scope="session")
+def wstar_quadrature():
+    return asymptotics.w_star_quadrature()
 
 
 @pytest.fixture(scope="session")

@@ -70,33 +70,50 @@ def test_wstar_null_mass(wstar_default):
     assert abs(wstar_default.mass_defect()) <= 1e-6
 
 
-def test_wstar_integrand_decay(wstar_default):
-    assert wstar_default.integrand_slope >= 0.45
-    assert wstar_default.tail_estimate <= 1e-9
+def test_wstar_integrand_decay(wstar_quadrature):
+    assert wstar_quadrature.integrand_slope >= 0.45
+    assert wstar_quadrature.tail_estimate <= 1e-9
+
+
+def test_wstar_direct_solve_matches_quadrature(wstar_default, wstar_quadrature):
+    assert wstar_default.s_nodes == 0 and wstar_default.integrand_slope is None
+    direct, quad = wstar_default.field.values, wstar_quadrature.field.values
+    assert np.abs(direct - quad).max() <= 1e-5 * np.abs(quad).max()
+    for k in (0, 2, 4):
+        assert wstar_default.moment(k) == pytest.approx(wstar_quadrature.moment(k), rel=2e-5)
+    b0 = [0.0, 0.0, 0.0]
+    assert asy.constant_c1(1.0, b0, wstar_default).value == pytest.approx(
+        asy.constant_c1(1.0, b0, wstar_quadrature).value, rel=2e-5)
+    assert abs(wstar_default.mass_defect()) <= 1e-14
+
+
+def test_wstar_rejects_grid_without_origin():
+    with pytest.raises(InvalidParameter):
+        asy.w_star(grid=radial_grid(768, 28.0)[1:])
 
 
 def test_wstar_moments_finite_and_stable(wstar_default):
     base = [wstar_default.moment(k) for k in (0, 2, 4)]
     assert all(math.isfinite(m) and m > 0 for m in base)
-    refined = asy.w_star(grid=radial_grid(1536, 28.0), s_step=0.3)
+    refined = asy.w_star(grid=radial_grid(1536, 28.0))
     for k, b in zip((0, 2, 4), base):
         assert refined.moment(k) == pytest.approx(b, rel=0.01)
 
 
-def test_wstar_dual_quadrature_center(wstar_default):
+def test_wstar_dual_quadrature_center(wstar_quadrature):
     # Gauss-Legendre s-quadrature as the second, independent order
     from numpy.polynomial.legendre import leggauss
     from pkslab.semigroup import _apply_radial
     from pkslab.fields import RadialField
 
-    nodes = wstar_default.field.nodes
+    nodes = wstar_quadrature.field.nodes
     src = div_gaussian_gradient_values(3, nodes)
     gauss = gaussian_values(3, nodes)
     w_meas = radial_measure_weights(nodes, 3)
     src = src - gauss * (float(np.sum(w_meas * src)) / float(np.sum(w_meas * gauss)))
     source = RadialField(dim=3, nodes=nodes, values=src, nonnegative=False)
     xg, wg = leggauss(160)
-    x_hi = math.log1p(wstar_default.s_max)
+    x_hi = math.log1p(wstar_quadrature.s_max)
     xs = 0.5 * (xg + 1.0) * x_hi
     ws = 0.5 * x_hi * wg
     total = np.zeros_like(nodes)
@@ -104,9 +121,11 @@ def test_wstar_dual_quadrature_center(wstar_default):
         s = math.expm1(x)
         if s <= 0:
             continue
-        evolved = _apply_radial(source, a=-math.expm1(-s), shrink=math.exp(-s / 2.0))
+        # single-use kernels: keep them out of the session's propagator cache
+        evolved = _apply_radial(source, a=-math.expm1(-s), shrink=math.exp(-s / 2.0),
+                                cached=False)
         total += wt * (1.0 + s) * math.exp(s / 2.0) * evolved.values
-    assert total[0] == pytest.approx(wstar_default.field.values[0], rel=5e-3)
+    assert total[0] == pytest.approx(wstar_quadrature.field.values[0], rel=5e-3)
 
 
 def test_w_function_self_similarity(wstar_default):

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pkslab import cli
-from pkslab.errors import ScenarioConfigError, UseProfileModule
+from pkslab import asymptotics, cli
+from pkslab.errors import InvalidData, ScenarioConfigError, UseProfileModule
 
 FAST_SCENARIO = """\
 [scenario]
@@ -113,6 +113,40 @@ def test_unhonoured_scenario_input_exits_2(tmp_path, capsys, edit):
     assert "config error" in capsys.readouterr().err
 
 
+# scenarios whose checks disagree with their [scenario] kind
+KIND_MISMATCH = {
+    "compute_with_trajectory_check": TINY_RUN.replace("kind = evolve", "kind = compute"),
+    "evolve_without_trajectory_check": FAST_SCENARIO.replace("kind = compute",
+                                                             "kind = evolve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_MISMATCH))
+def test_kind_disagreeing_with_checks_exits_2(tmp_path, capsys, case):
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text(KIND_MISMATCH[case])
+    assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 2
+    assert "kind" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_raising_check_keeps_the_other_results(tmp_path, monkeypatch, capsys):
+    def boom(ctx, params):
+        raise InvalidData("boom")
+
+    monkeypatch.setitem(cli.CHECKS, "potential_disk", (boom, False))
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(FAST_SCENARIO + "\n[check:null_conditions]\ntolerance = 1e-8\n")
+    out = tmp_path / "out"
+    assert cli.run_scenario(str(cfg), out_dir=out) == 3
+    assert "boom" in capsys.readouterr().err
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks["potential_disk"]["error"] == "boom"
+    assert checks["potential_disk"]["pass"] is False
+    assert checks["null_conditions"]["pass"] is True
+    assert "error" not in checks["null_conditions"]
+
+
 SCENARIO_FILES = sorted(cli.SCENARIO_DIR.glob("*.cfg")) + sorted(
     (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios").glob("*.cfg")
 )
@@ -168,6 +202,15 @@ def test_export_constants_n4():
     assert report["c2"] == pytest.approx(1.0 / (256.0 * math.pi**4), rel=1e-9)
     assert report["rel_disagreement"]["c2"] <= 1e-3
     assert "c2_closed_form" in report["oracle_values"]
+
+
+def test_main_constants_n3(tmp_path, wstar_default):
+    out = tmp_path / "constants.json"
+    assert cli.main(["constants", "--n", "3", "--mass", "1.0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["c1"] == asymptotics.constant_c1(1.0, [0.0] * 3, wstar_default).value
+    assert report["rel_disagreement"]["c1"] <= 5e-3
+    assert "c1_monte_carlo" in report["oracle_values"]
 
 
 def test_export_constants_n2_redirects():

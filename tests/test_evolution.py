@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
+import pkslab
 from pkslab import evolution as ev, fields
 from pkslab.errors import (
     BlowupTrajectory,
@@ -258,6 +260,8 @@ def test_export_trajectory(tmp_path, phi_run_2d):
     config = dataclasses.asdict(phi_run_2d.config)
     assert set(manifest["config"]) == set(config)
     assert manifest["config"]["record_times"] == list(config["record_times"])
+    assert manifest["versions"] == {"pkslab": pkslab.__version__,
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
     # 17 significant digits in the rows
     row = csv_path.read_text().splitlines()[1].split(",")
     assert len(row[1]) >= 17

@@ -19,7 +19,7 @@ from pkslab.fields import (
     total_mass,
     write_snapshot,
 )
-from pkslab.grids import radial_grid, trapezoid_weights
+from pkslab.grids import nested_refinement, radial_grid, trapezoid_weights
 from pkslab.semigroup import gaussian_values
 
 from conftest import gaussian_radial
@@ -46,6 +46,20 @@ def test_trapezoid_weights_integrate_constants(default_nodes):
     # the defining invariant of the weights: exact on the constant 1
     w = trapezoid_weights(default_nodes)
     assert abs(w.sum() - default_nodes[-1]) < 1e-12 * default_nodes[-1]
+
+
+@pytest.mark.parametrize("kind", ["graded", "uniform"])
+def test_nested_refinement_keeps_the_coarse_nodes(kind):
+    coarse = radial_grid(768, 28.0, kind=kind)
+    fine = nested_refinement(coarse, 16)
+    assert np.array_equal(fine[::16], coarse)
+    np.testing.assert_allclose(fine, radial_grid(16 * 767 + 1, 28.0, kind=kind),
+                               rtol=0, atol=1e-13)
+
+
+def test_nested_refinement_rejects_a_fold():
+    with pytest.raises(InvalidParameter):
+        nested_refinement(np.array([0.0, 1.0, 1.01, 5.0, 5.02, 9.0]), 8)
 
 
 def test_sup_norm_peak(default_nodes):
