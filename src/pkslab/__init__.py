@@ -23,7 +23,6 @@ from .diagnostics import (
     decay_envelope,
     free_energy_2d,
     phi_density,
-    phi_monotonicity_check,
     relative_entropy,
     virial_prediction_2d,
     virial_slope,

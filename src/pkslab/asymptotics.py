@@ -114,10 +114,6 @@ class WStarField:
         return float(np.sum(w * np.abs(self.field.values) * self.field.nodes**k))
 
 
-def _wstar_nodes(grid):
-    return radial_grid(*W_STAR_GRID) if grid is None else np.asarray(grid, dtype=float)
-
-
 def _without_mass(nodes, values):
     """``values`` minus the multiple of G_3 that carries their quadrature mass."""
     w_meas = radial_measure_weights(nodes, 3)
@@ -139,7 +135,7 @@ def w_star(grid=None):
     quadrature mass projected out along G_3.  :func:`w_star_quadrature`
     evaluates the s-integral itself and is the oracle of this solve.
     """
-    nodes = _wstar_nodes(grid)
+    nodes = radial_grid(*W_STAR_GRID) if grid is None else np.asarray(grid, dtype=float)
     if nodes[0] != 0.0:
         raise InvalidParameter("the W_star solve needs a grid that starts at r = 0")
     r = nested_refinement(nodes, W_STAR_REFINEMENT)
@@ -162,21 +158,20 @@ def w_star(grid=None):
     return WStarField(field=RadialField(dim=3, nodes=nodes, values=values, nonnegative=False))
 
 
-def w_star_quadrature(grid=None, s_max=None, tol=1e-10, s_step=0.6):
+def w_star_quadrature():
     """Quadrature of int_0^inf e^{s/2} S_3(s)[div(G_3 grad V_3)] ds, the
     oracle of :func:`w_star`.
 
     Nodes are log-spaced in 1+s (dense near s=0 where the kernel width moves
-    fastest, spacing <= s_step at the tail) with composite Simpson weights;
-    the truncation point is raised until the e^{-s/2} tail estimate drops
-    below tol.  The integrand's L1 norm must decay at a fitted rate >= 0.45
+    fastest, spacing <= 0.6 at the tail) with composite Simpson weights up to
+    s = 60 at most; the integration stops once s > 20 and the integrand's L1
+    norm drops below 1e-10.  That norm must decay at a fitted rate >= 0.45
     (target 1/2) or the quadrature is rejected as diverging.
     """
     from scipy.integrate import simpson
 
-    nodes = _wstar_nodes(grid)
-    if s_max is None:
-        s_max = 60.0  # hard ceiling; the L1 threshold below truncates earlier
+    nodes = radial_grid(*W_STAR_GRID)
+    s_max, s_step, tol = 60.0, 0.6, 1e-10
     w_meas = radial_measure_weights(nodes, 3)
     # enforce the null condition int source = 0 at quadrature level exactly:
     # the e^{s/2} weight would otherwise amplify the ~1e-13 quadrature mass
@@ -235,19 +230,21 @@ def w_function(wstar, t, nodes=None):
                        nonnegative=False)
 
 
-def w_pde_residual(wstar, t=1.0, dt=1e-3):
-    """L1 residual of d_t W - Lap W - div(Gamma_t grad E_3 * Gamma_t) at time t.
+def w_pde_residual(wstar):
+    """L1 residual of d_t W - Lap W - div(Gamma_t grad E_3 * Gamma_t) at t = 1.
 
-    Time derivative by central differences of the self-similar evaluation,
-    Laplacian by spline differentiation, source in closed form.
+    Time derivative by central differences (step 1e-3) of the self-similar
+    evaluation, Laplacian by spline differentiation, source in closed form
+    (at t = 1 it is div(G_3 grad V_3) itself).
     """
+    dt = 1e-3
     nodes = wstar.field.nodes
-    w_mid = w_function(wstar, t, nodes)
-    w_lo = w_function(wstar, t - dt, nodes)
-    w_hi = w_function(wstar, t + dt, nodes)
+    w_mid = w_function(wstar, 1.0, nodes)
+    w_lo = w_function(wstar, 1.0 - dt, nodes)
+    w_hi = w_function(wstar, 1.0 + dt, nodes)
     dt_term = (w_hi.values - w_lo.values) / (2.0 * dt)
     lap = radial_laplacian(nodes, w_mid.values, 3)
-    source = t**-3.0 * div_gaussian_gradient_values(3, nodes / math.sqrt(t))
+    source = div_gaussian_gradient_values(3, nodes)
     residual = dt_term - lap - source
     w_meas = radial_measure_weights(nodes, 3)
     return float(np.sum(w_meas * np.abs(residual)))
@@ -324,10 +321,10 @@ def constant_c1(mass, b0, wstar):
     return C1Result(value=value, radial_part=value, dipole_part=0.0)
 
 
-def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1,
-                            r_max=14.0, strata=200):
-    """Monte Carlo oracle for c1: stratified-in-radius sampling of the full
-    3D integrand (dipole terms included; they cancel in expectation).
+def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
+    """Monte Carlo oracle for c1: sampling of the full 3D integrand (dipole
+    terms included; they cancel in expectation), stratified in radius over
+    200 equal shells of [0, 14].
 
     Samples are drawn antithetically in the polar cosine against B0, which
     removes the variance of the mean-zero dipole blocks without biasing the
@@ -345,8 +342,9 @@ def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1,
     wp_interp = radial_interpolator(nodes, wprime)
     vwp_interp = radial_interpolator(nodes, _wstar_potential_gradient(wstar))
 
+    strata = 200
     per = max(1, samples // (2 * strata))  # antithetic pairs
-    edges = np.linspace(0.0, r_max, strata + 1)
+    edges = np.linspace(0.0, 14.0, strata + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         r = rng.uniform(lo, hi, per)

@@ -1,7 +1,8 @@
 """Scenario orchestration and the ``pks`` command line.
 
 Scenarios are flat INI files (sections of key=value pairs) naming an initial
-datum, a solver configuration, and a list of named checks with tolerances.
+datum, a solver configuration, and a list of named checks; a check's section
+holds its keyword arguments, and any key a section does not read is refused.
 ``pks run`` executes scenarios and writes a trajectory CSV, a diagnostics CSV,
 and a JSON summary {check: pass/fail, measured, expected, tolerance,
 params}; the exit code is 0 iff every check passed, 2 for configuration errors, 3 for
@@ -14,12 +15,15 @@ and the exit code is 3.
 
 import argparse
 import configparser
+import inspect
 import json
 import math
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -43,7 +47,7 @@ class Scenario:
     initial: dict
     grid: dict
     solver: dict
-    checks: list = dataclass_field(default_factory=list)
+    checks: list[tuple[str, dict]] = dataclass_field(default_factory=list)
 
     @property
     def mass(self):
@@ -54,7 +58,9 @@ def _parse_floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-# the keys each section may hold, by [initial] kind and [grid] geometry
+# the keys each section may hold, by [initial] kind and [grid] geometry; a
+# [check:<name>] section holds the check's keyword arguments
+_SCENARIO_KEYS = {"name", "description", "dim", "seed", "kind"}
 _INITIAL_KEYS = {"gaussian": {"kind", "mass", "t0"},
                  "custom-file": {"kind", "mass", "file"}}
 _GRID_KEYS = {"radial": {"geometry", "nodes", "rmax"},
@@ -72,12 +78,65 @@ def _choice(path, key, value, allowed):
     return value
 
 
+def _check_parameters(name):
+    """{key: parameter} of the [check:<name>] keys: the check's keyword
+    arguments after ``ctx``.  A trailing underscore lets a key be a Python
+    keyword (``from_`` reads ``from``)."""
+    params = list(inspect.signature(CHECKS[name][0]).parameters.values())[1:]
+    return {param.name.removesuffix("_"): param for param in params}
+
+
+def _cast(annotation, text):
+    """``text`` as a value of ``annotation``: float; int (integral, so
+    ``1e7`` but not ``2.5``); a Literal of strings; a tuple of floats of its
+    length; a non-empty list of floats; or one of these ``| None``."""
+    if get_origin(annotation) is types.UnionType:  # X | None
+        (annotation,) = (arg for arg in get_args(annotation) if arg is not type(None))
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Literal:
+        if text not in args:
+            raise ValueError(f"must be one of {list(args)}")
+        return text
+    if origin in (tuple, list):
+        values = _parse_floats(text)
+        if origin is tuple and len(values) != len(args):
+            raise ValueError(f"needs {len(args)} numbers")
+        if not values:
+            raise ValueError("needs at least one number")
+        return tuple(values) if origin is tuple else values
+    value = float(text)
+    if annotation is int:
+        if not value.is_integer():
+            raise ValueError("must be an integer")
+        return int(value)
+    return value
+
+
+def _check_values(path, name, section):
+    """The [check:<name>] section as the check's keyword arguments."""
+    params = _check_parameters(name)
+    kwargs = {}
+    for key, text in section.items():
+        try:
+            value = _cast(params[key].annotation, text)
+        except ValueError as exc:
+            raise ScenarioConfigError(f"{path}: [check:{name}] {key} = {text!r}: {exc}") from exc
+        if key == "tolerance" and not value > 0.0:
+            raise ScenarioConfigError(f"{path}: [check:{name}] tolerance must be > 0")
+        kwargs[params[key].name] = value
+    return kwargs
+
+
 def load_scenario(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ScenarioConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ScenarioConfigError(f"cannot read scenario file {path}")
-    if "scenario" not in parser:
+    if "scenario" not in sections:
         raise ScenarioConfigError(f"{path}: missing [scenario] section")
     base = parser["scenario"]
     try:
@@ -87,38 +146,26 @@ def load_scenario(path):
         raise ScenarioConfigError(f"{path}: bad scenario key: {exc}") from exc
     if dim not in (2, 3, 4, 5):
         raise ScenarioConfigError(f"{path}: dim must be in 2..5, got {dim}")
-    checks = []
-    for section in parser.sections():
-        if not section.startswith("check:"):
-            continue
-        name = section.split(":", 1)[1]
-        params = dict(parser[section])
-        if "tolerance" in params:
-            try:
-                tol = float(params["tolerance"])
-            except ValueError as exc:
-                raise ScenarioConfigError(
-                    f"{path}: check {name}: bad tolerance {params['tolerance']!r}"
-                ) from exc
-            if tol <= 0.0:
-                raise ScenarioConfigError(
-                    f"{path}: check {name}: tolerance must be > 0"
-                )
-        checks.append((name, params))
+    checks = [name.split(":", 1)[1] for name in sections if name.startswith("check:")]
     if not checks:
         raise ScenarioConfigError(f"{path}: a scenario needs at least one [check:*]")
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ScenarioConfigError(f"{path}: unknown check {unknown[0]!r}")
     kind = _choice(path, "[scenario] kind", base.get("kind", "evolve"),
                    {"evolve", "compute"})
-    initial, grid, solver = (dict(parser[name]) if name in parser else {}
-                             for name in ("initial", "grid", "solver"))
+    initial, grid, solver = (sections.get(name, {}) for name in ("initial", "grid", "solver"))
     initial_kind = _choice(path, "[initial] kind", initial.get("kind", "gaussian"),
                            _INITIAL_KEYS)
     geometry = _choice(path, "[grid] geometry", grid.get("geometry", "radial"),
                        _GRID_KEYS)
-    for name, section, allowed in (("initial", initial, _INITIAL_KEYS[initial_kind]),
-                                   ("grid", grid, _GRID_KEYS[geometry]),
-                                   ("solver", solver, _SOLVER_KEYS)):
-        unread = sorted(set(section) - allowed)
+    allowed = {"scenario": _SCENARIO_KEYS, "initial": _INITIAL_KEYS[initial_kind],
+               "grid": _GRID_KEYS[geometry], "solver": _SOLVER_KEYS}
+    allowed.update((f"check:{name}", set(_check_parameters(name))) for name in checks)
+    for name, section in sections.items():
+        if name not in allowed:
+            raise ScenarioConfigError(f"{path}: unknown section [{name}]")
+        unread = sorted(set(section) - allowed[name])
         if unread:
             raise ScenarioConfigError(f"{path}: [{name}] does not read {', '.join(unread)}")
     if initial_kind == "custom-file":
@@ -133,7 +180,8 @@ def load_scenario(path):
         initial=initial,
         grid=grid,
         solver=solver,
-        checks=checks,
+        checks=[(name, _check_values(path, name, sections[f"check:{name}"]))
+                for name in checks],
     )
 
 
@@ -155,10 +203,7 @@ def _build_initial(scenario):
     if grid[0] == "cartesian":
         _, size, extent = grid
         return fields.gaussian_cartesian(mass, extent=extent, size=size, t0=t0)
-    _, nodes = grid
-    n = scenario.dim
-    values = mass * (4.0 * math.pi * t0) ** (-n / 2.0) * np.exp(-nodes**2 / (4.0 * t0))
-    return fields.RadialField(dim=n, nodes=nodes, values=values)
+    return fields.gaussian_radial(scenario.dim, mass, grid[1], t0)
 
 
 def _build_solver_config(scenario, u0):
@@ -224,22 +269,22 @@ def _result(name, passed, measured, expected, tolerance, params=None):
     }
 
 
-def _check_virial_slope(ctx, params):
+def _check_virial_slope(ctx, tolerance: float = 0.01,
+                        mode: Literal["relative", "absolute"] = "relative"):
     mass = ctx.scenario.mass
     slope = diagnostics.virial_slope(ctx.trajectory)
     expected = diagnostics.virial_prediction_2d(mass)
-    tol = float(params.get("tolerance", 0.01))
-    mode = params.get("mode", "relative")
     if mode == "absolute":
-        passed = abs(slope - expected) <= tol
+        passed = abs(slope - expected) <= tolerance
     else:
-        passed = abs(slope - expected) <= tol * abs(expected)
-    return _result("virial_slope", passed, slope, expected, tol, {"mode": mode})
+        passed = abs(slope - expected) <= tolerance * abs(expected)
+    return _result("virial_slope", passed, slope, expected, tolerance, {"mode": mode})
 
 
-def _check_threshold_slope(ctx, params):
-    lo, hi = _parse_floats(params.get("window", "10 100"))
-    blo, bhi = _parse_floats(params.get("bounds", "-0.5 0.1"))
+def _check_threshold_slope(ctx, window: tuple[float, float] = (10.0, 100.0),
+                           bounds: tuple[float, float] = (-0.5, 0.1)):
+    lo, hi = window
+    blo, bhi = bounds
     t = ctx.trajectory.times()
     sup = ctx.trajectory.sup_norms()
     weighted = t * sup
@@ -250,10 +295,9 @@ def _check_threshold_slope(ctx, params):
                    {"window": [lo, hi]})
 
 
-def _check_blowup_deadline(ctx, params):
+def _check_blowup_deadline(ctx, factor: float = 1.2):
     traj = ctx.trajectory
     mass = ctx.scenario.mass
-    factor = float(params.get("factor", 1.2))
     m2_0 = traj.records[0].moments.second_moment
     deadline = factor * m2_0 / abs(diagnostics.virial_prediction_2d(mass))
     elapsed = traj.blowup_time - traj.config.t_init if traj.blowup else math.inf
@@ -261,127 +305,112 @@ def _check_blowup_deadline(ctx, params):
                    elapsed, deadline, factor)
 
 
-def _check_sup_rate(ctx, params):
-    lo, hi = _parse_floats(params.get("window", "10 200"))
-    expected = float(params.get("expected", -1.5))
-    tol = float(params.get("tolerance", 0.1))
+def _check_sup_rate(ctx, window: tuple[float, float] = (10.0, 200.0),
+                    expected: float = -1.5, tolerance: float = 0.1):
+    lo, hi = window
     t = ctx.trajectory.times()
     sup = ctx.trajectory.sup_norms()
     mask = (t >= lo) & (t <= hi)
     slope, _, _ = asymptotics.fit_rate(t[mask], sup[mask])
-    return _result("sup_rate", abs(slope - expected) <= tol, slope, expected, tol,
-                   {"window": [lo, hi]})
+    return _result("sup_rate", abs(slope - expected) <= tolerance, slope, expected,
+                   tolerance, {"window": [lo, hi]})
 
 
-def _check_l1_rate_negative(ctx, params):
-    lo = float(params.get("from", 10.0))
+def _check_l1_rate_negative(ctx, from_: float = 10.0, bound: float = 0.0):
     t = ctx.trajectory.times()
     l1 = ctx.trajectory.l1_errors()
-    mask = (t >= lo) & (l1 > 0)
+    mask = (t >= from_) & (l1 > 0)
     slope, _, _ = asymptotics.fit_rate(t[mask], l1[mask])
-    bound = float(params.get("bound", 0.0))
     return _result("l1_rate_negative", slope < bound, slope, f"< {bound}", None,
-                   {"from": lo})
+                   {"from": from_})
 
 
-def _check_weighted_sup_decreasing(ctx, params):
-    lo = float(params.get("from", 20.0))
+def _check_weighted_sup_decreasing(ctx, from_: float = 20.0):
     traj = ctx.trajectory
     n = traj.dim
     mass = ctx.scenario.mass
     t = traj.times()
     dist = []
     for rec in traj.records:
-        nodes = rec.field.nodes
-        gamma = mass * (4 * math.pi * rec.time) ** (-n / 2.0) * np.exp(
-            -nodes**2 / (4.0 * rec.time)
-        )
-        dist.append(float(np.abs(rec.field.values - gamma).max()))
+        gamma = fields.gaussian_radial(n, mass, rec.field.nodes, rec.time)
+        dist.append(float(np.abs(rec.field.values - gamma.values).max()))
     weighted = t ** (n / 2.0) * np.asarray(dist)
-    tail = weighted[t >= lo]
+    tail = weighted[t >= from_]
     decreasing = bool(np.all(np.diff(tail) < 0.0))
     return _result("weighted_sup_decreasing", decreasing,
-                   float(tail[-1] / tail[0]), "< 1 monotone", None, {"from": lo})
+                   float(tail[-1] / tail[0]), "< 1 monotone", None, {"from": from_})
 
 
-def _check_mass_conservation(ctx, params):
-    tol = float(params.get("tolerance", 1e-7))
+def _check_mass_conservation(ctx, tolerance: float = 1e-7):
     drift = ctx.trajectory.mass_drift()
-    return _result("mass_conservation", drift <= tol, drift, 0.0, tol)
+    return _result("mass_conservation", drift <= tolerance, drift, 0.0, tolerance)
 
 
-def _check_profile_residual(ctx, params):
-    tol = float(params.get("tolerance", 1e-6))
-    masses = _parse_floats(params.get("masses", str(ctx.scenario.mass)))
+# the profile checks' mass (masses) left at None is the scenario's mass
+def _check_profile_residual(ctx, tolerance: float = 1e-6,
+                            masses: list[float] | None = None):
+    masses = [ctx.scenario.mass] if masses is None else masses
     results = [ctx.gm(m, (6144, 30.0)) for m in masses]
     worst = max(gm.residual for gm in results)
-    return _result("profile_residual", worst <= tol, worst, 0.0, tol,
+    return _result("profile_residual", worst <= tolerance, worst, 0.0, tolerance,
                    {"masses": masses})
 
 
-def _check_profile_stationarity(ctx, params):
-    tol = float(params.get("tolerance", 1e-3))
-    mass = float(params.get("mass", ctx.scenario.mass))
-    tau_end = float(params.get("tau_end", 5.0))
+def _check_profile_stationarity(ctx, tolerance: float = 1e-3, mass: float | None = None,
+                                tau_end: float = 5.0):
+    mass = ctx.scenario.mass if mass is None else mass
     gm = ctx.gm(mass, (1536, 30.0)).field
     cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
     traj = evolution.evolve_similarity(gm, cfg, reference_field=gm)
     drift = float(np.nanmax(traj.l1_errors()))
-    return _result("profile_stationarity", drift <= tol, drift, 0.0, tol,
+    return _result("profile_stationarity", drift <= tolerance, drift, 0.0, tolerance,
                    {"mass": mass, "tau_end": tau_end})
 
 
-def _check_profile_relaxation(ctx, params):
-    mass = float(params.get("mass", ctx.scenario.mass))
-    tau_end = float(params.get("tau_end", 6.0))
-    frac = float(params.get("final_fraction", 0.05))
+def _check_profile_relaxation(ctx, mass: float | None = None, tau_end: float = 6.0,
+                              final_fraction: float = 0.05):
+    mass = ctx.scenario.mass if mass is None else mass
     gm = ctx.gm(mass, (1536, 30.0)).field
     g0 = profiles.gaussian_profile(2, mass, grid=gm.nodes)
     cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
     traj = evolution.evolve_similarity(g0, cfg, reference_field=gm)
     errs = traj.l1_errors()
-    ok = bool(np.all(np.diff(errs) < 1e-12)) and errs[-1] <= frac * mass
-    return _result("profile_relaxation", ok, errs[-1] / mass, 0.0, frac,
+    ok = bool(np.all(np.diff(errs) < 1e-12)) and errs[-1] <= final_fraction * mass
+    return _result("profile_relaxation", ok, errs[-1] / mass, 0.0, final_fraction,
                    {"mass": mass, "tau_end": tau_end})
 
 
-def _check_c2_agreement(ctx, params):
-    tol = float(params.get("tolerance", 1e-3))
+def _check_c2_agreement(ctx, tolerance: float = 1e-3):
     display = asymptotics.constant_c2(1.0)
     oracle = asymptotics.constant_c2_oracle(1.0)
     closed = asymptotics.C2_UNIT_CLOSED_FORM
     rel = max(abs(display - oracle), abs(display - closed),
               abs(oracle - closed)) / closed
-    return _result("c2_agreement", rel <= tol, rel, 0.0, tol)
+    return _result("c2_agreement", rel <= tolerance, rel, 0.0, tolerance)
 
 
-def _check_c1_mc_agreement(ctx, params):
-    tol = float(params.get("tolerance", 5e-3))
-    samples = int(float(params.get("samples", 1e7)))
+def _check_c1_mc_agreement(ctx, tolerance: float = 5e-3, samples: int = 10_000_000):
     ws = ctx.wstar()
     quad = asymptotics.constant_c1(1.0, [1.0, 0.0, 0.0], ws).value
     mc = asymptotics.constant_c1_monte_carlo(
         1.0, [1.0, 0.0, 0.0], ws, samples=samples, seed=ctx.scenario.seed
     )
     rel = abs(mc - quad) / abs(quad)
-    return _result("c1_mc_agreement", rel <= tol, rel, 0.0, tol,
+    return _result("c1_mc_agreement", rel <= tolerance, rel, 0.0, tolerance,
                    {"samples": samples})
 
 
-def _check_phi_margin(ctx, params):
-    tol = float(params.get("tolerance", 1e-3))
-    s1 = float(params.get("s1", 2.0))
-    rho_lo, rho_hi = _parse_floats(params.get("rho_range", "0.1 1.0"))
+def _check_phi_margin(ctx, tolerance: float = 1e-3, s1: float = 2.0,
+                      rho_range: tuple[float, float] = (0.1, 1.0)):
+    rho_lo, rho_hi = rho_range
     rho = diagnostics.rho_grid_from_records(ctx.trajectory, s1, rho_lo, rho_hi)
     _, phi, margin = diagnostics.phi_scan(ctx.trajectory, (0.0, s1), rho)
     rel = float((margin[1:-1] / phi[1:-1]).min())
-    return _result("phi_margin", rel >= -tol, rel, ">= 0", tol,
+    return _result("phi_margin", rel >= -tolerance, rel, ">= 0", tolerance,
                    {"s1": s1, "rho_range": [rho_lo, rho_hi]})
 
 
-def _check_phi_pure_heat(ctx, params):
-    tol = float(params.get("tolerance", 1e-4))
-    s1 = float(params.get("s1", 2.0))
+def _check_phi_pure_heat(ctx, tolerance: float = 1e-4, s1: float = 2.0):
     mass = ctx.scenario.mass
     cfg = ctx.trajectory.config
     heat_cfg = evolution.SolverConfig(
@@ -393,39 +422,35 @@ def _check_phi_pure_heat(ctx, params):
     phi = np.array([diagnostics.phi_density(traj, (0.0, s1), p) for p in rho])
     exact = mass * rho**2 / (4.0 * math.pi * s1)
     rel = float(np.abs(phi / exact - 1.0).max())
-    return _result("phi_pure_heat", rel <= tol, rel, 0.0, tol, {"s1": s1})
+    return _result("phi_pure_heat", rel <= tolerance, rel, 0.0, tolerance, {"s1": s1})
 
 
-def _check_wstar_quadrature(ctx, params):
+def _check_wstar_quadrature(ctx, mass_tolerance: float = 1e-6):
     ws = asymptotics.w_star_quadrature()
-    tol_mass = float(params.get("mass_tolerance", 1e-6))
-    ok = ws.integrand_slope >= 0.45 and abs(ws.mass_defect()) <= tol_mass
+    ok = ws.integrand_slope >= 0.45 and abs(ws.mass_defect()) <= mass_tolerance
     return _result(
         "wstar_quadrature", ok,
         {"integrand_slope": ws.integrand_slope, "mass_defect": ws.mass_defect()},
-        {"integrand_slope": ">= 0.45", "mass_defect": 0.0}, tol_mass,
+        {"integrand_slope": ">= 0.45", "mass_defect": 0.0}, mass_tolerance,
     )
 
 
-def _check_wstar_moment_stability(ctx, params):
-    tol = float(params.get("tolerance", 0.01))
+def _check_wstar_moment_stability(ctx, tolerance: float = 0.01):
     ws = ctx.wstar()
     refined = asymptotics.w_star(grid=radial_grid(1536, 28.0))
     worst = 0.0
     for k in (0, 2, 4):
         a, b = ws.moment(k), refined.moment(k)
         worst = max(worst, abs(a - b) / abs(a))
-    return _result("wstar_moment_stability", worst <= tol, worst, 0.0, tol)
+    return _result("wstar_moment_stability", worst <= tolerance, worst, 0.0, tolerance)
 
 
-def _check_w_pde_residual(ctx, params):
-    tol = float(params.get("tolerance", 1e-3))
+def _check_w_pde_residual(ctx, tolerance: float = 1e-3):
     res = asymptotics.w_pde_residual(ctx.wstar())
-    return _result("w_pde_residual", res <= tol, res, 0.0, tol)
+    return _result("w_pde_residual", res <= tolerance, res, 0.0, tolerance)
 
 
-def _check_w_self_similarity(ctx, params):
-    tol = float(params.get("tolerance", 1e-10))
+def _check_w_self_similarity(ctx, tolerance: float = 1e-10):
     ws = ctx.wstar()
     err = 0.0
     for count in (41, 33):
@@ -433,13 +458,11 @@ def _check_w_self_similarity(ctx, params):
         w1 = asymptotics.w_function(ws, 1.0, nodes=xi).values
         w4 = 4.0**2 * asymptotics.w_function(ws, 4.0, nodes=2.0 * xi).values
         err = max(err, float(np.abs(w1 - w4).max() / np.abs(w1).max()))
-    return _result("w_self_similarity", err <= tol, err, 0.0, tol)
+    return _result("w_self_similarity", err <= tolerance, err, 0.0, tolerance)
 
 
-def _check_expansion_rate(ctx, params):
-    tol = float(params.get("minimum", 0.95))
-    mass = float(params.get("mass", 3.0))
-    shift = float(params.get("shift", 1.2))
+def _check_expansion_rate(ctx, minimum: float = 0.95, mass: float = 3.0,
+                          shift: float = 1.2):
     u0 = fields.gaussian_cartesian(mass, extent=20.0, size=256,
                                    center=(shift, 0.0), t0=1.0)
     taus = np.linspace(2.0, 8.0, 13)
@@ -450,24 +473,21 @@ def _check_expansion_rate(ctx, params):
         diff = out.with_values(out.values - ref.values, nonnegative=False)
         errs.append(fields.lp_norm(diff, 1))
     rate = asymptotics.fit_exponential_rate(taus, np.array(errs))
-    return _result("expansion_rate", rate >= tol, rate, 1.0, tol,
+    return _result("expansion_rate", rate >= minimum, rate, 1.0, minimum,
                    {"mass": mass, "shift": shift})
 
 
-def _check_potential_disk(ctx, params):
-    tol = float(params.get("tolerance", 1e-3))
+def _check_potential_disk(ctx, tolerance: float = 1e-3):
     nodes = np.linspace(0.0, 4.0, 4097)
     disk = fields.indicator_disk(nodes, radius=1.0, dim=2)
     lhs, rhs_core, ratio = potential.sup_gradient_bound_check(disk)
-    ok = abs(lhs - 0.5) <= tol and abs(rhs_core - math.sqrt(math.pi)) <= tol
+    ok = abs(lhs - 0.5) <= tolerance and abs(rhs_core - math.sqrt(math.pi)) <= tolerance
     return _result("potential_disk", ok, {"lhs": lhs, "rhs_core": rhs_core,
                                           "ratio": ratio},
-                   {"lhs": 0.5, "rhs_core": math.sqrt(math.pi)}, tol)
+                   {"lhs": 0.5, "rhs_core": math.sqrt(math.pi)}, tolerance)
 
 
-def _check_potential_sweep(ctx, params):
-    bound = float(params.get("bound", 5.0))
-    count = int(params.get("count", 50))
+def _check_potential_sweep(ctx, bound: float = 5.0, count: int = 50):
     rng = np.random.default_rng(ctx.scenario.seed)
     nodes = radial_grid(2048, 24.0)
     worst = 0.0
@@ -494,46 +514,40 @@ def _check_potential_sweep(ctx, params):
                    {"max_ratio": f"<= {bound}"}, 1e-10, {"count": count})
 
 
-def _check_duhamel(ctx, params):
-    tol = float(params.get("tolerance", 5e-3))
+def _check_duhamel(ctx, tolerance: float = 5e-3):
     res = evolution.duhamel_residual(ctx.trajectory)
-    return _result("duhamel", res <= tol, res, 0.0, tol)
+    return _result("duhamel", res <= tolerance, res, 0.0, tolerance)
 
 
-def _check_duhamel_negative_control(ctx, params):
-    floor = float(params.get("floor", 5e-2))
+def _check_duhamel_negative_control(ctx, floor: float = 5e-2):
     res = evolution.duhamel_residual(ctx.trajectory, zero_nonlinear=True)
     return _result("duhamel_negative_control", res >= floor, res,
                    f">= {floor}", None)
 
 
-def _check_semigroup_law(ctx, params):
-    tol = float(params.get("tolerance", 1e-7))
+def _check_semigroup_law(ctx, tolerance: float = 1e-7):
     mass = 4.0 * math.pi
     err = 0.0
     for nodes in (radial_grid(2048, 40.0), radial_grid()):
-        vals = mass * (4 * math.pi * 0.5) ** -1.0 * np.exp(-nodes**2 / 2.0)
-        f = fields.RadialField(dim=2, nodes=nodes, values=vals)
+        f = fields.gaussian_radial(2, mass, nodes, t0=0.5)
         one = semigroup.similarity_semigroup(
             semigroup.similarity_semigroup(f, 0.7), 0.9
         )
         two = semigroup.similarity_semigroup(f, 1.6)
         err = max(err, fields.l1_distance(one, two))
-    return _result("semigroup_law", err <= tol, err, 0.0, tol)
+    return _result("semigroup_law", err <= tolerance, err, 0.0, tolerance)
 
 
-def _check_null_conditions(ctx, params):
-    tol = float(params.get("tolerance", 1e-8))
+def _check_null_conditions(ctx, tolerance: float = 1e-8):
     worst = 0.0
     for n in (2, 3, 4, 5):
         vals = asymptotics.null_structure_checks(n)
         worst = max(worst, abs(vals["div_mass_integral"]),
                     abs(vals["pair_null_mismatch"]))
-    return _result("null_conditions", worst <= tol, worst, 0.0, tol)
+    return _result("null_conditions", worst <= tolerance, worst, 0.0, tolerance)
 
 
-def _check_kernel_remainder_exponent(ctx, params):
-    floor = float(params.get("minimum", 1.4))
+def _check_kernel_remainder_exponent(ctx, minimum: float = 1.4):
     rng = np.random.default_rng(ctx.scenario.seed)
     ss = np.linspace(2.0, 10.0, 17)
     rates = []
@@ -548,7 +562,7 @@ def _check_kernel_remainder_exponent(ctx, params):
         )
         rates.append(asymptotics.fit_exponential_rate(ss, np.maximum(rems, 1e-300)))
     median = float(np.median(rates))
-    return _result("kernel_remainder_exponent", median >= floor, median, 1.5, floor)
+    return _result("kernel_remainder_exponent", median >= minimum, median, 1.5, minimum)
 
 
 CHECKS = {
@@ -589,9 +603,6 @@ def run_scenario(config_path, out_dir=None, seed=None):
     """Execute one scenario file; returns the process exit code."""
     try:
         scenario = load_scenario(config_path)
-        for name, _ in scenario.checks:
-            if name not in CHECKS:
-                raise ScenarioConfigError(f"unknown check {name!r}")
         evolving = [name for name, _ in scenario.checks if CHECKS[name][1]]
         if scenario.kind == "compute" and evolving:
             raise ScenarioConfigError(
@@ -623,7 +634,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
     results = []
     for name, params in scenario.checks:
         try:
-            results.append(CHECKS[name][0](ctx, params))
+            results.append(CHECKS[name][0](ctx, **params))
         except PKSError as exc:
             print(f"numerical failure in {name}: {exc}", file=sys.stderr)
             results.append(dict(_result(name, False, None, None, None), error=str(exc)))

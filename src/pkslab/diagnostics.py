@@ -55,18 +55,6 @@ class RelativeEntropyResult:
     field_energy_part: float
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    time: float
-    mass: float
-    second_moment: float
-    sup_norm: float
-    l1_dist_to_profile: float
-    free_energy_2d: float
-    relative_entropy: float
-    virial_slope_running: float
-
-
 def _entropy_integral(field, weights, reference=None):
     w = field.values
     if reference is None:
@@ -203,14 +191,6 @@ def phi_scan(trajectory, z1, rho_grid):
     return rho, phi, margin
 
 
-def phi_monotonicity_check(trajectory, z1, rho_grid):
-    """Minimum monotonicity margin over the interior of the rho grid."""
-    if trajectory.dim != 2:
-        raise InvalidParameter("the monotonicity bound is a 2D statement")
-    rho, phi, margin = phi_scan(trajectory, z1, rho_grid)
-    return float(margin[1:-1].min())
-
-
 def rho_grid_from_records(trajectory, s1, rho_min, rho_max):
     """rho values for which s1 - rho^2 hits record times exactly (no time
     interpolation error in the subsequent Phi scan)."""
@@ -229,14 +209,10 @@ def decay_envelope(trajectory):
     return float(np.max((1.0 + t) ** power * trajectory.sup_norms()))
 
 
-def virial_slope(trajectory, t_window=None):
-    """Least-squares slope of the second moment over a time window."""
+def virial_slope(trajectory):
+    """Least-squares slope of the second moment over the trajectory."""
     t = trajectory.times()
     m2 = trajectory.second_moments()
-    if t_window is not None:
-        lo, hi = t_window
-        keep = (t >= lo) & (t <= hi)
-        t, m2 = t[keep], m2[keep]
     if t.size < 2:
         raise InvalidParameter("need at least two records for a virial slope")
     coeffs = np.polyfit(t, m2, 1)
@@ -248,12 +224,13 @@ def virial_prediction_2d(mass):
     return 4.0 * mass * (1.0 - mass / EIGHT_PI)
 
 
-def trajectory_diagnostics(trajectory):
-    """Per-record DiagnosticsRecord list (with running virial slope)."""
+def diagnostics_csv(trajectory, path):
+    """Write the per-record diagnostics table; the virial slope is the
+    running central difference of the second moment."""
     recs = trajectory.records
     t = trajectory.times()
     m2 = trajectory.second_moments()
-    out = []
+    rows = []
     for k, rec in enumerate(recs):
         lo = max(0, k - 1)
         hi = min(len(recs) - 1, k + 1)
@@ -264,36 +241,18 @@ def trajectory_diagnostics(trajectory):
         if isinstance(rec.field, RadialField):
             tau = math.log(rec.time) if trajectory.kind == "physical" and rec.time > 0 else rec.time
             rel_ent = relative_entropy(rec.field, rec.field.dim, tau).value
-        out.append(
-            DiagnosticsRecord(
-                time=rec.time,
-                mass=rec.moments.mass,
-                second_moment=rec.moments.second_moment,
-                sup_norm=rec.sup_norm,
-                l1_dist_to_profile=rec.l1_dist_to_profile,
-                free_energy_2d=rec.free_energy,
-                relative_entropy=rel_ent,
-                virial_slope_running=slope,
-            )
+        rows.append(
+            f"{rec.time:.17g},{rec.moments.mass:.17g},"
+            f"{rec.moments.second_moment:.17g},{rec.sup_norm:.17g},"
+            f"{rec.l1_dist_to_profile:.17g},{rec.free_energy:.17g},"
+            f"{rel_ent:.17g},{slope:.17g}\n"
         )
-    return out
-
-
-def diagnostics_csv(trajectory, path):
-    """Write the per-record diagnostics table."""
-    rows = trajectory_diagnostics(trajectory)
     with open(path, "w", newline="\n") as fh:
         fh.write(
             "t,mass,second_moment,sup_norm,l1_dist_to_profile,"
             "free_energy_2d,relative_entropy,virial_slope_running\n"
         )
-        for r in rows:
-            fh.write(
-                f"{r.time:.17g},{r.mass:.17g},{r.second_moment:.17g},"
-                f"{r.sup_norm:.17g},{r.l1_dist_to_profile:.17g},"
-                f"{r.free_energy_2d:.17g},{r.relative_entropy:.17g},"
-                f"{r.virial_slope_running:.17g}\n"
-            )
+        fh.writelines(rows)
 
 
 def phi_scan_csv(trajectory, z1, rho_grid, path):

@@ -298,6 +298,14 @@ def indicator_disk(nodes, radius=1.0, dim=2):
     return RadialField(dim=dim, nodes=nodes, values=values)
 
 
+def gaussian_radial(dim, mass, nodes, t0=1.0):
+    """mass * Gamma_{t0} sampled on radial nodes (heat kernel at t0)."""
+    values = mass * (4.0 * math.pi * t0) ** (-dim / 2.0) * np.exp(
+        -(nodes**2) / (4.0 * t0)
+    )
+    return RadialField(dim=dim, nodes=nodes, values=values)
+
+
 def gaussian_cartesian(mass, extent=DEFAULT_EXTENT, size=DEFAULT_SIZE,
                        center=(0.0, 0.0), t0=1.0):
     """mass * Gamma_{t0}(x - center) sampled on a 2D grid (heat kernel at t0)."""

@@ -173,9 +173,9 @@ def _free_space_solve(u, mode, check_domain=True):
     return np.stack([gx, gy])
 
 
-def cartesian_potential_2d(u, check_domain=True):
+def cartesian_potential_2d(u):
     """V = E_2 * u on the grid of u, canonical log-kernel gauge."""
-    return _free_space_solve(u, "potential", check_domain)
+    return _free_space_solve(u, "potential")
 
 
 def cartesian_gradient_2d(u, check_domain=True):

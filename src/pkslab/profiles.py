@@ -93,13 +93,13 @@ def self_similar_profile_2d(mass, grid=None, tol=1e-10, max_iter=500,
     )
 
 
-def stationary_residual(field, r_cut=20.0):
+def stationary_residual(field):
     """Weighted-L2 residual of the 2D stationary similarity equation.
 
     Evaluates Lap U + U + r U'/2 - div(U grad V) by spline-based finite
     differences, with div(U grad V) = U'V' - U^2 (the potential solves
     -Lap V = U exactly at the Gauss-law level), and integrates |residual|^2
-    against the Gaussian-inverse weight G_2^{-1} up to r = r_cut.  The
+    against the Gaussian-inverse weight G_2^{-1} up to r = 20.  The
     enclosed mass behind V' uses the 4th-order cumulative rule so that the
     derivative noise floor sits well below the convergence target.
     """
@@ -113,5 +113,5 @@ def stationary_residual(field, r_cut=20.0):
     residual = lap + u + 0.5 * nodes * d1 - (d1 * vprime - u * u)
     w = radial_measure_weights(nodes, 2)
     inv_gauss = np.exp(nodes**2 / 4.0) * (4.0 * math.pi)
-    mask = nodes <= r_cut
+    mask = nodes <= 20.0
     return float(math.sqrt(np.sum((w * residual**2 * inv_gauss)[mask])))

@@ -236,12 +236,10 @@ def heat_evolve(field, t):
     return _apply_cartesian(field, a=t, shrink=1.0)
 
 
-def similarity_semigroup(field, tau, dim=None):
+def similarity_semigroup(field, tau):
     """Apply S_n(tau) to a field in similarity variables."""
     if tau <= 0:
         raise InvalidParameter(f"tau must be positive, got {tau}")
-    if dim is not None and dim != field.dim:
-        raise InvalidParameter("dimension tag does not match the field")
     a, shrink = kernel_width_shrink(tau)
     if isinstance(field, RadialField):
         return _apply_radial(field, a=a, shrink=shrink)

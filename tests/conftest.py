@@ -11,16 +11,9 @@ import numpy as np
 import pytest
 
 from pkslab import asymptotics, evolution, fields, profiles
+from pkslab.fields import gaussian_radial
 from pkslab.grids import radial_grid
 from pkslab.semigroup import gaussian_values
-
-
-def gaussian_radial(dim, mass, nodes, t0=1.0):
-    """mass * Gamma_{t0} sampled radially (the workhorse initial datum)."""
-    values = mass * (4.0 * math.pi * t0) ** (-dim / 2.0) * np.exp(
-        -(nodes**2) / (4.0 * t0)
-    )
-    return fields.RadialField(dim=dim, nodes=nodes, values=values)
 
 
 @pytest.fixture(scope="session")

@@ -141,7 +141,7 @@ def test_w_function_at_unit_time(wstar_default):
 
 
 def test_w_pde_residual(wstar_default):
-    assert asy.w_pde_residual(wstar_default, t=1.0) <= 1e-3
+    assert asy.w_pde_residual(wstar_default) <= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ UNHONOURED = {
     "scheme_mismatch": ("scheme = muscl", "scheme = central"),
     "clamp_tolerance_mismatch": ("t_end = 1.6", "t_end = 1.6\nclamp_tolerance = 3e-8"),
     "reference": ("t_end = 1.6", "t_end = 1.6\nreference = m_gaussian"),
+    "scenario_unread_key": ("seed = 1", "seed = 1\nsed = 7"),
+    "check_unread_key": ("tolerance = 1e-7", "tolerence = 1e-7"),
+    "check_float": ("tolerance = 1e-7",
+                    "tolerance = 1e-7\n\n[check:kernel_remainder_exponent]\nminimum = lots"),
+    "check_int": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[check:potential_sweep]\ncount = 2.5"),
+    "check_pair": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[check:sup_rate]\nwindow = 10"),
+    "check_mode": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[check:virial_slope]\nmode = absolut"),
+    "unknown_section": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[solvr]\nt_end = 2.0"),
+    "duplicate_key": ("t0 = 1.0", "t0 = 1.0\nt0 = 2.0"),
 }
 
 
@@ -131,7 +140,7 @@ def test_kind_disagreeing_with_checks_exits_2(tmp_path, capsys, case):
 
 
 def test_raising_check_keeps_the_other_results(tmp_path, monkeypatch, capsys):
-    def boom(ctx, params):
+    def boom(ctx, tolerance=1e-3):
         raise InvalidData("boom")
 
     monkeypatch.setitem(cli.CHECKS, "potential_disk", (boom, False))
