@@ -21,7 +21,8 @@ import math
 import sys
 import types
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
 from typing import Literal, get_args, get_origin
 
@@ -40,63 +41,36 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 @dataclass
 class Scenario:
+    """Each section as its reader's keyword arguments; ``initial``/``grid`` as
+    (kind/geometry, keyword arguments), empty in a compute scenario."""
     name: str
+    description: str
     kind: str
     dim: int
     seed: int
-    initial: dict
-    grid: dict
+    initial: tuple[str, dict]
+    grid: tuple[str, dict]
     solver: dict
-    checks: list[tuple[str, dict]] = dataclass_field(default_factory=list)
-
-    @property
-    def mass(self):
-        return float(self.initial.get("mass", 0.0))
+    checks: list[tuple[str, dict]]
 
 
 def _parse_floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-# the keys each section may hold, by [initial] kind and [grid] geometry; a
-# [check:<name>] section holds the check's keyword arguments
-_SCENARIO_KEYS = {"name", "description", "dim", "seed", "kind"}
-_INITIAL_KEYS = {"gaussian": {"kind", "mass", "t0"},
-                 "custom-file": {"kind", "mass", "file"}}
-_GRID_KEYS = {"radial": {"geometry", "nodes", "rmax"},
-              "cartesian": {"geometry", "size", "extent"}}
-_SOLVER_CASTS = {"t_init": float, "t_end": float, "records_per_decade": int,
-                 "blowup_factor": float, "reference": str}
-# scheme and clamp_tolerance are assertions on the stepper's fixed values
-_SOLVER_KEYS = set(_SOLVER_CASTS) | {"nonlinearity", "record_window", "scheme",
-                                    "clamp_tolerance"}
-
-
-def _choice(path, key, value, allowed):
-    if value not in allowed:
-        raise ScenarioConfigError(f"{path}: {key} must be one of {sorted(allowed)}, got {value!r}")
-    return value
-
-
-def _check_parameters(name):
-    """{key: parameter} of the [check:<name>] keys: the check's keyword
-    arguments after ``ctx``.  A trailing underscore lets a key be a Python
-    keyword (``from_`` reads ``from``)."""
-    params = list(inspect.signature(CHECKS[name][0]).parameters.values())[1:]
-    return {param.name.removesuffix("_"): param for param in params}
-
-
 def _cast(annotation, text):
     """``text`` as a value of ``annotation``: float; int (integral, so
-    ``1e7`` but not ``2.5``); a Literal of strings; a tuple of floats of its
-    length; a non-empty list of floats; or one of these ``| None``."""
+    ``1e7`` but not ``2.5``); bool (configparser's 1/yes/true/on and
+    0/no/false/off); str; a Literal; a tuple of floats of its length; a
+    non-empty list of floats; or one of these ``| None``."""
     if get_origin(annotation) is types.UnionType:  # X | None
         (annotation,) = (arg for arg in get_args(annotation) if arg is not type(None))
     origin, args = get_origin(annotation), get_args(annotation)
     if origin is Literal:
-        if text not in args:
+        choices = {str(arg): arg for arg in args}
+        if text not in choices:
             raise ValueError(f"must be one of {list(args)}")
-        return text
+        return choices[text]
     if origin in (tuple, list):
         values = _parse_floats(text)
         if origin is tuple and len(values) != len(args):
@@ -104,6 +78,13 @@ def _cast(annotation, text):
         if not values:
             raise ValueError("needs at least one number")
         return tuple(values) if origin is tuple else values
+    if annotation is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise ValueError(f"must be one of {list(states)}")
+        return states[text.lower()]
+    if annotation is str:
+        return text
     value = float(text)
     if annotation is int:
         if not value.is_integer():
@@ -112,22 +93,119 @@ def _cast(annotation, text):
     return value
 
 
-def _check_values(path, name, section):
-    """The [check:<name>] section as the check's keyword arguments."""
-    params = _check_parameters(name)
+def _read(path, name, fn, section):
+    """Section ``[name]`` as the keyword arguments of ``fn`` after its first,
+    each cast from its annotation; a key ``fn`` does not take, or a missing
+    key without a default, is refused.  A trailing underscore lets a key be a
+    Python keyword (``from_`` reads ``from``)."""
+    params = {param.name.removesuffix("_"): param
+              for param in list(inspect.signature(fn).parameters.values())[1:]}
+    unread = sorted(set(section) - set(params))
+    if unread:
+        raise ScenarioConfigError(f"{path}: [{name}] does not read {', '.join(unread)}")
+    missing = [key for key, param in params.items()
+               if param.default is param.empty and key not in section]
+    if missing:
+        raise ScenarioConfigError(f"{path}: [{name}] needs {', '.join(missing)}")
     kwargs = {}
     for key, text in section.items():
         try:
             value = _cast(params[key].annotation, text)
         except ValueError as exc:
-            raise ScenarioConfigError(f"{path}: [check:{name}] {key} = {text!r}: {exc}") from exc
+            raise ScenarioConfigError(f"{path}: [{name}] {key} = {text!r}: {exc}") from exc
         if key == "tolerance" and not value > 0.0:
-            raise ScenarioConfigError(f"{path}: [check:{name}] tolerance must be > 0")
+            raise ScenarioConfigError(f"{path}: [{name}] tolerance must be > 0")
         kwargs[params[key].name] = value
     return kwargs
 
 
+def _select(path, name, section, key, readers):
+    """(choice, keyword arguments) of a section whose ``key`` selects its
+    reader from ``readers``; the first reader is the default."""
+    section = dict(section)
+    choice = section.pop(key, next(iter(readers)))
+    if choice not in readers:
+        raise ScenarioConfigError(
+            f"{path}: [{name}] {key} = {choice!r}: must be one of {list(readers)}")
+    return choice, _read(path, name, readers[choice], section)
+
+
+# the section readers: a section's keys are the keyword arguments of its reader
+def _scenario_keys(path, name: str = "", description: str = "",
+                   dim: Literal[2, 3, 4, 5] = 2, seed: int = 1,
+                   kind: Literal["evolve", "compute"] = "evolve"):
+    """[scenario]; ``name`` defaults to the file's stem."""
+    return dict(name=name or Path(path).stem, description=description, kind=kind, dim=dim,
+                seed=seed)
+
+
+def _radial(dim, nodes: int = 1536, rmax: float = 40.0):
+    """[grid] geometry = radial: a Gaussian builder ``(mass, t0=)`` on it."""
+    return partial(fields.gaussian_radial, dim, nodes=radial_grid(nodes, rmax))
+
+
+def _cartesian(dim, size: int = 256, extent: float = 20.0):
+    """[grid] geometry = cartesian: a Gaussian builder ``(mass, t0=)`` on it."""
+    if dim != 2:
+        raise ScenarioConfigError(f"[grid] geometry = cartesian is 2D, but [scenario] dim = {dim}")
+    return partial(fields.gaussian_cartesian, extent=extent, size=size)
+
+
+GEOMETRIES = {"radial": _radial, "cartesian": _cartesian}
+
+
+def _gaussian(scenario, mass: float = 1.0, t0: float = 1.0):
+    """[initial] kind = gaussian: the heat kernel on the [grid], and its mass."""
+    geometry, keys = scenario.grid
+    return GEOMETRIES[geometry](scenario.dim, **keys)(mass, t0=t0), mass
+
+
+def _custom_file(scenario, file: str):
+    """[initial] kind = custom-file: the snapshot, and its quadrature mass."""
+    if not Path(file).exists():
+        raise ScenarioConfigError(f"[initial] file {file!r} not found")
+    u0, _ = fields.read_snapshot(file)
+    if u0.dim != scenario.dim:
+        raise ScenarioConfigError(f"[initial] file {file!r} holds a dim {u0.dim} field, "
+                                  f"but [scenario] dim = {scenario.dim}")
+    return u0, fields.total_mass(u0)
+
+
+INITIAL_KINDS = {"gaussian": _gaussian, "custom-file": _custom_file}
+
+
+def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
+                   records_per_decade: int = evolution.SolverConfig.records_per_decade,
+                   blowup_factor: float = evolution.SolverConfig.blowup_factor,
+                   nonlinearity: bool = evolution.SolverConfig.nonlinearity,
+                   reference: str = evolution.SolverConfig.reference,
+                   record_window: tuple[float, float, float] | None = None,
+                   scheme: str | None = None, clamp_tolerance: float | None = None):
+    """[solver]: the SolverConfig of a physical run from ``u0``; ``t_init`` and
+    ``t_end`` default to the ends of ``record_window`` (``lo hi step``), else
+    to SolverConfig's.  ``scheme`` and ``clamp_tolerance`` assert the values
+    the stepper uses on ``u0``; ``reference`` must be a physical one."""
+    stepper = evolution._make_stepper(u0, "physical")
+    for key, given, used in (("scheme", scheme, stepper.scheme),
+                             ("clamp_tolerance", clamp_tolerance, stepper.clamp_tolerance)):
+        if given is not None and given != used:
+            raise ScenarioConfigError(f"[solver] {key} = {given}, but this grid runs {used}")
+    if reference and evolution.REFERENCES.get(reference) != "physical":
+        raise ScenarioConfigError(f"[solver] reference {reference!r} is not for physical runs")
+    span = {}
+    if record_window is not None:
+        lo, hi, step = record_window
+        span = {"t_init": lo, "t_end": hi,
+                "record_times": tuple(np.round(np.arange(lo, hi + step / 2, step), 9))}
+    span.update((key, value) for key, value in (("t_init", t_init), ("t_end", t_end))
+                if value is not None)
+    return evolution.SolverConfig(
+        **span, records_per_decade=records_per_decade,
+        blowup_factor=blowup_factor, nonlinearity=nonlinearity, reference=reference)
+
+
 def load_scenario(path):
+    """Parse and cast a scenario file; nothing is built."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -138,96 +216,39 @@ def load_scenario(path):
         raise ScenarioConfigError(f"cannot read scenario file {path}")
     if "scenario" not in sections:
         raise ScenarioConfigError(f"{path}: missing [scenario] section")
-    base = parser["scenario"]
-    try:
-        dim = base.getint("dim", 2)
-        seed = base.getint("seed", 1)
-    except ValueError as exc:
-        raise ScenarioConfigError(f"{path}: bad scenario key: {exc}") from exc
-    if dim not in (2, 3, 4, 5):
-        raise ScenarioConfigError(f"{path}: dim must be in 2..5, got {dim}")
+    header = _scenario_keys(
+        path, **_read(path, "scenario", _scenario_keys, sections.pop("scenario")))
     checks = [name.split(":", 1)[1] for name in sections if name.startswith("check:")]
     if not checks:
         raise ScenarioConfigError(f"{path}: a scenario needs at least one [check:*]")
-    unknown = [name for name in checks if name not in CHECKS]
-    if unknown:
-        raise ScenarioConfigError(f"{path}: unknown check {unknown[0]!r}")
-    kind = _choice(path, "[scenario] kind", base.get("kind", "evolve"),
-                   {"evolve", "compute"})
-    initial, grid, solver = (sections.get(name, {}) for name in ("initial", "grid", "solver"))
-    initial_kind = _choice(path, "[initial] kind", initial.get("kind", "gaussian"),
-                           _INITIAL_KEYS)
-    geometry = _choice(path, "[grid] geometry", grid.get("geometry", "radial"),
-                       _GRID_KEYS)
-    allowed = {"scenario": _SCENARIO_KEYS, "initial": _INITIAL_KEYS[initial_kind],
-               "grid": _GRID_KEYS[geometry], "solver": _SOLVER_KEYS}
-    allowed.update((f"check:{name}", set(_check_parameters(name))) for name in checks)
-    for name, section in sections.items():
-        if name not in allowed:
-            raise ScenarioConfigError(f"{path}: unknown section [{name}]")
-        unread = sorted(set(section) - allowed[name])
-        if unread:
-            raise ScenarioConfigError(f"{path}: [{name}] does not read {', '.join(unread)}")
-    if initial_kind == "custom-file":
-        source = initial.get("file", "")
-        if not source or not Path(source).exists():
-            raise ScenarioConfigError(f"{path}: initial data file {source!r} not found")
-    return Scenario(
-        name=base.get("name", Path(path).stem),
-        kind=kind,
-        dim=dim,
-        seed=seed,
-        initial=initial,
-        grid=grid,
-        solver=solver,
-        checks=[(name, _check_values(path, name, sections[f"check:{name}"]))
-                for name in checks],
+    for check in checks:
+        if check not in CHECKS:
+            raise ScenarioConfigError(f"{path}: unknown check {check!r}")
+    for section in ("initial", "grid", "solver"):
+        if header["kind"] == "compute" and section in sections:
+            raise ScenarioConfigError(f"{path}: [{section}] is not read: "
+                                      "a compute scenario builds no datum, grid or solver")
+    initial = _select(path, "initial", sections.pop("initial", {}), "kind", INITIAL_KINDS)
+    if initial[0] == "custom-file" and "grid" in sections:
+        raise ScenarioConfigError(f"{path}: [grid] is not read: "
+                                  "a custom-file datum brings its own grid")
+    scenario = Scenario(
+        **header, initial=initial,
+        grid=_select(path, "grid", sections.pop("grid", {}), "geometry", GEOMETRIES),
+        solver=_read(path, "solver", _solver_config, sections.pop("solver", {})),
+        checks=[(check, _read(path, f"check:{check}", CHECKS[check][0],
+                              sections.pop(f"check:{check}")))
+                for check in checks],
     )
-
-
-def _build_grid(scenario):
-    g = scenario.grid
-    if g.get("geometry", "radial") == "cartesian":
-        return ("cartesian", int(g.get("size", 256)), float(g.get("extent", 20.0)))
-    return ("radial", radial_grid(int(g.get("nodes", 1536)), float(g.get("rmax", 40.0))))
+    if sections:
+        raise ScenarioConfigError(f"{path}: unknown section [{next(iter(sections))}]")
+    return scenario
 
 
 def _build_initial(scenario):
-    spec = scenario.initial
-    if spec.get("kind") == "custom-file":
-        field, _ = fields.read_snapshot(spec["file"])
-        return field
-    mass = float(spec.get("mass", 1.0))
-    t0 = float(spec.get("t0", 1.0))
-    grid = _build_grid(scenario)
-    if grid[0] == "cartesian":
-        _, size, extent = grid
-        return fields.gaussian_cartesian(mass, extent=extent, size=size, t0=t0)
-    return fields.gaussian_radial(scenario.dim, mass, grid[1], t0)
-
-
-def _build_solver_config(scenario, u0):
-    """The SolverConfig of the [solver] section.  Scenario runs are physical:
-    ``scheme`` and ``clamp_tolerance``, when given, must equal the values the
-    stepper uses on ``u0``'s geometry, and ``reference`` must be one a
-    physical run computes."""
-    s = scenario.solver
-    stepper = evolution._make_stepper(u0, "physical")
-    for key, used in (("scheme", stepper.scheme),
-                      ("clamp_tolerance", stepper.clamp_tolerance)):
-        if key in s and type(used)(s[key]) != used:
-            raise ScenarioConfigError(f"[solver] {key} = {s[key]}, but this grid runs {used}")
-    if s.get("reference") and evolution.REFERENCES.get(s["reference"]) != "physical":
-        raise ScenarioConfigError(f"[solver] reference {s['reference']!r} is not for physical runs")
-    kwargs = {key: cast(s[key]) for key, cast in _SOLVER_CASTS.items() if key in s}
-    if "nonlinearity" in s:
-        kwargs["nonlinearity"] = s["nonlinearity"].lower() in ("on", "true", "1")
-    if "record_window" in s:
-        lo, hi, step = _parse_floats(s["record_window"])
-        kwargs["record_times"] = tuple(np.round(np.arange(lo, hi + step / 2, step), 9))
-        kwargs.setdefault("t_init", lo)
-        kwargs.setdefault("t_end", hi)
-    return evolution.SolverConfig(**kwargs)
+    """The initial datum and the mass the checks compare against."""
+    kind, keys = scenario.initial
+    return INITIAL_KINDS[kind](scenario, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +256,16 @@ def _build_solver_config(scenario, u0):
 # ---------------------------------------------------------------------------
 
 class CheckContext:
-    def __init__(self, scenario, out_dir):
+    """What the checks read.  ``mass`` is the mass the datum was built with
+    (None in a compute scenario); W_star and each G_M are solved once."""
+
+    def __init__(self, scenario, mass=None):
         self.scenario = scenario
-        self.out_dir = out_dir
+        self.mass = mass
         self.trajectory = None
-        self._wstar = None
-        self._gm = {}
-
-    def wstar(self):
-        if self._wstar is None:
-            self._wstar = asymptotics.w_star()
-        return self._wstar
-
-    def gm(self, mass, nodes_key):
-        key = (mass, nodes_key)
-        if key not in self._gm:
-            self._gm[key] = profiles.self_similar_profile_2d(
-                mass, grid=radial_grid(nodes_key[0], nodes_key[1])
-            )
-        return self._gm[key]
+        self.wstar = cache(lambda: asymptotics.w_star())
+        self.gm = cache(lambda mass, nodes: profiles.self_similar_profile_2d(
+            mass, grid=radial_grid(*nodes)))
 
 
 def _result(name, passed, measured, expected, tolerance, params=None):
@@ -271,9 +283,8 @@ def _result(name, passed, measured, expected, tolerance, params=None):
 
 def _check_virial_slope(ctx, tolerance: float = 0.01,
                         mode: Literal["relative", "absolute"] = "relative"):
-    mass = ctx.scenario.mass
     slope = diagnostics.virial_slope(ctx.trajectory)
-    expected = diagnostics.virial_prediction_2d(mass)
+    expected = diagnostics.virial_prediction_2d(ctx.mass)
     if mode == "absolute":
         passed = abs(slope - expected) <= tolerance
     else:
@@ -297,9 +308,8 @@ def _check_threshold_slope(ctx, window: tuple[float, float] = (10.0, 100.0),
 
 def _check_blowup_deadline(ctx, factor: float = 1.2):
     traj = ctx.trajectory
-    mass = ctx.scenario.mass
     m2_0 = traj.records[0].moments.second_moment
-    deadline = factor * m2_0 / abs(diagnostics.virial_prediction_2d(mass))
+    deadline = factor * m2_0 / abs(diagnostics.virial_prediction_2d(ctx.mass))
     elapsed = traj.blowup_time - traj.config.t_init if traj.blowup else math.inf
     return _result("blowup_deadline", traj.blowup and elapsed <= deadline,
                    elapsed, deadline, factor)
@@ -328,11 +338,10 @@ def _check_l1_rate_negative(ctx, from_: float = 10.0, bound: float = 0.0):
 def _check_weighted_sup_decreasing(ctx, from_: float = 20.0):
     traj = ctx.trajectory
     n = traj.dim
-    mass = ctx.scenario.mass
     t = traj.times()
     dist = []
     for rec in traj.records:
-        gamma = fields.gaussian_radial(n, mass, rec.field.nodes, rec.time)
+        gamma = fields.gaussian_radial(n, ctx.mass, rec.field.nodes, rec.time)
         dist.append(float(np.abs(rec.field.values - gamma.values).max()))
     weighted = t ** (n / 2.0) * np.asarray(dist)
     tail = weighted[t >= from_]
@@ -346,19 +355,15 @@ def _check_mass_conservation(ctx, tolerance: float = 1e-7):
     return _result("mass_conservation", drift <= tolerance, drift, 0.0, tolerance)
 
 
-# the profile checks' mass (masses) left at None is the scenario's mass
-def _check_profile_residual(ctx, tolerance: float = 1e-6,
-                            masses: list[float] | None = None):
-    masses = [ctx.scenario.mass] if masses is None else masses
+def _check_profile_residual(ctx, masses: list[float], tolerance: float = 1e-6):
     results = [ctx.gm(m, (6144, 30.0)) for m in masses]
     worst = max(gm.residual for gm in results)
     return _result("profile_residual", worst <= tolerance, worst, 0.0, tolerance,
                    {"masses": masses})
 
 
-def _check_profile_stationarity(ctx, tolerance: float = 1e-3, mass: float | None = None,
+def _check_profile_stationarity(ctx, mass: float, tolerance: float = 1e-3,
                                 tau_end: float = 5.0):
-    mass = ctx.scenario.mass if mass is None else mass
     gm = ctx.gm(mass, (1536, 30.0)).field
     cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
     traj = evolution.evolve_similarity(gm, cfg, reference_field=gm)
@@ -367,9 +372,8 @@ def _check_profile_stationarity(ctx, tolerance: float = 1e-3, mass: float | None
                    {"mass": mass, "tau_end": tau_end})
 
 
-def _check_profile_relaxation(ctx, mass: float | None = None, tau_end: float = 6.0,
+def _check_profile_relaxation(ctx, mass: float, tau_end: float = 6.0,
                               final_fraction: float = 0.05):
-    mass = ctx.scenario.mass if mass is None else mass
     gm = ctx.gm(mass, (1536, 30.0)).field
     g0 = profiles.gaussian_profile(2, mass, grid=gm.nodes)
     cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
@@ -411,7 +415,6 @@ def _check_phi_margin(ctx, tolerance: float = 1e-3, s1: float = 2.0,
 
 
 def _check_phi_pure_heat(ctx, tolerance: float = 1e-4, s1: float = 2.0):
-    mass = ctx.scenario.mass
     cfg = ctx.trajectory.config
     heat_cfg = evolution.SolverConfig(
         t_init=cfg.t_init, t_end=cfg.t_end, nonlinearity=False,
@@ -420,7 +423,7 @@ def _check_phi_pure_heat(ctx, tolerance: float = 1e-4, s1: float = 2.0):
     traj = evolution.evolve(ctx.trajectory.records[0].field, heat_cfg)
     rho = diagnostics.rho_grid_from_records(traj, s1, 0.1, 1.0)
     phi = np.array([diagnostics.phi_density(traj, (0.0, s1), p) for p in rho])
-    exact = mass * rho**2 / (4.0 * math.pi * s1)
+    exact = ctx.mass * rho**2 / (4.0 * math.pi * s1)
     rel = float(np.abs(phi / exact - 1.0).max())
     return _result("phi_pure_heat", rel <= tolerance, rel, 0.0, tolerance, {"s1": s1})
 
@@ -609,9 +612,10 @@ def run_scenario(config_path, out_dir=None, seed=None):
                 f"kind = compute, but check {evolving[0]!r} needs a trajectory")
         if scenario.kind == "evolve" and not evolving:
             raise ScenarioConfigError("kind = evolve, but no check needs a trajectory")
+        mass = None
         if scenario.kind == "evolve":
-            u0 = _build_initial(scenario)
-            cfg = _build_solver_config(scenario, u0)
+            u0, mass = _build_initial(scenario)
+            cfg = _solver_config(u0, **scenario.solver)
     except (PKSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -619,7 +623,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
         scenario.seed = seed
     out = Path(out_dir) if out_dir else Path.cwd() / f"pks_out_{scenario.name}"
     out.mkdir(parents=True, exist_ok=True)
-    ctx = CheckContext(scenario, out)
+    ctx = CheckContext(scenario, mass)
     try:
         if scenario.kind == "evolve":
             ctx.trajectory = evolution.evolve(u0, cfg)
@@ -660,13 +664,8 @@ def bundled_scenarios():
 
 
 def list_scenarios():
-    lines = []
-    for name in bundled_scenarios():
-        parser = configparser.ConfigParser()
-        parser.read(SCENARIO_DIR / f"{name}.cfg")
-        desc = parser["scenario"].get("description", "")
-        lines.append(f"{name:24s} {desc}")
-    return "\n".join(lines)
+    return "\n".join(f"{name:24s} {load_scenario(SCENARIO_DIR / f'{name}.cfg').description}"
+                     for name in bundled_scenarios())
 
 
 def export_constants(dim, mass, b0, samples=2_000_000, seed=1):

@@ -224,6 +224,14 @@ def virial_prediction_2d(mass):
     return 4.0 * mass * (1.0 - mass / EIGHT_PI)
 
 
+def record_row(rec):
+    """The per-record CSV fields both trajectory tables start with: t, mass,
+    second moment, sup norm, L1 distance to the reference, free energy."""
+    return ",".join(f"{value:.17g}" for value in (
+        rec.time, rec.moments.mass, rec.moments.second_moment, rec.sup_norm,
+        rec.l1_dist_to_profile, rec.free_energy))
+
+
 def diagnostics_csv(trajectory, path):
     """Write the per-record diagnostics table; the virial slope is the
     running central difference of the second moment."""
@@ -241,12 +249,7 @@ def diagnostics_csv(trajectory, path):
         if isinstance(rec.field, RadialField):
             tau = math.log(rec.time) if trajectory.kind == "physical" and rec.time > 0 else rec.time
             rel_ent = relative_entropy(rec.field, rec.field.dim, tau).value
-        rows.append(
-            f"{rec.time:.17g},{rec.moments.mass:.17g},"
-            f"{rec.moments.second_moment:.17g},{rec.sup_norm:.17g},"
-            f"{rec.l1_dist_to_profile:.17g},{rec.free_energy:.17g},"
-            f"{rel_ent:.17g},{slope:.17g}\n"
-        )
+        rows.append(f"{record_row(rec)},{rel_ent:.17g},{slope:.17g}\n")
     with open(path, "w", newline="\n") as fh:
         fh.write(
             "t,mass,second_moment,sup_norm,l1_dist_to_profile,"

@@ -535,12 +535,7 @@ def export_trajectory(trajectory, csv_path, manifest_path=None):
     tolerance the run used, and the pkslab, numpy and scipy versions."""
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy\n")
-        for rec in trajectory.records:
-            fh.write(
-                f"{rec.time:.17g},{rec.moments.mass:.17g},"
-                f"{rec.moments.second_moment:.17g},{rec.sup_norm:.17g},"
-                f"{rec.l1_dist_to_profile:.17g},{rec.free_energy:.17g}\n"
-            )
+        fh.writelines(_diagnostics.record_row(rec) + "\n" for rec in trajectory.records)
     if manifest_path:
         import scipy
 

@@ -79,63 +79,155 @@ def test_unknown_check_rejected(tmp_path, capsys):
     assert cli.run_scenario(str(cfg)) == 2
 
 
-def test_missing_initial_file_rejected(tmp_path):
+# TINY_RUN's datum read from a snapshot file ({file}), which brings its own grid
+FILE_RUN = TINY_RUN.replace(
+    "kind = gaussian\nmass = 6.283185307179586\nt0 = 1.0\n\n"
+    "[grid]\ngeometry = radial\nnodes = 512\nrmax = 40.0\n",
+    "kind = custom-file\nfile = {file}\n")
+
+
+def _write_snapshot(path):
+    u0 = cli.fields.gaussian_radial(2, 2.0 * math.pi, cli.radial_grid(512, 40.0))
+    cli.fields.write_snapshot(u0, path, t=1.0)
+
+
+def test_custom_file_runs_with_the_file_mass(tmp_path):
+    _write_snapshot(tmp_path / "u0.csv")
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(FILE_RUN.format(file=tmp_path / "u0.csv"))
+    u0, mass = cli._build_initial(cli.load_scenario(cfg))
+    assert mass == cli.fields.total_mass(u0)
+    assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 0
+
+
+def test_missing_initial_file_rejected(tmp_path, capsys):
     cfg = tmp_path / "missing.cfg"
-    cfg.write_text(
-        TINY_RUN + "\n"  # base
-    )
-    cfg.write_text(TINY_RUN.replace("kind = gaussian",
-                                    "kind = custom-file\nfile = /no/such/file.csv"))
+    cfg.write_text(FILE_RUN.format(file="/no/such/file.csv"))
     assert cli.run_scenario(str(cfg)) == 2
+    assert "not found" in capsys.readouterr().err
 
 
-# edits of TINY_RUN that the parser cannot honour
+def test_fractional_count_rejected_by_load_scenario(tmp_path):
+    cfg = tmp_path / "nodes.cfg"
+    cfg.write_text(TINY_RUN.replace("nodes = 512", "nodes = 512.5"))
+    with pytest.raises(ScenarioConfigError, match=r"\[grid\] nodes"):
+        cli.load_scenario(cfg)
+
+
+def test_default_mass_is_the_datum_mass(tmp_path):
+    cfg = tmp_path / "unit.cfg"
+    cfg.write_text(TINY_RUN.replace("mass = 6.283185307179586\n", "")
+                   + "\n[check:virial_slope]\ntolerance = 0.01\n")
+    out = tmp_path / "out"
+    assert cli.run_scenario(str(cfg), out_dir=out) == 0
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks["virial_slope"]["expected"] == cli.diagnostics.virial_prediction_2d(1.0)
+
+
+@pytest.mark.parametrize("word, value", [("yes", True), ("Off", False)])
+def test_nonlinearity_reads_configparser_booleans(tmp_path, word, value):
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text(TINY_RUN.replace("t_end = 1.6", f"t_end = 1.6\nnonlinearity = {word}"))
+    out = tmp_path / "out"
+    assert cli.run_scenario(str(cfg), out_dir=out) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["nonlinearity"] is value
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+# scenarios the parser cannot honour, each with the part of the refusal that
+# names what it refuses; {file} is a 2D radial snapshot
 UNHONOURED = {
-    "initial_unread_key": ("t0 = 1.0", "t0 = 1.0\nradius = 1.0"),
-    "grid_unread_key": ("rmax = 40.0", "rmax = 40.0\ngrading = graded"),
-    "solver_dt_max": ("t_end = 1.6", "t_end = 1.6\ndt_max = 0.1"),
-    "solver_cfl_safety": ("t_end = 1.6", "t_end = 1.6\ncfl_safety = 0.3"),
-    "initial_kind": ("kind = gaussian", "kind = disk"),
-    "geometry": ("geometry = radial", "geometry = polar"),
-    "scenario_kind": ("kind = evolve", "kind = evolve_similarity"),
-    "scheme_mismatch": ("scheme = muscl", "scheme = central"),
-    "clamp_tolerance_mismatch": ("t_end = 1.6", "t_end = 1.6\nclamp_tolerance = 3e-8"),
-    "reference": ("t_end = 1.6", "t_end = 1.6\nreference = m_gaussian"),
-    "scenario_unread_key": ("seed = 1", "seed = 1\nsed = 7"),
-    "check_unread_key": ("tolerance = 1e-7", "tolerence = 1e-7"),
-    "check_float": ("tolerance = 1e-7",
-                    "tolerance = 1e-7\n\n[check:kernel_remainder_exponent]\nminimum = lots"),
-    "check_int": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[check:potential_sweep]\ncount = 2.5"),
-    "check_pair": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[check:sup_rate]\nwindow = 10"),
-    "check_mode": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[check:virial_slope]\nmode = absolut"),
-    "unknown_section": ("tolerance = 1e-7", "tolerance = 1e-7\n\n[solvr]\nt_end = 2.0"),
-    "duplicate_key": ("t0 = 1.0", "t0 = 1.0\nt0 = 2.0"),
+    "initial_unread_key": (_edit(TINY_RUN, "t0 = 1.0", "t0 = 1.0\nradius = 1.0"),
+                           "[initial] does not read radius"),
+    "grid_unread_key": (_edit(TINY_RUN, "rmax = 40.0", "rmax = 40.0\ngrading = graded"),
+                        "[grid] does not read grading"),
+    "grid_fractional_count": (_edit(TINY_RUN, "nodes = 512", "nodes = 512.5"),
+                              "[grid] nodes = '512.5'"),
+    "solver_dt_max": (_edit(TINY_RUN, "t_end = 1.6", "t_end = 1.6\ndt_max = 0.1"),
+                      "[solver] does not read dt_max"),
+    "solver_cfl_safety": (_edit(TINY_RUN, "t_end = 1.6", "t_end = 1.6\ncfl_safety = 0.3"),
+                          "[solver] does not read cfl_safety"),
+    "nonlinearity_word": (_edit(TINY_RUN, "t_end = 1.6", "t_end = 1.6\nnonlinearity = bogus"),
+                          "[solver] nonlinearity = 'bogus'"),
+    "initial_kind": (_edit(TINY_RUN, "kind = gaussian", "kind = disk"),
+                     "[initial] kind = 'disk'"),
+    "geometry": (_edit(TINY_RUN, "geometry = radial", "geometry = polar"),
+                 "[grid] geometry = 'polar'"),
+    "cartesian_dim": (_edit(_edit(_edit(TINY_RUN, "dim = 2", "dim = 3"), "scheme = muscl\n", ""),
+                            "geometry = radial\nnodes = 512\nrmax = 40.0",
+                            "geometry = cartesian\nsize = 64\nextent = 10.0"),
+                      "[scenario] dim = 3"),
+    "scenario_kind": (_edit(TINY_RUN, "kind = evolve", "kind = evolve_similarity"),
+                      "[scenario] kind = 'evolve_similarity'"),
+    "scenario_dim": (_edit(TINY_RUN, "dim = 2", "dim = 6"), "[scenario] dim = '6'"),
+    "scheme_mismatch": (_edit(TINY_RUN, "scheme = muscl", "scheme = central"),
+                        "[solver] scheme = central"),
+    "clamp_tolerance_mismatch": (_edit(TINY_RUN, "t_end = 1.6",
+                                       "t_end = 1.6\nclamp_tolerance = 3e-8"),
+                                 "[solver] clamp_tolerance"),
+    "reference": (_edit(TINY_RUN, "t_end = 1.6", "t_end = 1.6\nreference = m_gaussian"),
+                  "[solver] reference 'm_gaussian'"),
+    "scenario_unread_key": (_edit(TINY_RUN, "seed = 1", "seed = 1\nsed = 7"),
+                            "[scenario] does not read sed"),
+    "check_unread_key": (_edit(TINY_RUN, "tolerance = 1e-7", "tolerence = 1e-7"),
+                         "[check:mass_conservation] does not read tolerence"),
+    "check_float": (TINY_RUN + "\n[check:kernel_remainder_exponent]\nminimum = lots\n",
+                    "[check:kernel_remainder_exponent] minimum = 'lots'"),
+    "check_int": (TINY_RUN + "\n[check:potential_sweep]\ncount = 2.5\n",
+                  "[check:potential_sweep] count = '2.5'"),
+    "check_pair": (TINY_RUN + "\n[check:sup_rate]\nwindow = 10\n",
+                   "[check:sup_rate] window = '10'"),
+    "check_mode": (TINY_RUN + "\n[check:virial_slope]\nmode = absolut\n",
+                   "[check:virial_slope] mode = 'absolut'"),
+    "profile_check_without_mass": (
+        FAST_SCENARIO + "\n[check:profile_stationarity]\ntolerance = 1e-3\n",
+        "[check:profile_stationarity] needs mass"),
+    "unknown_section": (TINY_RUN + "\n[solvr]\nt_end = 2.0\n", "unknown section [solvr]"),
+    "duplicate_key": (_edit(TINY_RUN, "t0 = 1.0", "t0 = 1.0\nt0 = 2.0"), "'t0'"),
+    "compute_with_initial": (FAST_SCENARIO + "\n[initial]\nmass = abc\n",
+                             "[initial] is not read"),
+    "compute_with_grid": (FAST_SCENARIO + "\n[grid]\nnodes = 4096\n", "[grid] is not read"),
+    "compute_with_solver": (FAST_SCENARIO + "\n[solver]\nt_end = 500\n",
+                            "[solver] is not read"),
+    "file_with_grid": (FILE_RUN + "\n[grid]\nnodes = 4096\n", "[grid] is not read"),
+    "file_with_mass": (_edit(FILE_RUN, "file = {file}", "file = {file}\nmass = 1.0"),
+                       "[initial] does not read mass"),
+    "file_dim_mismatch": (_edit(FILE_RUN, "dim = 2", "dim = 3"), "[scenario] dim = 3"),
 }
 
 
 @pytest.mark.parametrize("edit", sorted(UNHONOURED))
 def test_unhonoured_scenario_input_exits_2(tmp_path, capsys, edit):
-    old, new = UNHONOURED[edit]
+    text, refusal = UNHONOURED[edit]
+    _write_snapshot(tmp_path / "u0.csv")
     cfg = tmp_path / "edited.cfg"
-    cfg.write_text(TINY_RUN.replace(old, new))
+    cfg.write_text(text.replace("{file}", str(tmp_path / "u0.csv")))
     assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and refusal in err
 
 
 # scenarios whose checks disagree with their [scenario] kind
 KIND_MISMATCH = {
-    "compute_with_trajectory_check": TINY_RUN.replace("kind = evolve", "kind = compute"),
-    "evolve_without_trajectory_check": FAST_SCENARIO.replace("kind = compute",
-                                                             "kind = evolve"),
+    "compute_with_trajectory_check": (
+        FAST_SCENARIO + "\n[check:mass_conservation]\ntolerance = 1e-7\n",
+        "kind = compute, but check 'mass_conservation' needs a trajectory"),
+    "evolve_without_trajectory_check": (FAST_SCENARIO.replace("kind = compute", "kind = evolve"),
+                                        "kind = evolve, but no check needs a trajectory"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(KIND_MISMATCH))
 def test_kind_disagreeing_with_checks_exits_2(tmp_path, capsys, case):
-    cfg = tmp_path / "kind.cfg"
-    cfg.write_text(KIND_MISMATCH[case])
+    text, refusal = KIND_MISMATCH[case]
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(text)
     assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 2
-    assert "kind" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -166,8 +258,9 @@ SCENARIO_FILES = sorted(cli.SCENARIO_DIR.glob("*.cfg")) + sorted(
 def test_scenario_file_parses_and_builds(path):
     # read-only: the bundled scenarios and the benchmark templates
     scenario = cli.load_scenario(path)
-    u0 = cli._build_initial(scenario)
-    assert isinstance(cli._build_solver_config(scenario, u0), cli.evolution.SolverConfig)
+    u0, mass = cli._build_initial(scenario)
+    assert mass > 0.0
+    assert isinstance(cli._solver_config(u0, **scenario.solver), cli.evolution.SolverConfig)
 
 
 def test_scenario_pass_and_summary(tmp_path):
