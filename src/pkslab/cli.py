@@ -155,20 +155,22 @@ GEOMETRIES = {"radial": _radial, "cartesian": _cartesian}
 
 
 def _gaussian(scenario, mass: float = 1.0, t0: float = 1.0):
-    """[initial] kind = gaussian: the heat kernel on the [grid], and its mass."""
+    """[initial] kind = gaussian: the heat kernel on the [grid], its mass, and
+    no start time: the run starts at [solver] t_init."""
     geometry, keys = scenario.grid
-    return GEOMETRIES[geometry](scenario.dim, **keys)(mass, t0=t0), mass
+    return GEOMETRIES[geometry](scenario.dim, **keys)(mass, t0=t0), mass, None
 
 
 def _custom_file(scenario, file: str):
-    """[initial] kind = custom-file: the snapshot, and its quadrature mass."""
+    """[initial] kind = custom-file: the snapshot, its quadrature mass, and the
+    time it was written at, where the run starts."""
     if not Path(file).exists():
         raise ScenarioConfigError(f"[initial] file {file!r} not found")
-    u0, _ = fields.read_snapshot(file)
+    u0, t = fields.read_snapshot(file)
     if u0.dim != scenario.dim:
         raise ScenarioConfigError(f"[initial] file {file!r} holds a dim {u0.dim} field, "
                                   f"but [scenario] dim = {scenario.dim}")
-    return u0, fields.total_mass(u0)
+    return u0, fields.total_mass(u0), t
 
 
 INITIAL_KINDS = {"gaussian": _gaussian, "custom-file": _custom_file}
@@ -245,10 +247,23 @@ def load_scenario(path):
     return scenario
 
 
-def _build_initial(scenario):
-    """The initial datum and the mass the checks compare against."""
+def _build_evolution(scenario):
+    """The initial datum, the mass the checks compare against, and the
+    SolverConfig of the run.  A datum with a start time starts the run there
+    when [solver] sets no t_init (nor a record_window); a [solver] that starts
+    it elsewhere is refused, and so is a record schedule the run cannot
+    follow (a physical run starting at t <= 0)."""
     kind, keys = scenario.initial
-    return INITIAL_KINDS[kind](scenario, **keys)
+    u0, mass, t_start = INITIAL_KINDS[kind](scenario, **keys)
+    solver = scenario.solver
+    if t_start is not None and not solver.keys() & {"t_init", "record_window"}:
+        solver = dict(solver, t_init=t_start)
+    cfg = _solver_config(u0, **solver)
+    if t_start is not None and cfg.t_init != t_start:
+        raise ScenarioConfigError(f"[solver] starts the run at t = {cfg.t_init}, but "
+                                  f"[initial] file was written at t = {t_start}")
+    evolution._record_schedule(cfg, "physical")
+    return u0, mass, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +629,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
             raise ScenarioConfigError("kind = evolve, but no check needs a trajectory")
         mass = None
         if scenario.kind == "evolve":
-            u0, mass = _build_initial(scenario)
-            cfg = _solver_config(u0, **scenario.solver)
+            u0, mass, cfg = _build_evolution(scenario)
     except (PKSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.fft import fft2, ifft2
+from scipy.fft import irfft2, rfft2
 
 from .errors import (
     InsufficientSampling,
@@ -243,8 +243,10 @@ class _CartesianStepper(_Stepper):
         self.grid = grid
         self.kind = kind
         n, h = grid.size, grid.spacing
+        # the rfft2 half spectrum: full frequencies on axis 0, non-negative on axis 1
         k1 = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-        self.kx, self.ky = np.meshgrid(k1, k1, indexing="ij")
+        self.kx = k1[:, None]
+        self.ky = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)[None, :]
         kmax = np.abs(k1).max()
         self.dealias = (np.abs(self.kx) <= (2.0 / 3.0) * kmax) & (
             np.abs(self.ky) <= (2.0 / 3.0) * kmax
@@ -260,9 +262,9 @@ class _CartesianStepper(_Stepper):
 
     def advection_rhs(self, values, weight):
         vx, vy = weight * self.velocity(values)
-        fx_hat = fft2(values * vx) * self.dealias
-        fy_hat = fft2(values * vy) * self.dealias
-        return -ifft2(1j * self.kx * fx_hat + 1j * self.ky * fy_hat).real
+        fx_hat = rfft2(values * vx) * self.dealias
+        fy_hat = rfft2(values * vy) * self.dealias
+        return -irfft2(1j * self.kx * fx_hat + 1j * self.ky * fy_hat, s=values.shape)
 
     def cfl_limit(self, values):
         vmax = np.abs(self.velocity(values)).max()
@@ -272,7 +274,7 @@ class _CartesianStepper(_Stepper):
 
     def diffuse(self, values, dt):
         if self.kind == "physical":
-            return ifft2(fft2(values) * np.exp(-self.k2 * dt)).real
+            return irfft2(rfft2(values) * np.exp(-self.k2 * dt), s=values.shape)
         k = line_propagator(self.grid.axis(), *kernel_width_shrink(dt))
         return k @ values @ k.T
 

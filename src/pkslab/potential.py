@@ -5,17 +5,21 @@ For radial fields the gradient reduces exactly to the shell theorem,
 -V'(r) = m(r) / (area(n) r^{n-1}) with m the enclosed mass, and the enclosed
 mass is accumulated with the same trapezoid spacing as total_mass so the
 discrete Gauss law holds to rounding.  For general 2D fields the free-space
-convolution is evaluated spectrally with a truncated Green's function on an
-oversampled FFT grid, which is accurate to quadrature precision for smooth
-compactly supported densities (a plain sampled-kernel convolution is only
-second order and cannot reach the agreement targets of the radial oracle).
+convolution uses the truncated Green's function of Vico, Greengard and
+Ferrando (J. Comput. Phys. 323, 2016), which is accurate to quadrature
+precision for smooth compactly supported densities (a plain sampled-kernel
+convolution is only second order and cannot reach the agreement targets of
+the radial oracle).  Its closed-form transform is sampled once per grid on an
+FFT grid oversampled past 2 sqrt(2) n and brought to real space; every solve
+then convolves with that kernel on the 2n x 2n grid by real FFTs: one rfft2
+of the density and one irfft2 per output.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import ifft2, irfft2, next_fast_len, rfft2
 from scipy.special import j0, j1
 
 from .errors import DomainTooSmall, InvalidParameter
@@ -110,12 +114,17 @@ _KERNEL_CACHE = {}
 
 
 def _green_hat_2d(extent, size):
-    """Fourier samples of the truncated 2D log potential on the padded grid.
+    """Half spectra of the potential and gradient kernels on the 2n grid.
 
     The kernel E_2 restricted to |x| <= L_K with L_K = sqrt(2) * box width has
     the closed-form transform (1 - J0(k L_K))/k^2 - L_K log(L_K) J1(k L_K)/k;
-    sampling it on a grid oversampled past 2 sqrt(2) leaves no aliased images
-    within any source-target distance.
+    sampled on a grid oversampled past 2 sqrt(2), it leaves no aliased images
+    within any source-target distance.  That transform, and i kx and i ky
+    times it, are brought to real space once per (extent, size).  A
+    source-target offset is at most n - 1 cells per axis, so only the kernel
+    offsets |m| <= n - 1 are ever read: copied into a 2n x 2n array, they
+    give the same discrete convolution as a circular one on the 2n grid.
+    The cache holds the ``rfft2`` of the three kernels, in that order.
     """
     key = (extent, size)
     hit = _KERNEL_CACHE.get(key)
@@ -126,13 +135,21 @@ def _green_hat_2d(extent, size):
     lk = math.sqrt(2.0) * width
     padded = next_fast_len(int(math.ceil(2.0 * math.sqrt(2.0) * size)) + 1)
     k1d = 2.0 * math.pi * np.fft.fftfreq(padded, d=h)
-    kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+    kx, ky = k1d[:, None], k1d[None, :]
     k = np.hypot(kx, ky)
     with np.errstate(divide="ignore", invalid="ignore"):
         ghat = (1.0 - j0(k * lk)) / k**2 - lk * math.log(lk) * j1(k * lk) / k
     ghat[0, 0] = lk**2 / 4.0 - lk**2 * math.log(lk) / 2.0
-    out = (padded, kx, ky, ghat)
-    _KERNEL_CACHE[key] = out
+    near = np.r_[0:size, -size + 1:0]  # offsets 0..n-1, then -(n-1)..-1
+    at = np.r_[0:size, size + 1:2 * size]  # where they sit on the 2n grid
+    spectra = []
+    # real part: on an even padded grid the unpaired Nyquist samples of i k ghat
+    # give the kernel an imaginary part, which only feeds an imaginary output
+    for spectrum in (ghat, 1j * kx * ghat, 1j * ky * ghat):
+        kernel = np.zeros((2 * size, 2 * size))
+        kernel[np.ix_(at, at)] = ifft2(spectrum).real[np.ix_(near, near)]
+        spectra.append(rfft2(kernel))
+    out = _KERNEL_CACHE[key] = tuple(spectra)
     return out
 
 
@@ -162,15 +179,13 @@ def _free_space_solve(u, mode, check_domain=True):
         raise InvalidParameter("the FFT path expects a CartesianField2D")
     if check_domain:
         check_boundary_decay(u)
-    padded, kx, ky, ghat = _green_hat_2d(u.extent, u.size)
-    src = np.zeros((padded, padded))
-    src[: u.size, : u.size] = u.values
-    spec = fft2(src) * ghat
+    n = u.size
+    potential_hat, gx_hat, gy_hat = _green_hat_2d(u.extent, n)
+    spec = rfft2(u.values, s=(2 * n, 2 * n))
     if mode == "potential":
-        return ifft2(spec).real[: u.size, : u.size]
-    gx = ifft2(1j * kx * spec).real[: u.size, : u.size]
-    gy = ifft2(1j * ky * spec).real[: u.size, : u.size]
-    return np.stack([gx, gy])
+        return irfft2(spec * potential_hat, s=(2 * n, 2 * n))[:n, :n]
+    return np.stack([irfft2(spec * kernel, s=(2 * n, 2 * n))[:n, :n]
+                     for kernel in (gx_hat, gy_hat)])
 
 
 def cartesian_potential_2d(u):

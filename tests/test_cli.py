@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pkslab import asymptotics, cli
+from pkslab import asymptotics, cli, potential
 from pkslab.errors import InvalidData, ScenarioConfigError, UseProfileModule
 
 FAST_SCENARIO = """\
@@ -79,6 +79,12 @@ def test_unknown_check_rejected(tmp_path, capsys):
     assert cli.run_scenario(str(cfg)) == 2
 
 
+# TINY_RUN on a 64^2 Cartesian grid: the free-space FFT path
+TINY_CARTESIAN_RUN = TINY_RUN.replace(
+    "geometry = radial\nnodes = 512\nrmax = 40.0\n",
+    "geometry = cartesian\nsize = 64\nextent = 10.0\n").replace(
+    "scheme = muscl", "scheme = pseudo-spectral")
+
 # TINY_RUN's datum read from a snapshot file ({file}), which brings its own grid
 FILE_RUN = TINY_RUN.replace(
     "kind = gaussian\nmass = 6.283185307179586\nt0 = 1.0\n\n"
@@ -86,18 +92,34 @@ FILE_RUN = TINY_RUN.replace(
     "kind = custom-file\nfile = {file}\n")
 
 
-def _write_snapshot(path):
-    u0 = cli.fields.gaussian_radial(2, 2.0 * math.pi, cli.radial_grid(512, 40.0))
-    cli.fields.write_snapshot(u0, path, t=1.0)
+def _write_snapshot(path, t=1.0):
+    """The heat kernel of mass 2 pi at time t, written at t."""
+    u0 = cli.fields.gaussian_radial(2, 2.0 * math.pi, cli.radial_grid(512, 40.0), t0=t)
+    cli.fields.write_snapshot(u0, path, t=t)
 
 
 def test_custom_file_runs_with_the_file_mass(tmp_path):
     _write_snapshot(tmp_path / "u0.csv")
     cfg = tmp_path / "file.cfg"
     cfg.write_text(FILE_RUN.format(file=tmp_path / "u0.csv"))
-    u0, mass = cli._build_initial(cli.load_scenario(cfg))
+    u0, mass, _ = cli._build_evolution(cli.load_scenario(cfg))
     assert mass == cli.fields.total_mass(u0)
     assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 0
+
+
+def test_custom_file_run_starts_at_the_snapshot_time(tmp_path):
+    _write_snapshot(tmp_path / "u0.csv", t=5.0)
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(FILE_RUN.format(file=tmp_path / "u0.csv").replace(
+        "t_init = 1.0\nt_end = 1.6\n", "t_end = 5.5\nreference = m_gamma_t\n"))
+    assert cli._build_evolution(cli.load_scenario(cfg))[2].t_init == 5.0
+    out = tmp_path / "out"
+    assert cli.run_scenario(str(cfg), out_dir=out) == 0
+    first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+    # t and the L1 distance to the heat kernel at t (of the datum's
+    # quadrature mass): the datum itself, up to that mass's quadrature error
+    assert float(first[0]) == 5.0
+    assert float(first[4]) < 1e-8
 
 
 def test_missing_initial_file_rejected(tmp_path, capsys):
@@ -197,6 +219,10 @@ UNHONOURED = {
     "file_with_mass": (_edit(FILE_RUN, "file = {file}", "file = {file}\nmass = 1.0"),
                        "[initial] does not read mass"),
     "file_dim_mismatch": (_edit(FILE_RUN, "dim = 2", "dim = 3"), "[scenario] dim = 3"),
+    "file_t_init": (_edit(FILE_RUN, "t_init = 1.0", "t_init = 2.0"),
+                    "starts the run at t = 2.0, but [initial] file was written at t = 1.0"),
+    "solver_t_init_zero": (_edit(TINY_RUN, "t_init = 1.0", "t_init = 0.0"),
+                           "physical runs need t_init > 0"),
 }
 
 
@@ -258,9 +284,9 @@ SCENARIO_FILES = sorted(cli.SCENARIO_DIR.glob("*.cfg")) + sorted(
 def test_scenario_file_parses_and_builds(path):
     # read-only: the bundled scenarios and the benchmark templates
     scenario = cli.load_scenario(path)
-    u0, mass = cli._build_initial(scenario)
+    _, mass, cfg = cli._build_evolution(scenario)
     assert mass > 0.0
-    assert isinstance(cli._solver_config(u0, **scenario.solver), cli.evolution.SolverConfig)
+    assert isinstance(cfg, cli.evolution.SolverConfig)
 
 
 def test_scenario_pass_and_summary(tmp_path):
@@ -283,11 +309,17 @@ def test_evolve_scenario_writes_outputs(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_deterministic_rerun(tmp_path):
+@pytest.mark.parametrize("text, kernels", [(TINY_RUN, 0), (TINY_CARTESIAN_RUN, 1)],
+                         ids=["radial", "cartesian"])
+def test_deterministic_rerun(tmp_path, monkeypatch, text, kernels):
+    # from an empty kernel cache, the first Cartesian run builds the spectra
+    # and the second only reads them
+    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_RUN)
+    cfg.write_text(text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.run_scenario(str(cfg), out_dir=out1) == 0
+    assert len(potential._KERNEL_CACHE) == kernels
     assert cli.run_scenario(str(cfg), out_dir=out2) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()

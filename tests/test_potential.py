@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.special import j0, j1, roots_legendre
 
 from pkslab import fields, potential
 from pkslab.errors import DomainTooSmall
@@ -129,6 +130,68 @@ def test_far_field_off_center_blob():
     r_actual = math.hypot(x[i] - 2.0, x[j] - 1.0)
     expected = 1.0 / (2.0 * math.pi * r_actual)
     assert g.speed()[i, j] == pytest.approx(expected, rel=0.01)
+
+
+def _oversampled_complex_solve(u):
+    """Oracle for the free-space solve: the closed-form truncated-kernel
+    transform sampled on the complex FFT grid oversampled past 2 sqrt(2) n,
+    applied with one fft2 and one ifft2 per output.  Returns (V, grad V)."""
+    n, h = u.size, u.spacing
+    lk = math.sqrt(2.0) * 2.0 * u.extent
+    padded = next_fast_len(int(math.ceil(2.0 * math.sqrt(2.0) * n)) + 1)
+    k1d = 2.0 * math.pi * np.fft.fftfreq(padded, d=h)
+    kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+    k = np.hypot(kx, ky)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ghat = (1.0 - j0(k * lk)) / k**2 - lk * math.log(lk) * j1(k * lk) / k
+    ghat[0, 0] = lk**2 / 4.0 - lk**2 * math.log(lk) / 2.0
+    src = np.zeros((padded, padded))
+    src[:n, :n] = u.values
+    spec = fft2(src) * ghat
+
+    def crop(a):
+        return ifft2(a).real[:n, :n]
+
+    return crop(spec), np.stack([crop(1j * kx * spec), crop(1j * ky * spec)])
+
+
+def _off_centre_gaussian(extent, size):
+    return fields.gaussian_cartesian(4.0 * math.pi, extent=extent, size=size,
+                                     center=(0.1 * extent, -0.07 * extent),
+                                     t0=(extent / 12.0) ** 2)
+
+
+def _bumps(extent, size):
+    parts = [fields.gaussian_cartesian(mass, extent=extent, size=size,
+                                       center=(cx * extent, cy * extent),
+                                       t0=(extent / w) ** 2)
+             for mass, cx, cy, w in ((1.0, 0.1, -0.2, 14.0), (2.5, -0.25, 0.15, 18.0),
+                                     (0.7, 0.05, 0.3, 24.0))]
+    return parts[0].with_values(sum(p.values for p in parts))
+
+
+@pytest.mark.parametrize("size", [32, 64, 128])
+@pytest.mark.parametrize("extent", [6.0, 20.0])
+@pytest.mark.parametrize("source", [_off_centre_gaussian, _bumps])
+def test_free_space_solve_matches_oversampled_complex_oracle(source, extent, size):
+    u = source(extent, size)
+    v_ref, g_ref = _oversampled_complex_solve(u)
+    v = potential.cartesian_potential_2d(u)
+    g = potential.cartesian_gradient_2d(u).data
+    assert np.abs(v - v_ref).max() <= 1e-13 * np.abs(v_ref).max()
+    assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+
+
+def test_free_space_kernel_built_once_per_grid():
+    u = _bumps(7.5, 32)
+    first = potential.cartesian_gradient_2d(u).data
+    entries = len(potential._KERNEL_CACHE)
+    cached = potential._KERNEL_CACHE[(7.5, 32)]
+    second = potential.cartesian_gradient_2d(u.with_values(2.0 * u.values)).data
+    potential.cartesian_potential_2d(u)
+    assert len(potential._KERNEL_CACHE) == entries
+    assert potential._KERNEL_CACHE[(7.5, 32)] is cached
+    np.testing.assert_allclose(second, 2.0 * first, rtol=0, atol=1e-15 * np.abs(first).max())
 
 
 def test_domain_too_small():
