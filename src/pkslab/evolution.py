@@ -28,6 +28,13 @@ step bound, read from the velocity alone; the velocity is linear in the
 similarity weight, so callers divide the limit by it.  The driver evaluates
 the limit once per step, on the values the step starts from, and the first
 step of a record interval sizes the interval's dt from that same value.
+
+The radial stepper builds everything that depends only on the nodes and the
+dimension once: the shell factor, the half spacings of the cumulative
+trapezoid, the MUSCL face offsets and the divisors of the flux divergence.
+A step then costs a few dozen passes over arrays of the grid's size, and
+every operation keeps the order and rounding of the plain formulas, so the
+results are bit-identical to computing them afresh.
 """
 
 import json
@@ -48,7 +55,7 @@ from .errors import (
 from . import diagnostics as _diagnostics
 from .fields import (CartesianField2D, RadialField, gaussian_cartesian, gaussian_radial,
                      lp_norm, moments, total_mass)
-from .grids import SPHERE_AREA, cumulative_shell_mass, radial_measure_weights
+from .grids import SPHERE_AREA, radial_measure_weights
 from .potential import cartesian_gradient_2d, check_boundary_decay, enclosed_mass
 from .semigroup import (
     _radial_propagator,
@@ -163,9 +170,11 @@ class Trajectory:
 # radial advection machinery
 # ---------------------------------------------------------------------------
 
-def _minmod(a, b):
-    out = np.where(np.sign(a) == np.sign(b), np.where(np.abs(a) < np.abs(b), a, b), 0.0)
-    return out
+def _minmod_adjacent(d):
+    """minmod(d[:-1], d[1:]): the smaller of each pair of neighbouring slopes
+    when they share a sign, else 0.  Each slope's sign and size is taken once."""
+    sign, size = np.sign(d), np.abs(d)
+    return np.where(sign[:-1] == sign[1:], np.where(size[:-1] < size[1:], d[:-1], d[1:]), 0.0)
 
 
 class _Stepper:
@@ -194,39 +203,61 @@ class _RadialStepper(_Stepper):
         # the r = 0 node carries zero trapezoid measure; update it as the
         # finite-volume average over the ball inside the first face instead
         self.origin_volume = SPHERE_AREA[dim] / dim * self.faces[0] ** dim
+        # Everything below depends on the nodes and the dimension alone, so a
+        # step reads it instead of recomputing it.  Divisors keep the sign of
+        # the quotient they produce: -x / w and x / -w round identically,
+        # where a precomputed reciprocal would not.
+        self._shell = SPHERE_AREA[dim] * grid_nodes ** (dim - 1)
+        self._half_dr = 0.5 * self.dr
+        self._left_offset = self.faces - grid_nodes[:-1]
+        self._right_offset = self.faces - grid_nodes[1:]
+        self._neg_face_area = -self.face_area
+        w0 = self.weights[0] if self.weights[0] > 0.0 else self.origin_volume
+        self._neg_origin_weight = -w0
+        self._neg_inner_weights = -self.weights[1:-1]
+        self._last_weight = self.weights[-1]
 
     def face_velocity(self, values):
-        """Gauss-law radial velocity V'(r) at the cell faces."""
-        m = cumulative_shell_mass(self.nodes, values, self.dim)
-        m_face = 0.5 * (m[1:] + m[:-1])
-        return -m_face / self.face_area
+        """Gauss-law radial velocity V'(r) at the cell faces: minus the mean
+        of the enclosed shell mass at the two nodes, over the face area."""
+        # the cumulative trapezoid sums of grids.cumulative_shell_mass
+        g = self._shell * values
+        m = np.empty_like(g)
+        m[0] = 0.0
+        (self._half_dr * (g[1:] + g[:-1])).cumsum(out=m[1:])
+        m_face = m[1:] + m[:-1]
+        m_face *= 0.5
+        m_face /= self._neg_face_area
+        return m_face
 
     def advection_rhs(self, values, weight):
-        v = weight * self.face_velocity(values)
+        v = self.face_velocity(values)
+        v *= weight
         if self.scheme == "central":
-            u_face = 0.5 * (values[1:] + values[:-1])
-            flux = v * u_face
+            u_face = values[1:] + values[:-1]
+            u_face *= 0.5
         else:
-            slopes = np.zeros_like(values)
-            d = np.diff(values) / self.dr
-            slopes[1:-1] = _minmod(d[:-1], d[1:])
-            left = values[:-1] + slopes[:-1] * (self.faces - self.nodes[:-1])
-            right = values[1:] + slopes[1:] * (self.faces - self.nodes[1:])
-            flux = np.where(v >= 0.0, v * left, v * right)
-        rhs = np.zeros_like(values)
-        af = self.face_area * flux
-        w0 = self.weights[0] if self.weights[0] > 0.0 else self.origin_volume
-        rhs[0] = -af[0] / w0
-        rhs[1:-1] = -(af[1:] - af[:-1]) / self.weights[1:-1]
-        rhs[-1] = af[-1] / self.weights[-1]
+            slopes = np.empty_like(values)
+            slopes[0] = slopes[-1] = 0.0
+            slopes[1:-1] = _minmod_adjacent((values[1:] - values[:-1]) / self.dr)
+            left = values[:-1] + slopes[:-1] * self._left_offset
+            right = values[1:] + slopes[1:] * self._right_offset
+            u_face = np.where(v >= 0.0, left, right)
+        # the face flux times the face area
+        u_face *= v
+        u_face *= self.face_area
+        rhs = np.empty_like(values)
+        rhs[0] = u_face[0] / self._neg_origin_weight
+        np.divide(u_face[1:] - u_face[:-1], self._neg_inner_weights, out=rhs[1:-1])
+        rhs[-1] = u_face[-1] / self._last_weight
         return rhs
 
     def cfl_limit(self, values):
-        v = np.abs(self.face_velocity(values))
-        active = v > 0.0
-        if not np.any(active):
-            return math.inf
-        return CFL_SAFETY * float(np.min(self.dr[active] / v[active]))
+        # a face at rest bounds nothing: its quotient is infinite, and so is
+        # the limit when the whole field is at rest
+        with np.errstate(divide="ignore"):
+            ratio = self.dr / self.face_velocity(values)
+        return CFL_SAFETY * float(np.abs(ratio, out=ratio).min())
 
     def diffuse(self, values, dt):
         a, shrink = (dt, 1.0) if self.kind == "physical" else kernel_width_shrink(dt)
@@ -349,7 +380,8 @@ def _record_schedule(config, kind):
         decades = math.log10(config.t_end / config.t_init)
         count = max(2, int(math.ceil(decades * config.records_per_decade)) + 1)
         return np.geomspace(config.t_init, config.t_end, count)
-    # similarity time: uniform spacing matching 32 records per decade of t
+    # similarity time: uniform spacing matching records_per_decade records
+    # per decade of t
     dtau = math.log(10.0) / config.records_per_decade
     count = max(2, int(math.ceil((config.t_end - config.t_init) / dtau)) + 1)
     return np.linspace(config.t_init, config.t_end, count)

@@ -19,7 +19,7 @@ from pkslab.errors import (
     StepRejected,
 )
 from pkslab.fields import l1_distance, total_mass
-from pkslab.grids import radial_grid, radial_measure_weights
+from pkslab.grids import SPHERE_AREA, radial_grid, radial_measure_weights
 
 from conftest import gaussian_radial
 
@@ -62,6 +62,98 @@ def test_clamp_keeps_mass_on_graded_grid():
     assert abs(np.sum(weights * out) - mass) <= 1e-14 * mass
     with pytest.raises(StepRejected):
         ev._clamp(values, 1e-12, 1.0, weights)
+
+
+class _ReferenceRadialAdvection:
+    """The radial advection of the stepper before it precomputed its grid
+    geometry, kept verbatim (with ``grids.cumulative_shell_mass`` at order 2
+    and ``_minmod``) as the oracle the stepper must match bit for bit."""
+
+    def __init__(self, grid_nodes, dim, kind):
+        self.nodes = grid_nodes
+        self.dim = dim
+        self.scheme = "muscl" if kind == "physical" else "central"
+        self.weights = radial_measure_weights(grid_nodes, dim)
+        self.faces = 0.5 * (grid_nodes[1:] + grid_nodes[:-1])
+        self.face_area = SPHERE_AREA[dim] * self.faces ** (dim - 1)
+        self.dr = np.diff(grid_nodes)
+        self.origin_volume = SPHERE_AREA[dim] / dim * self.faces[0] ** dim
+
+    @staticmethod
+    def _cumulative_shell_mass(nodes, values, dim):
+        nodes = np.asarray(nodes, dtype=float)
+        values = SPHERE_AREA[dim] * nodes ** (dim - 1) * np.asarray(values, dtype=float)
+        out = np.zeros_like(values)
+        out[1:] = np.cumsum(0.5 * (nodes[1:] - nodes[:-1]) * (values[1:] + values[:-1]))
+        return out
+
+    @staticmethod
+    def _minmod(a, b):
+        out = np.where(np.sign(a) == np.sign(b), np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+        return out
+
+    def face_velocity(self, values):
+        m = self._cumulative_shell_mass(self.nodes, values, self.dim)
+        m_face = 0.5 * (m[1:] + m[:-1])
+        return -m_face / self.face_area
+
+    def advection_rhs(self, values, weight):
+        v = weight * self.face_velocity(values)
+        if self.scheme == "central":
+            u_face = 0.5 * (values[1:] + values[:-1])
+            flux = v * u_face
+        else:
+            slopes = np.zeros_like(values)
+            d = np.diff(values) / self.dr
+            slopes[1:-1] = self._minmod(d[:-1], d[1:])
+            left = values[:-1] + slopes[:-1] * (self.faces - self.nodes[:-1])
+            right = values[1:] + slopes[1:] * (self.faces - self.nodes[1:])
+            flux = np.where(v >= 0.0, v * left, v * right)
+        rhs = np.zeros_like(values)
+        af = self.face_area * flux
+        w0 = self.weights[0] if self.weights[0] > 0.0 else self.origin_volume
+        rhs[0] = -af[0] / w0
+        rhs[1:-1] = -(af[1:] - af[:-1]) / self.weights[1:-1]
+        rhs[-1] = af[-1] / self.weights[-1]
+        return rhs
+
+    def cfl_limit(self, values):
+        v = np.abs(self.face_velocity(values))
+        active = v > 0.0
+        if not np.any(active):
+            return math.inf
+        return ev.CFL_SAFETY * float(np.min(self.dr[active] / v[active]))
+
+
+def _advection_test_fields(nodes):
+    rmax = nodes[-1]
+    bump = 2.0 * np.exp(-((nodes - 0.1 * rmax) ** 2) / 4.0)
+    yield bump
+    yield np.where(nodes < 0.4 * rmax, bump, 0.0)  # far tail exactly 0
+    yield np.where(nodes > 0.05 * rmax, bump, 0.0)  # at rest near the origin
+    # a dip below zero, as the second Heun stage may see
+    yield bump - 1e-3 * np.exp(-((nodes - 0.3 * rmax) ** 2))
+
+
+@pytest.mark.parametrize("kind", ["physical", "similarity"])  # muscl, central
+@pytest.mark.parametrize("grid_kind", ["graded", "uniform"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_radial_advection_matches_reference_bit_for_bit(dim, grid_kind, kind):
+    nodes = radial_grid(128, 20.0, grid_kind)
+    stepper = ev._RadialStepper(nodes, dim, kind)
+    reference = _ReferenceRadialAdvection(nodes, dim, kind)
+    assert stepper.scheme == reference.scheme
+
+    def same_bits(a, b):  # also tells +0.0 from -0.0
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    for values in _advection_test_fields(nodes):
+        assert same_bits(stepper.face_velocity(values), reference.face_velocity(values))
+        assert same_bits(stepper.cfl_limit(values), reference.cfl_limit(values))
+        for weight in (1.0, ev.nonlinearity_weight(4, 0.3)):
+            assert same_bits(stepper.advection_rhs(values, weight),
+                             reference.advection_rhs(values, weight))
+    assert stepper.cfl_limit(np.zeros_like(nodes)) == math.inf
 
 
 def test_record_free_energy_catches_only_package_errors(monkeypatch):
