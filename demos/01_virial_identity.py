@@ -9,8 +9,6 @@ compares fitted slopes against the law.
 
 import math
 
-import numpy as np
-
 from pkslab import SolverConfig, evolve, fields
 from pkslab.diagnostics import virial_prediction_2d, virial_slope
 

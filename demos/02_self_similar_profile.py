@@ -9,8 +9,6 @@ onto it.  Writes profile snapshots and a relaxation table.
 
 import math
 
-import numpy as np
-
 from pkslab import SolverConfig, evolve_similarity, fields, profiles
 from pkslab.grids import radial_grid
 

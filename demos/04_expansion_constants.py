@@ -8,8 +8,6 @@ whose coefficients c1 and c2 are plain quadratures.  Every number here is
 computed two independent ways.
 """
 
-import math
-
 import numpy as np
 
 from pkslab import asymptotics as asy

@@ -20,7 +20,6 @@ from .asymptotics import (
     w_star_quadrature,
 )
 from .diagnostics import (
-    decay_envelope,
     free_energy_2d,
     phi_density,
     relative_entropy,
@@ -33,7 +32,6 @@ from .evolution import (
     duhamel_residual,
     evolve,
     evolve_similarity,
-    step,
 )
 from .fields import (
     CartesianField2D,
@@ -54,7 +52,6 @@ from .potential import (
     sup_gradient_bound_check,
 )
 from .profiles import (
-    gaussian_potential,
     gaussian_profile,
     self_similar_profile_2d,
     stationary_residual,

@@ -29,7 +29,7 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 
 from . import asymptotics, diagnostics, evolution, fields, potential, profiles, semigroup
-from .errors import PKSError, ScenarioConfigError, UseProfileModule
+from .errors import InvalidParameter, PKSError, ScenarioConfigError, UseProfileModule
 from .grids import radial_grid
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
@@ -684,11 +684,15 @@ def list_scenarios():
 
 def export_constants(dim, mass, b0, samples=2_000_000, seed=1):
     """Constants report with oracle cross-checks, as a plain dict."""
+    if dim not in (2, 3, 4, 5):
+        raise InvalidParameter(f"dimension must be in 2..5, got {dim}")
     if dim == 2:
         raise UseProfileModule(
             "2D asymptotics are governed by G_M; use `pks profile`"
         )
     b0 = list(np.atleast_1d(np.asarray(b0, dtype=float)))
+    if len(b0) > dim:
+        raise InvalidParameter(f"B0 has {len(b0)} components, more than n = {dim}")
     report = {"n": dim, "M": mass, "B0": b0, "c1": None, "c2": None,
               "oracle_values": {}, "rel_disagreement": {}}
     if dim == 4:
@@ -774,7 +778,7 @@ def main(argv=None):
                 args.n, args.mass, _parse_floats(args.b0),
                 samples=args.samples, seed=args.seed,
             )
-        except UseProfileModule as exc:
+        except PKSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         text = json.dumps(report, indent=2, sort_keys=True)

@@ -1,5 +1,5 @@
 """Theorem-level observables: free energies, the backward-kernel density Phi,
-its monotonicity margin, virial slopes, and decay envelopes.
+its monotonicity margin, and virial slopes.
 
 All functions here are pure readers of fields or trajectories.
 """
@@ -9,19 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlowupTrajectory,
-    DivergentMoment,
-    InvalidParameter,
-)
+from .errors import DivergentMoment, InvalidParameter
 from .fields import RadialField, moments, total_mass
 from .grids import radial_measure_weights
-from .potential import (
-    cartesian_gradient_2d,
-    cartesian_potential_2d,
-    radial_gradient,
-    radial_potential,
-)
+from .potential import cartesian_potential_2d, radial_gradient, radial_potential
 from .semigroup import gaussian_values, kernel_row, scaled_sphere_average
 
 EIGHT_PI = 8.0 * math.pi
@@ -100,7 +91,7 @@ def free_energy_2d(field):
 
 
 def relative_entropy(field, dim=None, tau=0.0):
-    """Similarity-variable free energy against the Gaussian.
+    """Similarity-variable free energy of a radial field against the Gaussian.
 
     Returns the full functional (entropy against G_n plus the f_n-weighted
     field energy minus M log M) together with the entropy-only part
@@ -108,21 +99,15 @@ def relative_entropy(field, dim=None, tau=0.0):
     For n = 2 the field energy carries the grid cutoff (the integrand decays
     like 1/r only); callers interested in sharp values use n >= 3.
     """
+    if not isinstance(field, RadialField):
+        raise InvalidParameter("relative_entropy is implemented for radial fields")
     n = dim if dim is not None else field.dim
     if n != field.dim:
         raise InvalidParameter("dimension tag does not match the field")
     mass = total_mass(field)
-    if isinstance(field, RadialField):
-        weights = radial_measure_weights(field.nodes, n)
-        gauss = gaussian_values(n, field.nodes)
-        grad = radial_gradient(field).data
-        energy = float(np.sum(weights * grad**2))
-    else:
-        weights = np.full_like(field.values, field.cell_area())
-        xx, yy = field.meshgrid()
-        gauss = gaussian_values(2, np.hypot(xx, yy))
-        g = cartesian_gradient_2d(field).data
-        energy = float(np.sum(weights * (g[0] ** 2 + g[1] ** 2)))
+    weights = radial_measure_weights(field.nodes, n)
+    gauss = gaussian_values(n, field.nodes)
+    energy = float(np.sum(weights * radial_gradient(field).data ** 2))
     fn = math.exp((1.0 - n / 2.0) * tau)
     entropy_vs_gauss = _entropy_integral(field, weights, reference=gauss)
     value = entropy_vs_gauss + 0.5 * fn * energy - (
@@ -143,26 +128,22 @@ def relative_entropy(field, dim=None, tau=0.0):
 def phi_density(trajectory, z1, rho):
     """(4 pi)^{-n/2} rho^{2-n} int u(y, s1 - rho^2) exp(-|y-y0|^2/(4 rho^2)) dy.
 
-    ``z1`` is the pair (y0, s1); y0 may be a scalar radial offset for radial
-    trajectories or a 2-vector for Cartesian ones.  The trajectory field is
-    interpolated in log-time between records.
+    ``z1`` is the pair (y0, s1) for a radial trajectory; y0 is a scalar
+    offset or a vector, of which only the length enters.  The trajectory
+    field is interpolated in log-time between records.
     """
     y0, s1 = z1
     s = s1 - rho * rho
     field = trajectory.field_at(s)  # raises OutOfRange when s is outside
+    if not isinstance(field, RadialField):
+        raise InvalidParameter("phi_density is implemented for radial trajectories")
     n = field.dim
-    if isinstance(field, RadialField):
-        # the heat kernel of width rho^2 at radius |y0|, times rho^2
-        d = float(np.linalg.norm(np.atleast_1d(np.asarray(y0, dtype=float))))
-        w = radial_measure_weights(field.nodes, n)
-        band, gauss, z = kernel_row(field.nodes, n, d, rho * rho)
-        kern = gauss * scaled_sphere_average(n, z)
-        return rho * rho * float(np.sum(w[band] * field.values[band] * kern))
-    pref = (4.0 * math.pi) ** (-n / 2.0) * rho ** (2.0 - n)
-    y0 = np.asarray(y0, dtype=float)
-    xx, yy = field.meshgrid()
-    kern = np.exp(-((xx - y0[0]) ** 2 + (yy - y0[1]) ** 2) / (4.0 * rho * rho))
-    return pref * float(np.sum(field.values * kern) * field.cell_area())
+    # the heat kernel of width rho^2 at radius |y0|, times rho^2
+    d = float(np.linalg.norm(np.atleast_1d(np.asarray(y0, dtype=float))))
+    w = radial_measure_weights(field.nodes, n)
+    band, gauss, z = kernel_row(field.nodes, n, d, rho * rho)
+    kern = gauss * scaled_sphere_average(n, z)
+    return rho * rho * float(np.sum(w[band] * field.values[band] * kern))
 
 
 def phi_scan(trajectory, z1, rho_grid):
@@ -198,15 +179,6 @@ def rho_grid_from_records(trajectory, s1, rho_min, rho_max):
     s_vals = times[(times <= s1 - rho_min**2) & (times >= s1 - rho_max**2)]
     rho = np.sqrt(s1 - s_vals)
     return np.sort(rho)
-
-
-def decay_envelope(trajectory):
-    """sup over records of (1+t)^{n/2} |u|_inf  (exponent 1 for n = 2)."""
-    if trajectory.blowup:
-        raise BlowupTrajectory("decay envelope is defined for global runs only")
-    power = 1.0 if trajectory.dim == 2 else trajectory.dim / 2.0
-    t = trajectory.times()
-    return float(np.max((1.0 + t) ** power * trajectory.sup_norms()))
 
 
 def virial_slope(trajectory):

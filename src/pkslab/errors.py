@@ -65,10 +65,6 @@ class DivergentMoment(PKSError):
     """A moment integral is non-finite on the grid."""
 
 
-class BlowupTrajectory(PKSError):
-    """A diagnostic defined only for global runs was applied to a blow-up run."""
-
-
 class UseProfileModule(PKSError):
     """The 2D long-time asymptote is the self-similar profile, not a Gaussian
     expansion; callers must go through the profiles module instead."""

@@ -8,7 +8,7 @@ substep driven by the Gauss-law velocity.  The kernel substep conserves the
 discrete mass to rounding.  Radial advection does not yet: the r = 0 node is
 updated with its own volume while its trapezoid weight is zero, so mass leaks
 through the first face.  For M = 4 pi on rmax 80 the leak is -1.2e-4,
--7.6e-6 and -1.8e-9 per unit time at 96, 192 and 1536 nodes (ROADMAP item 5).
+-7.6e-6 and -1.8e-9 per unit time at 96, 192 and 1536 nodes (ROADMAP item 2).
 
 The geometry and the kind of run fix the advection scheme and the clamp
 tolerance; neither is a setting, and each trajectory records the pair used.
@@ -344,24 +344,6 @@ def _strang_step(stepper, values, dt, weight, config, sup0):
         half = stepper.advect(half, dt, weight)
     out = stepper.diffuse(half, 0.5 * dt)
     return _clamp(out, stepper.clamp_tolerance, sup0, stepper.weights)
-
-
-def step(field, dt, config=None, kind="physical", tau=None):
-    """Advance one Strang step; raises StepRejected when dt violates the CFL bound."""
-    config = config or SolverConfig()
-    if dt <= 0:
-        raise InvalidParameter("dt must be positive")
-    stepper = _make_stepper(field, kind)
-    weight = 1.0
-    if kind == "similarity":
-        t_mid = (tau if tau is not None else 0.0) + 0.5 * dt
-        weight = nonlinearity_weight(field.dim, t_mid)
-    if config.nonlinearity:
-        limit = stepper.cfl_limit(field.values) / weight
-        if dt > limit:
-            raise StepRejected(f"dt={dt:.3e} exceeds the advective CFL limit {limit:.3e}")
-    values = _strang_step(stepper, field.values, dt, weight, config, field.values.max())
-    return field.with_values(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core field containers, norms, moments, and the similarity change of variables.
+"""Core field containers, norms, moments, and the radial similarity change of variables.
 
 Two concrete geometries are supported: radially symmetric densities sampled on
 a 1D node set (any dimension 2-5) and full 2D densities on a uniform periodic
@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import InvalidField, InvalidParameter
 from .grids import radial_interpolator, radial_measure_weights
@@ -136,20 +135,6 @@ class CartesianField2D:
         keep = self.nonnegative if nonnegative is None else nonnegative
         return replace(self, values=np.asarray(values, dtype=float), nonnegative=keep)
 
-    def interpolator(self):
-        x = self.axis()
-        spline = RectBivariateSpline(x, x, self.values, kx=3, ky=3)
-        lo, hi = x[0], x[-1]
-
-        def evaluate(px, py):
-            px = np.asarray(px, dtype=float)
-            py = np.asarray(py, dtype=float)
-            inside = (px >= lo) & (px <= hi) & (py >= lo) & (py <= hi)
-            out = spline(np.clip(px, lo, hi), np.clip(py, lo, hi), grid=False)
-            return np.where(inside, out, 0.0)
-
-        return evaluate
-
 
 @dataclass(frozen=True)
 class SimilarityState:
@@ -253,37 +238,26 @@ def moments(field):
 # ---------------------------------------------------------------------------
 
 def to_similarity(u_field, t):
-    """Map a physical-variable field at time t to similarity variables."""
+    """Map a radial physical-variable field at time t to similarity variables."""
+    if not isinstance(u_field, RadialField):
+        raise InvalidParameter("the similarity maps are implemented for radial fields")
     if t <= 0:
         raise InvalidParameter(f"similarity time must be positive, got t={t}")
     n = u_field.dim
-    scale = math.sqrt(t)
-    if isinstance(u_field, RadialField):
-        interp = radial_interpolator(u_field.nodes, u_field.values, order=5)
-        values = t ** (n / 2.0) * interp(scale * u_field.nodes)
-        out = u_field.with_values(values)
-    else:
-        xx, yy = u_field.meshgrid()
-        values = t * u_field.interpolator()(scale * xx, scale * yy)
-        out = u_field.with_values(values)
-    return SimilarityState(field=out, tau=math.log(t), dim=n)
+    interp = radial_interpolator(u_field.nodes, u_field.values, order=5)
+    values = t ** (n / 2.0) * interp(math.sqrt(t) * u_field.nodes)
+    return SimilarityState(field=u_field.with_values(values), tau=math.log(t), dim=n)
 
 
 def from_similarity(state):
     """Invert :func:`to_similarity`; returns (physical field, t)."""
-    t = math.exp(state.tau)
-    n = state.dim
-    scale = math.sqrt(t)
     f = state.field
-    if isinstance(f, RadialField):
-        interp = radial_interpolator(f.nodes, f.values, order=5)
-        values = t ** (-n / 2.0) * interp(f.nodes / scale)
-        out = f.with_values(values)
-    else:
-        xx, yy = f.meshgrid()
-        values = (1.0 / t) * f.interpolator()(xx / scale, yy / scale)
-        out = f.with_values(values)
-    return out, t
+    if not isinstance(f, RadialField):
+        raise InvalidParameter("the similarity maps are implemented for radial fields")
+    t = math.exp(state.tau)
+    interp = radial_interpolator(f.nodes, f.values, order=5)
+    values = t ** (-state.dim / 2.0) * interp(f.nodes / math.sqrt(t))
+    return f.with_values(values), t
 
 
 # ---------------------------------------------------------------------------

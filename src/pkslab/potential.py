@@ -204,39 +204,16 @@ def cartesian_gradient_2d(u, check_domain=True):
     )
 
 
-def gradient(u):
-    """Dispatch to the radial or Cartesian gradient path."""
-    if isinstance(u, RadialField):
-        return radial_gradient(u)
-    return cartesian_gradient_2d(u)
-
-
 def sup_gradient_bound_check(u):
     """Data for the interpolation bound sup|grad E_n * u| <= C |u|_1^{1/n} |u|_inf^{1-1/n}.
 
     Returns (lhs, rhs_core, ratio) with rhs_core the norm product; the
     constant C is not asserted here because only an empirical value exists.
     """
-    lhs = gradient(u).sup()
+    lhs = radial_gradient(u).sup()
     m1 = lp_norm(u, 1)
     minf = lp_norm(u, math.inf)
     n = u.dim
     rhs_core = m1 ** (1.0 / n) * minf ** (1.0 - 1.0 / n)
     ratio = 0.0 if rhs_core == 0.0 else lhs / rhs_core
     return lhs, rhs_core, ratio
-
-
-def interaction_null_integral(u):
-    """Quadrature of int u * d_j (E_n * u) dx, which vanishes in the continuum.
-
-    For radial fields the integrand is odd in every coordinate so the radial
-    reduction is identically zero; the 2D Cartesian path evaluates it honestly.
-    Returns the vector of components.
-    """
-    if isinstance(u, RadialField):
-        return np.zeros(u.dim)
-    g = cartesian_gradient_2d(u).data
-    area = u.cell_area()
-    return np.array(
-        [float(np.sum(u.values * g[0]) * area), float(np.sum(u.values * g[1]) * area)]
-    )

@@ -39,16 +39,6 @@ def gaussian_profile(dim, mass, grid=None):
     return RadialField(dim=dim, nodes=nodes, values=mass * gaussian_values(dim, nodes))
 
 
-def gaussian_potential(dim, grid=None):
-    """V_n'(r) for the unit Gaussian, via the Gauss-law reduction.
-
-    The gradient is what downstream quadratures consume; n = 2 callers fix the
-    gauge V(0) = 0 separately when they need V itself.
-    """
-    g = gaussian_profile(dim, 1.0, grid)
-    return radial_gradient(g)
-
-
 def self_similar_profile_2d(mass, grid=None, tol=1e-10, max_iter=500,
                             relaxation=0.5):
     """Solve for the mass-M stationary profile of the 2D similarity equation.

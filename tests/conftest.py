@@ -13,7 +13,6 @@ import pytest
 from pkslab import asymptotics, evolution, fields, profiles
 from pkslab.fields import gaussian_radial
 from pkslab.grids import radial_grid
-from pkslab.semigroup import gaussian_values
 
 
 @pytest.fixture(scope="session")

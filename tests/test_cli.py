@@ -358,6 +358,18 @@ def test_main_constants_n2_exit_1(capsys):
     assert "profile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "4", "--mass", "-1"], "mass must be nonnegative"),
+    (["--n", "6", "--mass", "1"], "dimension must be in 2..5"),
+    (["--n", "3", "--mass", "1", "--b0", "1,0,0,0"], "B0 has 4 components"),
+], ids=["negative_mass", "dimension", "b0_length"])
+def test_main_constants_refuses_bad_input(capsys, argv, message):
+    assert cli.main(["constants", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_main_list(capsys):
     assert cli.main(["list"]) == 0
     assert "wstar_moments" in capsys.readouterr().out

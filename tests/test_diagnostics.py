@@ -1,15 +1,14 @@
-"""Free energies, Phi density, virial slopes, decay envelopes."""
+"""Free energies, relative entropy, Phi density, virial slopes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pkslab import diagnostics as dg, evolution as ev, fields, profiles
-from pkslab.errors import BlowupTrajectory, InvalidParameter, OutOfRange
+from pkslab import diagnostics as dg, evolution as ev
+from pkslab.errors import OutOfRange
 from pkslab.fields import RadialField
 from pkslab.grids import radial_grid, radial_measure_weights
-from pkslab.semigroup import gaussian_values
 
 from conftest import gaussian_radial
 
@@ -132,22 +131,6 @@ def test_phi_offset_center(pure_heat_run_2d):
     phi = dg.phi_density(pure_heat_run_2d, (d, s1), rho)
     exact = mass * rho**2 / (4.0 * math.pi * s1) * math.exp(-(d**2) / (4.0 * s1))
     assert phi == pytest.approx(exact, rel=2e-4)
-
-
-def test_decay_envelope(reference_run_2d):
-    env = dg.decay_envelope(reference_run_2d)
-    t = reference_run_2d.times()
-    sup = reference_run_2d.sup_norms()
-    assert env == pytest.approx(np.max((1 + t) * sup))
-    assert math.isfinite(env)
-
-
-def test_decay_envelope_blowup_guard():
-    nodes = radial_grid(768, 20.0)
-    u0 = gaussian_radial(2, 10.0 * math.pi, nodes, t0=1.0)
-    traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=7.0, blowup_factor=1e3))
-    with pytest.raises(BlowupTrajectory):
-        dg.decay_envelope(traj)
 
 
 def test_virial_slope_and_prediction(gaussian_2d_4pi):

@@ -1,15 +1,19 @@
 """Field containers, quadrature norms, moments, and the similarity map."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pkslab import fields
+from pkslab.diagnostics import phi_density, relative_entropy
 from pkslab.errors import InvalidField, InvalidParameter
+from pkslab.evolution import SolverConfig, Trajectory, TrajectoryRecord
 from pkslab.fields import (
     CartesianField2D,
     RadialField,
+    SimilarityState,
     from_similarity,
     l1_distance,
     lp_norm,
@@ -20,6 +24,7 @@ from pkslab.fields import (
     write_snapshot,
 )
 from pkslab.grids import nested_refinement, radial_grid, trapezoid_weights
+from pkslab.potential import radial_gradient, sup_gradient_bound_check
 from pkslab.semigroup import gaussian_values
 
 from conftest import gaussian_radial
@@ -175,15 +180,30 @@ def test_similarity_rejects_nonpositive_time(default_nodes):
         to_similarity(u, 0.0)
 
 
-def test_similarity_round_trip_cartesian():
-    u = fields.gaussian_cartesian(2.0, center=(0.5, -0.3))
-    for t in (0.5, 2.0):
-        state = to_similarity(u, t)
-        back, _ = from_similarity(state)
-        # mass is conserved to the quadrature tolerance; the round trip
-        # itself is identity up to bicubic interpolation error
-        assert abs(total_mass(state.field) - total_mass(u)) < 1e-6 * total_mass(u)
-        assert l1_distance(back, u) < 1e-5 * total_mass(u)
+def _cartesian_trajectory(u):
+    record = TrajectoryRecord(time=1.0, field=u, moments=moments(u), sup_norm=u.values.max(),
+                              free_energy=math.nan, l1_dist_to_profile=math.nan)
+    return Trajectory(dim=2, kind="physical", config=SolverConfig(),
+                      scheme="pseudo-spectral", clamp_tolerance=3e-8,
+                      records=[record, dataclasses.replace(record, time=2.0)])
+
+
+# the radial-only functions refuse a 2D Cartesian field instead of reading it
+RADIAL_ONLY = {
+    "to_similarity": lambda u: to_similarity(u, 2.0),
+    "from_similarity": lambda u: from_similarity(SimilarityState(field=u, tau=0.5, dim=2)),
+    "relative_entropy": relative_entropy,
+    "phi_density": lambda u: phi_density(_cartesian_trajectory(u), ((0.0, 0.0), 2.0), 0.5),
+    "sup_gradient_bound_check": sup_gradient_bound_check,
+    "radial_gradient": radial_gradient,
+}
+
+
+@pytest.mark.parametrize("name", RADIAL_ONLY)
+def test_radial_only_functions_refuse_cartesian_fields(name):
+    u = fields.gaussian_cartesian(2.0, extent=8.0, size=32)
+    with pytest.raises(InvalidParameter):
+        RADIAL_ONLY[name](u)
 
 
 def test_snapshot_round_trip_radial(tmp_path, default_nodes):

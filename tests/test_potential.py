@@ -10,8 +10,7 @@ from scipy.special import j0, j1, roots_legendre
 from pkslab import fields, potential
 from pkslab.errors import DomainTooSmall
 from pkslab.fields import RadialField, total_mass
-from pkslab.grids import radial_grid, radial_interpolator
-from pkslab.semigroup import gaussian_values
+from pkslab.grids import radial_interpolator
 
 from conftest import gaussian_radial
 
@@ -220,14 +219,6 @@ def test_sup_gradient_ratio_amplitude_invariant(default_nodes):
     _, _, ratio1 = potential.sup_gradient_bound_check(u)
     _, _, ratio2 = potential.sup_gradient_bound_check(u.with_values(7.3 * u.values))
     assert abs(ratio1 - ratio2) < 1e-10
-
-
-def test_interaction_null_integral():
-    u = fields.gaussian_cartesian(4.0 * math.pi, center=(0.7, -0.4))
-    g = potential.cartesian_gradient_2d(u)
-    value = potential.interaction_null_integral(u)
-    bound = 1e-8 * total_mass(u) * g.sup()
-    assert np.abs(value).max() < bound
 
 
 def test_radial_potential_gauges(default_nodes):

@@ -7,10 +7,9 @@ import pytest
 
 from pkslab import profiles
 from pkslab.errors import FixedPointStalled, SupercriticalMass
-from pkslab.fields import l1_distance, lp_norm, total_mass
+from pkslab.fields import l1_distance, total_mass
 from pkslab.grids import radial_grid
 from pkslab.potential import radial_gradient
-from pkslab.semigroup import gaussian_enclosed_mass
 
 
 def test_gaussian_profile_basics(default_nodes):
@@ -25,7 +24,7 @@ def test_gaussian_profile_basics(default_nodes):
 
 
 def test_gaussian_potential_far_field(default_nodes):
-    vp = profiles.gaussian_potential(3, default_nodes)
+    vp = radial_gradient(profiles.gaussian_profile(3, 1.0, default_nodes))
     far = default_nodes > 15.0
     np.testing.assert_allclose(
         -vp.data[far], 1.0 / (4.0 * math.pi * default_nodes[far] ** 2), rtol=1e-9
@@ -35,7 +34,7 @@ def test_gaussian_potential_far_field(default_nodes):
 
 def test_gaussian_potential_4d_closed_form(default_nodes):
     # -V_4'(r) * 2 pi^2 r^3 = m_4(r) = 1 - (1 + r^2/4) e^{-r^2/4}
-    vp = profiles.gaussian_potential(4, default_nodes)
+    vp = radial_gradient(profiles.gaussian_profile(4, 1.0, default_nodes))
     idx = int(np.argmin(np.abs(default_nodes - 2.0)))
     r = default_nodes[idx]
     m4 = -vp.data[idx] * 2.0 * math.pi**2 * r**3

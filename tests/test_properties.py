@@ -3,13 +3,11 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pkslab.fields import (
     RadialField,
     from_similarity,
-    l1_distance,
     lp_norm,
     moments,
     to_similarity,
@@ -132,7 +130,7 @@ def test_radial_strang_step_nonnegative_reproducible_and_leaks_first_face(case):
     assert out.tobytes() == again.tobytes()
     # The r = 0 row is updated with origin_volume while its trapezoid weight
     # is 0, so the measured mass changes by the flux through the first face
-    # (ROADMAP item 5).  A conservative origin update makes this sum 0.
+    # (ROADMAP item 2).  A conservative origin update makes this sum 0.
     rhs = stepper.advection_rhs(values, weight)
     terms = stepper.weights * rhs
     leak = -rhs[0] * stepper.origin_volume

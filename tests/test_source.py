@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses what it imports."""
+"""Source hygiene: every module of the package, every test file and every
+demo uses what it imports."""
 
 import ast
 from pathlib import Path
@@ -7,12 +8,17 @@ import pytest
 
 import pkslab
 
-MODULES = sorted(
-    p for p in Path(pkslab.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(pkslab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _source_id(path):
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_source_id)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text())
     imported = {
