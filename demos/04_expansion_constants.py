@@ -31,9 +31,9 @@ print(f"  c2(1) reduced 1D oracle  : {asy.constant_c2_oracle(1.0):.12e}")
 print(f"  c2(1) closed form        : {asy.C2_UNIT_CLOSED_FORM:.12e}"
       "   (= 1/(256 pi^4))")
 
-c1 = asy.constant_c1(1.0, [1.0, 0.0, 0.0], ws)
+c1 = asy.constant_c1(1.0, ws)
 mc = asy.constant_c1_monte_carlo(1.0, [1.0, 0.0, 0.0], ws, samples=2_000_000)
-print(f"  c1(1, e1) quadrature     : {c1.value:.12e}")
+print(f"  c1(1, e1) quadrature     : {c1:.12e}")
 print(f"  c1(1, e1) Monte Carlo    : {mc:.12e}")
 print("  (the dipole block integrates to zero by parity; c1 scales as M^3)")
 

@@ -27,19 +27,20 @@ from .errors import (
 )
 from .fields import RadialField
 from .grids import (
-    SPHERE_AREA,
     nested_refinement,
+    radial_derivatives,
     radial_grid,
     radial_interpolator,
     radial_laplacian,
     radial_measure_weights,
-    radial_derivatives,
+    trapezoid_weights,
 )
 from .potential import radial_gradient
 from .semigroup import (
     _apply_radial,
     div_gaussian_gradient_values,
     gaussian_enclosed_mass,
+    gaussian_potential_gradient,
     gaussian_values,
     kernel_width_shrink,
 )
@@ -257,21 +258,19 @@ def w_pde_residual(wstar):
 C2_UNIT_CLOSED_FORM = 1.0 / (256.0 * math.pi**4)  # verified against both quadratures
 
 
-def constant_c2(mass, grid=None):
+def constant_c2(mass):
     """(M / 4 pi)^2 int_{R^4} |z|^2 div(G_4 grad V_4) dz by radial quadrature."""
     if mass < 0:
         raise InvalidParameter("mass must be nonnegative")
-    nodes = radial_grid(4096, 40.0) if grid is None else np.asarray(grid, dtype=float)
+    nodes = radial_grid(4096, 40.0)
     w = radial_measure_weights(nodes, 4)
     integral = float(np.sum(w * nodes**2 * div_gaussian_gradient_values(4, nodes)))
     return (mass / (4.0 * math.pi)) ** 2 * integral
 
 
-def constant_c2_oracle(mass, grid=None):
+def constant_c2_oracle(mass):
     """Reduced 1D form 2 int G_4(r) m_4(r) r dr (integration by parts in the display)."""
-    nodes = radial_grid(4096, 40.0) if grid is None else np.asarray(grid, dtype=float)
-    from .grids import trapezoid_weights
-
+    nodes = radial_grid(4096, 40.0)
     w = trapezoid_weights(nodes)
     g = gaussian_values(4, nodes)
     m4 = gaussian_enclosed_mass(4, nodes)
@@ -279,46 +278,28 @@ def constant_c2_oracle(mass, grid=None):
     return (mass / (4.0 * math.pi)) ** 2 * integral
 
 
-@dataclass(frozen=True)
-class C1Result:
-    value: float
-    radial_part: float
-    dipole_part: float
-
-
-def _wstar_potential_gradient(wstar):
-    """V'(r) of the (signed, zero-total-mass) W_star profile, Gauss law."""
-    return radial_gradient(wstar.field, order=4).data
-
-
-def constant_c1(mass, b0, wstar):
+def constant_c1(mass, wstar):
     """The 3D log-term constant, by radial quadrature.
 
     c1 = (4 pi)^{-3/2} M int |z|^2 div(G_3 grad V^(1) + G^(1) grad V_3) dz
     with G^(1) = B0 . grad G_3 + M^2 W_star.  The dipole block integrates to
-    zero exactly (the integrand is odd under z -> -z), so only the radial
-    W_star block contributes; it is reduced by parts to
-    -2 int (G_3 V_W' + W_star V_3') r dz.
+    zero exactly (the integrand is odd under z -> -z), so c1 does not depend
+    on B0 and only the radial W_star block contributes; it is reduced by
+    parts to -2 int (G_3 V_W' + W_star V_3') r dz.
     """
     if wstar is None:
         raise DependencyMissing("constant_c1 needs a precomputed W_star profile")
     if mass < 0:
         raise InvalidParameter("mass must be nonnegative")
-    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     nodes = wstar.field.nodes
     w = radial_measure_weights(nodes, 3)
     g3 = gaussian_values(3, nodes)
-    v3p = np.zeros_like(nodes)
-    mask = nodes > 0
-    v3p[mask] = -gaussian_enclosed_mass(3, nodes[mask]) / (
-        4.0 * math.pi * nodes[mask] ** 2
-    )
-    vwp = _wstar_potential_gradient(wstar)
+    v3p = gaussian_potential_gradient(3, nodes)
+    vwp = radial_gradient(wstar.field, order=4)  # V_W', by the Gauss law
     radial_integral = -2.0 * float(
         np.sum(w * (g3 * vwp + wstar.field.values * v3p) * nodes)
     ) * mass**2
-    value = (4.0 * math.pi) ** -1.5 * mass * radial_integral
-    return C1Result(value=value, radial_part=value, dipole_part=0.0)
+    return (4.0 * math.pi) ** -1.5 * mass * radial_integral
 
 
 def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
@@ -340,7 +321,7 @@ def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
     w_interp = wstar.interpolator()
     wprime, _ = radial_derivatives(nodes, wstar.field.values)
     wp_interp = radial_interpolator(nodes, wprime)
-    vwp_interp = radial_interpolator(nodes, _wstar_potential_gradient(wstar))
+    vwp_interp = radial_interpolator(nodes, radial_gradient(wstar.field, order=4))
 
     strata = 200
     per = max(1, samples // (2 * strata))  # antithetic pairs
@@ -353,9 +334,7 @@ def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
         g = gaussian_values(3, r)
         gp = -0.5 * r * g
         gpp = (-0.5 + r**2 / 4.0) * g
-        m3 = gaussian_enclosed_mass(3, r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v3p = np.where(r > 0, -m3 / (4.0 * math.pi * r**2), 0.0)
+        v3p = gaussian_potential_gradient(3, r)
         v3pp = -g - np.where(r > 0, 2.0 * v3p / r, 0.0)
         wv = w_interp(r)
         wpv = wp_interp(r)
@@ -423,7 +402,7 @@ def evaluate_expansion(terms, points, t):
     return total
 
 
-def expansion(dim, mass, b0, order, grid=None, wstar=None):
+def expansion(dim, mass, b0, order, wstar=None):
     """Term list of the large-time approximation of u in dimension n >= 3.
 
     order 0: M Gamma_t alone.  order 1 adds the dipole -B0 . grad Gamma_t and
@@ -439,7 +418,7 @@ def expansion(dim, mass, b0, order, grid=None, wstar=None):
         raise InvalidParameter("expansion supports n in {3, 4, 5}")
     if order not in (0, 1):
         raise InvalidParameter("order must be 0 or 1")
-    nodes = radial_grid(2048, 30.0) if grid is None else np.asarray(grid, dtype=float)
+    nodes = radial_grid(2048, 30.0)
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     bnorm = float(np.linalg.norm(b0))
     terms = []
@@ -482,7 +461,7 @@ def expansion(dim, mass, b0, order, grid=None, wstar=None):
             raise DependencyMissing("the n = 3 expansion needs W_star")
         wvals = wstar.interpolator()(nodes)
         terms.append(radial("w_correction", -(mass**2), Fraction(-2, 1), False, wvals))
-        c1 = constant_c1(mass, b0, wstar).value
+        c1 = constant_c1(mass, wstar)
         shape = (0.5 - nodes**2 / 12.0) * np.exp(-(nodes**2) / 4.0)
         terms.append(radial("log_correction", -c1, Fraction(-5, 2), True, shape))
     if dim == 4 and mass > 0:
@@ -503,7 +482,7 @@ def expansion(dim, mass, b0, order, grid=None, wstar=None):
 # null structures
 # ---------------------------------------------------------------------------
 
-def null_structure_checks(dim, grid=None):
+def null_structure_checks(dim):
     """Quadrature values of the null conditions behind the expansions.
 
     Returns a dict with the mass integral of div(G_n grad V_n) (zero by the
@@ -511,17 +490,13 @@ def null_structure_checks(dim, grid=None):
     through the radial identity int grad G . grad V dx = int G^2 dx, and the
     pair null condition mismatch for the Gaussian/dipole pair.
     """
-    nodes = radial_grid(4096, 40.0) if grid is None else np.asarray(grid, dtype=float)
+    nodes = radial_grid(4096, 40.0)
     w = radial_measure_weights(nodes, dim)
     div_vals = div_gaussian_gradient_values(dim, nodes)
     mass_integral = float(np.sum(w * div_vals))
     g = gaussian_values(dim, nodes)
     gp = -0.5 * nodes * g
-    vp = np.zeros_like(nodes)
-    mask = nodes > 0
-    vp[mask] = -gaussian_enclosed_mass(dim, nodes[mask]) / (
-        SPHERE_AREA[dim] * nodes[mask] ** (dim - 1)
-    )
+    vp = gaussian_potential_gradient(dim, nodes)
     grad_pair = float(np.sum(w * gp * vp))
     g_sq = float(np.sum(w * g * g))
     return {

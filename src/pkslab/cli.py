@@ -410,7 +410,7 @@ def _check_c2_agreement(ctx, tolerance: float = 1e-3):
 
 def _check_c1_mc_agreement(ctx, tolerance: float = 5e-3, samples: int = 10_000_000):
     ws = ctx.wstar()
-    quad = asymptotics.constant_c1(1.0, [1.0, 0.0, 0.0], ws).value
+    quad = asymptotics.constant_c1(1.0, ws)
     mc = asymptotics.constant_c1_monte_carlo(
         1.0, [1.0, 0.0, 0.0], ws, samples=samples, seed=ctx.scenario.seed
     )
@@ -497,7 +497,7 @@ def _check_expansion_rate(ctx, minimum: float = 0.95, mass: float = 3.0,
 
 def _check_potential_disk(ctx, tolerance: float = 1e-3):
     nodes = np.linspace(0.0, 4.0, 4097)
-    disk = fields.indicator_disk(nodes, radius=1.0, dim=2)
+    disk = fields.indicator_disk(nodes)
     lhs, rhs_core, ratio = potential.sup_gradient_bound_check(disk)
     ok = abs(lhs - 0.5) <= tolerance and abs(rhs_core - math.sqrt(math.pi)) <= tolerance
     return _result("potential_disk", ok, {"lhs": lhs, "rhs_core": rhs_core,
@@ -576,7 +576,7 @@ def _check_kernel_remainder_exponent(ctx, minimum: float = 1.4):
         z = rng.normal(size=n)
         z *= rng.uniform(0, 1) / max(np.linalg.norm(z), 1e-12)
         rems = np.array(
-            [abs(semigroup.kernel_taylor_terms(xi, z, s, n)[3]) for s in ss]
+            [abs(semigroup.kernel_taylor_terms(xi, z, s)[3]) for s in ss]
         )
         rates.append(asymptotics.fit_exponential_rate(ss, np.maximum(rems, 1e-300)))
     median = float(np.median(rates))
@@ -690,6 +690,9 @@ def export_constants(dim, mass, b0, samples=2_000_000, seed=1):
         raise UseProfileModule(
             "2D asymptotics are governed by G_M; use `pks profile`"
         )
+    if dim == 5:
+        raise InvalidParameter("n = 5 has no log-term constant: c1 is defined "
+                               "for n = 3 and c2 for n = 4")
     b0 = list(np.atleast_1d(np.asarray(b0, dtype=float)))
     if len(b0) > dim:
         raise InvalidParameter(f"B0 has {len(b0)} components, more than n = {dim}")
@@ -707,7 +710,7 @@ def export_constants(dim, mass, b0, samples=2_000_000, seed=1):
     if dim == 3:
         ws = asymptotics.w_star()
         pad = [0.0] * (3 - len(b0))
-        c1 = asymptotics.constant_c1(mass, b0 + pad, ws).value
+        c1 = asymptotics.constant_c1(mass, ws)
         mc = asymptotics.constant_c1_monte_carlo(
             mass, b0 + pad, ws, samples=samples, seed=seed
         )

@@ -13,9 +13,8 @@ from .errors import DivergentMoment, InvalidParameter
 from .fields import RadialField, moments, total_mass
 from .grids import radial_measure_weights
 from .potential import cartesian_potential_2d, radial_gradient, radial_potential
+from .profiles import EIGHT_PI
 from .semigroup import gaussian_values, kernel_row, scaled_sphere_average
-
-EIGHT_PI = 8.0 * math.pi
 
 # Floor inside logarithms; w log w -> 0 as w -> 0 so the clipped cells are
 # exactly the ones whose contribution is negligible.
@@ -43,7 +42,6 @@ class FreeEnergyResult:
 class RelativeEntropyResult:
     value: float
     entropy_part: float
-    field_energy_part: float
 
 
 def _entropy_integral(field, weights, reference=None):
@@ -90,7 +88,7 @@ def free_energy_2d(field):
     )
 
 
-def relative_entropy(field, dim=None, tau=0.0):
+def relative_entropy(field, tau=0.0):
     """Similarity-variable free energy of a radial field against the Gaussian.
 
     Returns the full functional (entropy against G_n plus the f_n-weighted
@@ -101,13 +99,11 @@ def relative_entropy(field, dim=None, tau=0.0):
     """
     if not isinstance(field, RadialField):
         raise InvalidParameter("relative_entropy is implemented for radial fields")
-    n = dim if dim is not None else field.dim
-    if n != field.dim:
-        raise InvalidParameter("dimension tag does not match the field")
+    n = field.dim
     mass = total_mass(field)
     weights = radial_measure_weights(field.nodes, n)
     gauss = gaussian_values(n, field.nodes)
-    energy = float(np.sum(weights * radial_gradient(field).data ** 2))
+    energy = float(np.sum(weights * radial_gradient(field) ** 2))
     fn = math.exp((1.0 - n / 2.0) * tau)
     entropy_vs_gauss = _entropy_integral(field, weights, reference=gauss)
     value = entropy_vs_gauss + 0.5 * fn * energy - (
@@ -116,9 +112,7 @@ def relative_entropy(field, dim=None, tau=0.0):
     entropy_part = _entropy_integral(
         field, weights, reference=mass * gauss if mass > 0 else gauss
     )
-    return RelativeEntropyResult(
-        value=value, entropy_part=entropy_part, field_energy_part=0.5 * fn * energy
-    )
+    return RelativeEntropyResult(value=value, entropy_part=entropy_part)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +214,7 @@ def diagnostics_csv(trajectory, path):
         rel_ent = math.nan
         if isinstance(rec.field, RadialField):
             tau = math.log(rec.time) if trajectory.kind == "physical" and rec.time > 0 else rec.time
-            rel_ent = relative_entropy(rec.field, rec.field.dim, tau).value
+            rel_ent = relative_entropy(rec.field, tau).value
         rows.append(f"{record_row(rec)},{rel_ent:.17g},{slope:.17g}\n")
     with open(path, "w", newline="\n") as fh:
         fh.write(

@@ -42,6 +42,7 @@ import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
+import scipy
 from scipy.fft import irfft2, rfft2
 
 from .errors import (
@@ -56,7 +57,7 @@ from . import diagnostics as _diagnostics
 from .fields import (CartesianField2D, RadialField, gaussian_cartesian, gaussian_radial,
                      lp_norm, moments, total_mass)
 from .grids import SPHERE_AREA, radial_measure_weights
-from .potential import cartesian_gradient_2d, check_boundary_decay, enclosed_mass
+from .potential import cartesian_gradient_2d, check_boundary_decay, radial_gradient
 from .semigroup import (
     _radial_propagator,
     kernel_row,
@@ -289,7 +290,7 @@ class _CartesianStepper(_Stepper):
         """Unweighted Gauss-law velocity, stacked as (vx, vy)."""
         return cartesian_gradient_2d(
             self.grid.with_values(values, nonnegative=False), check_domain=False
-        ).data
+        )
 
     def advection_rhs(self, values, weight):
         vx, vy = weight * self.velocity(values)
@@ -463,10 +464,10 @@ def _drive(u0, config, kind, reference_field=None):
     return traj
 
 
-def evolve(u0, config=None, reference_field=None):
+def evolve(u0, config=None):
     """Integrate the physical-variable equation from u0 at config.t_init."""
     config = config or SolverConfig()
-    return _drive(u0, config, "physical", reference_field)
+    return _drive(u0, config, "physical")
 
 
 def evolve_similarity(U0, config=None, reference_field=None):
@@ -505,7 +506,6 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
     radii = [0.0, nodes[int(0.15 * nodes.size)], nodes[int(0.35 * nodes.size)]]
     nonlinear = not zero_nonlinear and trajectory.config.nonlinearity
     w = radial_measure_weights(nodes, dim)
-    area = np.where(nodes > 0, SPHERE_AREA[dim] * nodes ** (dim - 1), 1.0)
     worst = 0.0
     for t in times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]:
         field_t = trajectory.field_at(t)
@@ -517,9 +517,7 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
             for k, q in enumerate(qs):
                 s = max(t - q * q, t0)  # guard the rounding at q = q_max
                 fld = trajectory.field_at(s)
-                vprime = -enclosed_mass(fld) / area
-                vprime[nodes == 0] = 0.0
-                flux = w * fld.values * vprime
+                flux = w * fld.values * radial_gradient(fld)
                 for i, r in enumerate(radii):
                     band, gauss, z = kernel_row(nodes, dim, r, t - s)
                     lam0 = scaled_sphere_average(dim, z)
@@ -545,36 +543,33 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
 # export
 # ---------------------------------------------------------------------------
 
-def export_trajectory(trajectory, csv_path, manifest_path=None):
+def export_trajectory(trajectory, csv_path, manifest_path):
     """One CSV row per record plus a JSON manifest echoing the termination
     reason, the full configuration, the advection scheme and clamp
     tolerance the run used, and the pkslab, numpy and scipy versions."""
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy\n")
         fh.writelines(_diagnostics.record_row(rec) + "\n" for rec in trajectory.records)
-    if manifest_path:
-        import scipy
+    from . import __version__
 
-        from . import __version__
-
-        # strict JSON: non-finite settings (blowup_factor = inf) are written as text
-        config = {
-            key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
-            for key, value in asdict(trajectory.config).items()
-        }
-        manifest = {
-            "dim": trajectory.dim,
-            "kind": trajectory.kind,
-            "records": len(trajectory.records),
-            "termination": trajectory.termination,
-            "blowup_flag": trajectory.blowup,
-            "blowup_time": None if math.isnan(trajectory.blowup_time) else trajectory.blowup_time,
-            "config": config,
-            "advection_scheme": trajectory.scheme,
-            "clamp_tolerance": trajectory.clamp_tolerance,
-            "versions": {"pkslab": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__},
-        }
-        with open(manifest_path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+    # strict JSON: non-finite settings (blowup_factor = inf) are written as text
+    config = {
+        key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in asdict(trajectory.config).items()
+    }
+    manifest = {
+        "dim": trajectory.dim,
+        "kind": trajectory.kind,
+        "records": len(trajectory.records),
+        "termination": trajectory.termination,
+        "blowup_flag": trajectory.blowup,
+        "blowup_time": None if math.isnan(trajectory.blowup_time) else trajectory.blowup_time,
+        "config": config,
+        "advection_scheme": trajectory.scheme,
+        "clamp_tolerance": trajectory.clamp_tolerance,
+        "versions": {"pkslab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+    }
+    with open(manifest_path, "w", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -138,17 +138,14 @@ class CartesianField2D:
 
 @dataclass(frozen=True)
 class SimilarityState:
-    """A field in similarity variables (xi, tau) together with tau and n."""
+    """A field in similarity variables (xi, tau) together with tau."""
 
     field: object
     tau: float
-    dim: int
 
     def __post_init__(self):
         if not np.isfinite(self.tau):
             raise InvalidField("tau must be finite")
-        if self.dim != self.field.dim:
-            raise InvalidField("dimension tag must match the carried field")
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,7 @@ def to_similarity(u_field, t):
     n = u_field.dim
     interp = radial_interpolator(u_field.nodes, u_field.values, order=5)
     values = t ** (n / 2.0) * interp(math.sqrt(t) * u_field.nodes)
-    return SimilarityState(field=u_field.with_values(values), tau=math.log(t), dim=n)
+    return SimilarityState(field=u_field.with_values(values), tau=math.log(t))
 
 
 def from_similarity(state):
@@ -256,7 +253,7 @@ def from_similarity(state):
         raise InvalidParameter("the similarity maps are implemented for radial fields")
     t = math.exp(state.tau)
     interp = radial_interpolator(f.nodes, f.values, order=5)
-    values = t ** (-state.dim / 2.0) * interp(f.nodes / math.sqrt(t))
+    values = t ** (-f.dim / 2.0) * interp(f.nodes / math.sqrt(t))
     return f.with_values(values), t
 
 
@@ -264,12 +261,12 @@ def from_similarity(state):
 # constructors used throughout tests and scenarios
 # ---------------------------------------------------------------------------
 
-def indicator_disk(nodes, radius=1.0, dim=2):
-    """Indicator of the ball of given radius, 1/2 on a node exactly at the rim."""
+def indicator_disk(nodes):
+    """Indicator of the 2D unit disk, 1/2 on a node exactly at the rim."""
     nodes = np.asarray(nodes, dtype=float)
-    values = np.where(nodes < radius, 1.0, 0.0)
-    values[np.isclose(nodes, radius, rtol=0.0, atol=1e-14)] = 0.5
-    return RadialField(dim=dim, nodes=nodes, values=values)
+    values = np.where(nodes < 1.0, 1.0, 0.0)
+    values[np.isclose(nodes, 1.0, rtol=0.0, atol=1e-14)] = 0.5
+    return RadialField(dim=2, nodes=nodes, values=values)
 
 
 def gaussian_radial(dim, mass, nodes, t0=1.0):

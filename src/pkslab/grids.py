@@ -132,7 +132,7 @@ def _even_extension(nodes, values):
             np.concatenate([values[::-1], values]))
 
 
-def radial_derivatives(nodes, values, order=5):
+def radial_derivatives(nodes, values):
     """First and second radial derivatives of a smooth radial profile.
 
     The profile is extended evenly across r=0 (radial sections of smooth
@@ -141,7 +141,7 @@ def radial_derivatives(nodes, values, order=5):
     graded grids.  Returns (dU/dr, d2U/dr2) on the input nodes.
     """
     xs, ys = _even_extension(nodes, values)
-    spl = make_interp_spline(xs, ys, k=order)
+    spl = make_interp_spline(xs, ys, k=5)
     return spl(nodes, 1), spl(nodes, 2)
 
 

@@ -16,7 +16,6 @@ of the density and one irfft2 per output.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import ifft2, irfft2, next_fast_len, rfft2
@@ -25,29 +24,6 @@ from scipy.special import j0, j1
 from .errors import DomainTooSmall, InvalidParameter
 from .fields import CartesianField2D, RadialField, lp_norm, total_mass
 from .grids import SPHERE_AREA, cumulative_integral, cumulative_shell_mass
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """grad(E_n * u) on the same grid as the source field.
-
-    For radial sources ``data`` holds the scalar radial derivative V'(r)
-    (attraction means V' <= 0); for 2D Cartesian sources it holds the two
-    components stacked as data[0] = dV/dx, data[1] = dV/dy.
-    """
-
-    kind: str
-    dim: int
-    data: np.ndarray
-
-    def speed(self):
-        """Pointwise magnitude |grad V|."""
-        if self.kind == "radial":
-            return np.abs(self.data)
-        return np.hypot(self.data[0], self.data[1])
-
-    def sup(self):
-        return float(self.speed().max())
 
 
 def enclosed_mass(u, order=2):
@@ -60,7 +36,8 @@ def enclosed_mass(u, order=2):
 
 
 def radial_gradient(u, order=2):
-    """V'(r) for radial u via the Gauss/shell reduction; V'(0) = 0 by symmetry."""
+    """V'(r) for radial u via the Gauss/shell reduction, on the nodes of u;
+    V'(0) = 0 by symmetry, and attraction means V' <= 0."""
     if not isinstance(u, RadialField):
         raise InvalidParameter("radial_gradient expects a RadialField")
     m = enclosed_mass(u, order=order)
@@ -68,7 +45,7 @@ def radial_gradient(u, order=2):
     vprime = np.zeros_like(m)
     mask = u.nodes > 0
     vprime[mask] = -m[mask] / (area * u.nodes[mask] ** (u.dim - 1))
-    return GradientField(kind="radial", dim=u.dim, data=vprime)
+    return vprime
 
 
 def radial_potential(u, gauge="canonical", order=2):
@@ -85,7 +62,7 @@ def radial_potential(u, gauge="canonical", order=2):
     area = SPHERE_AREA[n]
     r = u.nodes
     if gauge == "origin":
-        vp = radial_gradient(u, order=order).data
+        vp = radial_gradient(u, order=order)
         return cumulative_integral(r, vp, order=order)
     if gauge != "canonical":
         raise InvalidParameter(f"unknown gauge {gauge!r}")
@@ -194,14 +171,13 @@ def cartesian_potential_2d(u):
 
 
 def cartesian_gradient_2d(u, check_domain=True):
-    """grad(E_2 * u) for a compactly supported 2D density.
+    """grad(E_2 * u) for a compactly supported 2D density, stacked as
+    (dV/dx, dV/dy) in an array of shape (2, n, n).
 
     ``check_domain=False`` skips :func:`check_boundary_decay`; time steppers
     run that check once on their initial data and then trust the run.
     """
-    return GradientField(
-        kind="cart2d", dim=2, data=_free_space_solve(u, "gradient", check_domain)
-    )
+    return _free_space_solve(u, "gradient", check_domain)
 
 
 def sup_gradient_bound_check(u):
@@ -210,7 +186,7 @@ def sup_gradient_bound_check(u):
     Returns (lhs, rhs_core, ratio) with rhs_core the norm product; the
     constant C is not asserted here because only an empirical value exists.
     """
-    lhs = radial_gradient(u).sup()
+    lhs = float(np.abs(radial_gradient(u)).max())
     m1 = lp_norm(u, 1)
     minf = lp_norm(u, math.inf)
     n = u.dim

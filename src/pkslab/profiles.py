@@ -39,13 +39,12 @@ def gaussian_profile(dim, mass, grid=None):
     return RadialField(dim=dim, nodes=nodes, values=mass * gaussian_values(dim, nodes))
 
 
-def self_similar_profile_2d(mass, grid=None, tol=1e-10, max_iter=500,
-                            relaxation=0.5):
+def self_similar_profile_2d(mass, grid=None, max_iter=500):
     """Solve for the mass-M stationary profile of the 2D similarity equation.
 
     Iterates U_{k+1} = A_k exp(-r^2/4 + V_k), V_k the origin-gauged potential
-    of U_k, mixed with factor ``relaxation``, until the L1 update drops below
-    tol.  Raises SupercriticalMass for M >= 8 pi and FixedPointStalled when
+    of U_k, mixed half and half with U_k, until the L1 update drops below
+    1e-10.  Raises SupercriticalMass for M >= 8 pi and FixedPointStalled when
     the budget is exhausted.
     """
     if mass < 0:
@@ -66,8 +65,8 @@ def self_similar_profile_2d(mass, grid=None, tol=1e-10, max_iter=500,
         candidate = np.exp(-nodes**2 / 4.0 + v)
         candidate *= mass / float(np.sum(w * candidate))
         update = float(np.sum(w * np.abs(candidate - values)))
-        values = (1.0 - relaxation) * values + relaxation * candidate
-        if update <= tol:
+        values = 0.5 * values + 0.5 * candidate
+        if update <= 1e-10:
             break
     else:
         raise FixedPointStalled(
@@ -99,7 +98,7 @@ def stationary_residual(field):
     u = field.values
     d1, _ = radial_derivatives(nodes, u)
     lap = radial_laplacian(nodes, u, 2)
-    vprime = radial_gradient(field, order=4).data
+    vprime = radial_gradient(field, order=4)
     residual = lap + u + 0.5 * nodes * d1 - (d1 * vprime - u * u)
     w = radial_measure_weights(nodes, 2)
     inv_gauss = np.exp(nodes**2 / 4.0) * (4.0 * math.pi)

@@ -275,55 +275,23 @@ def first_order_heat_expansion(field, tau):
 # kernel Taylor expansion in r = e^{-s/2}
 # ---------------------------------------------------------------------------
 
-_T2_COEFFS = None
-
-
-def _derive_t2_coefficients():
-    """Series-expand the kernel symbolically and return the r^2 coefficient.
-
-    The kernel (1-r^2)^{-n/2} exp(-|xi - r z|^2 / (4(1-r^2))) is expanded at
-    r = 0; the r^2 coefficient divided by exp(-|xi|^2/4) is a polynomial in
-    (n, |xi|^2, xi.z, |z|^2).  Deriving it mechanically guards against
-    sign/factor slips; the result is cached as plain floats.
-    """
-    global _T2_COEFFS
-    if _T2_COEFFS is not None:
-        return _T2_COEFFS
-    import sympy as sp
-
-    r, n, q1, q2, q3 = sp.symbols("r n q1 q2 q3", real=True)
-    # q1 = |xi|^2, q2 = xi.z, q3 = |z|^2
-    expo = -(q1 - 2 * r * q2 + r**2 * q3) / (4 * (1 - r**2))
-    kernel = (1 - r**2) ** (-n / 2) * sp.exp(expo)
-    series = sp.series(kernel / sp.exp(-q1 / 4), r, 0, 3).removeO()
-    poly = sp.Poly(sp.expand(series), r)
-    c2 = sp.expand(poly.coeff_monomial(r**2))
-    coeffs = {
-        "n": float(c2.coeff(n).subs({q1: 0, q2: 0, q3: 0})),
-        "xi_sq": float(c2.coeff(q1).subs({n: 0, q2: 0, q3: 0})),
-        "dot": float(c2.coeff(q2, 2)),
-        "z_sq": float(c2.coeff(q3).subs({n: 0, q1: 0, q2: 0})),
-    }
-    # order-0 and order-1 coefficients, as a consistency guard
-    assert sp.simplify(poly.coeff_monomial(1) - 1) == 0
-    assert sp.simplify(poly.coeff_monomial(r) - q2 / 2) == 0
-    _T2_COEFFS = coeffs
-    return coeffs
-
-
 def t2_coefficient(dim, xi_sq, dot, z_sq):
-    """Polynomial multiplying e^{-|xi|^2/4} e^{-s} in the kernel expansion."""
-    c = _derive_t2_coefficients()
-    return c["n"] * dim + c["xi_sq"] * xi_sq + c["dot"] * dot**2 + c["z_sq"] * z_sq
+    """Polynomial multiplying e^{-|xi|^2/4} e^{-s} in the kernel expansion.
+
+    It is the r^2 coefficient of (1-r^2)^{-n/2} exp(-|xi - r z|^2 / (4(1-r^2)))
+    over exp(-|xi|^2/4) at r = 0: n/2 - |xi|^2/4 + (xi.z)^2/8 - |z|^2/4.
+    """
+    return 0.5 * dim - 0.25 * xi_sq + 0.125 * dot**2 - 0.25 * z_sq
 
 
-def kernel_lhs(xi, z, s, dim):
-    """The exact rescaled kernel (1-e^{-s})^{-n/2} e^{-|xi - e^{-s/2} z|^2/(4(1-e^{-s}))}."""
+def kernel_lhs(xi, z, s):
+    """The exact rescaled kernel (1-e^{-s})^{-n/2} e^{-|xi - e^{-s/2} z|^2/(4(1-e^{-s}))}
+    for n-vectors xi and z."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     a, c = kernel_width_shrink(s)
     diff = xi - c * z
-    return a ** (-dim / 2.0) * math.exp(-float(diff @ diff) / (4.0 * a))
+    return a ** (-xi.size / 2.0) * math.exp(-float(diff @ diff) / (4.0 * a))
 
 
 # empirical envelope constant for the third-order remainder; random sweeps in
@@ -331,29 +299,29 @@ def kernel_lhs(xi, z, s, dim):
 REMAINDER_ENVELOPE_CONSTANT = 4.0
 
 
-def kernel_taylor_terms(xi, z, s, dim):
-    """Terms of the kernel expansion in powers of e^{-s/2} at a single point.
+def kernel_taylor_terms(xi, z, s):
+    """Terms of the kernel expansion in powers of e^{-s/2} at a single point
+    (xi, z) of R^n.
 
-    Returns (T0, T1, T2, remainder_actual) where T2 carries the mechanically
-    derived coefficient and remainder_actual = kernel - (T0 + T1 + T2).  The
-    remainder is checked against the cubic-order envelope
-    C e^{-3s/2} (1 + |xi|^6 + |z|^6); the expansion is validated on s >= 1
-    only.
+    Returns (T0, T1, T2, remainder_actual) where remainder_actual =
+    kernel - (T0 + T1 + T2).  The remainder is checked against the
+    cubic-order envelope C e^{-3s/2} (1 + |xi|^6 + |z|^6); the expansion is
+    validated on s >= 1 only.
     """
     if s < 1.0:
         raise OutOfValidatedRange(f"kernel expansion validated for s >= 1, got s={s}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if xi.shape != z.shape or xi.size != dim:
-        raise InvalidParameter("xi and z must be n-vectors")
+    if xi.shape != z.shape:
+        raise InvalidParameter("xi and z must be vectors of the same length")
     xi_sq = float(xi @ xi)
     z_sq = float(z @ z)
     dot = float(xi @ z)
     g = math.exp(-xi_sq / 4.0)
     t0 = g
     t1 = 0.5 * dot * g * math.exp(-s / 2.0)
-    t2 = t2_coefficient(dim, xi_sq, dot, z_sq) * g * math.exp(-s)
-    lhs = kernel_lhs(xi, z, s, dim)
+    t2 = t2_coefficient(xi.size, xi_sq, dot, z_sq) * g * math.exp(-s)
+    lhs = kernel_lhs(xi, z, s)
     remainder = lhs - (t0 + t1 + t2)
     envelope = (
         REMAINDER_ENVELOPE_CONSTANT
@@ -401,3 +369,15 @@ def gaussian_enclosed_mass(dim, r):
     if dim == 5:
         return erf(half) - (r + r**3 / 6.0) * np.exp(-(half**2)) / math.sqrt(math.pi)
     raise InvalidParameter(f"unsupported dimension {dim}")
+
+
+def gaussian_potential_gradient(dim, r):
+    """V_n'(r) = -m_n(r) / (area(n) r^{n-1}) of the unit Gaussian by the Gauss
+    law; 0 at r = 0 by symmetry."""
+    r = np.asarray(r, dtype=float)
+    vprime = np.zeros_like(r)
+    mask = r > 0
+    vprime[mask] = -gaussian_enclosed_mass(dim, r[mask]) / (
+        SPHERE_AREA[dim] * r[mask] ** (dim - 1)
+    )
+    return vprime

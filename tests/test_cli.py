@@ -342,7 +342,7 @@ def test_main_constants_n3(tmp_path, wstar_default):
     out = tmp_path / "constants.json"
     assert cli.main(["constants", "--n", "3", "--mass", "1.0", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["c1"] == asymptotics.constant_c1(1.0, [0.0] * 3, wstar_default).value
+    assert report["c1"] == asymptotics.constant_c1(1.0, wstar_default)
     assert report["rel_disagreement"]["c1"] <= 5e-3
     assert "c1_monte_carlo" in report["oracle_values"]
 
@@ -361,8 +361,9 @@ def test_main_constants_n2_exit_1(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--n", "4", "--mass", "-1"], "mass must be nonnegative"),
     (["--n", "6", "--mass", "1"], "dimension must be in 2..5"),
+    (["--n", "5", "--mass", "1"], "n = 5 has no log-term constant"),
     (["--n", "3", "--mass", "1", "--b0", "1,0,0,0"], "B0 has 4 components"),
-], ids=["negative_mass", "dimension", "b0_length"])
+], ids=["negative_mass", "dimension", "no_constant", "b0_length"])
 def test_main_constants_refuses_bad_input(capsys, argv, message):
     assert cli.main(["constants", *argv]) == 1
     captured = capsys.readouterr()

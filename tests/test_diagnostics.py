@@ -48,13 +48,13 @@ def test_free_energy_cartesian_matches_radial(default_nodes, gaussian_2d_4pi):
 def test_relative_entropy_gaussian_is_field_energy_only(default_nodes):
     mass = 2.0
     g = gaussian_radial(3, mass, default_nodes)
-    out = dg.relative_entropy(g, 3, tau=0.0)
+    out = dg.relative_entropy(g, tau=0.0)
     assert abs(out.entropy_part) < 1e-10
     # f_3(0) = 1, so the value is exactly half the squared field energy
     w = radial_measure_weights(default_nodes, 3)
     from pkslab.potential import radial_gradient
 
-    energy = float(np.sum(w * radial_gradient(g).data ** 2))
+    energy = float(np.sum(w * radial_gradient(g) ** 2))
     assert out.value == pytest.approx(0.5 * energy, rel=1e-10)
 
 
@@ -72,15 +72,15 @@ def test_relative_entropy_positive_part(default_nodes):
         field = RadialField(dim=3, nodes=default_nodes, values=bump)
         scale = mass / float(np.sum(field.measure_weights() * bump))
         field = field.with_values(scale * bump)
-        out = dg.relative_entropy(field, 3, tau=0.0)
+        out = dg.relative_entropy(field, tau=0.0)
         assert out.entropy_part >= -1e-12
 
 
 def test_relative_entropy_zero_only_at_gaussian(default_nodes):
     g = gaussian_radial(3, 1.5, default_nodes)
-    assert abs(dg.relative_entropy(g, 3).entropy_part) < 1e-10
+    assert abs(dg.relative_entropy(g).entropy_part) < 1e-10
     shifted = gaussian_radial(3, 1.5, default_nodes, t0=1.3)
-    assert dg.relative_entropy(shifted, 3).entropy_part > 1e-3
+    assert dg.relative_entropy(shifted).entropy_part > 1e-3
 
 
 def test_phi_density_pure_heat_closed_form(pure_heat_run_2d):

@@ -191,7 +191,7 @@ def _cartesian_trajectory(u):
 # the radial-only functions refuse a 2D Cartesian field instead of reading it
 RADIAL_ONLY = {
     "to_similarity": lambda u: to_similarity(u, 2.0),
-    "from_similarity": lambda u: from_similarity(SimilarityState(field=u, tau=0.5, dim=2)),
+    "from_similarity": lambda u: from_similarity(SimilarityState(field=u, tau=0.5)),
     "relative_entropy": relative_entropy,
     "phi_density": lambda u: phi_density(_cartesian_trajectory(u), ((0.0, 0.0), 2.0), 0.5),
     "sup_gradient_bound_check": sup_gradient_bound_check,

@@ -27,9 +27,9 @@ def test_gaussian_potential_far_field(default_nodes):
     vp = radial_gradient(profiles.gaussian_profile(3, 1.0, default_nodes))
     far = default_nodes > 15.0
     np.testing.assert_allclose(
-        -vp.data[far], 1.0 / (4.0 * math.pi * default_nodes[far] ** 2), rtol=1e-9
+        -vp[far], 1.0 / (4.0 * math.pi * default_nodes[far] ** 2), rtol=1e-9
     )
-    assert vp.data[0] == 0.0
+    assert vp[0] == 0.0
 
 
 def test_gaussian_potential_4d_closed_form(default_nodes):
@@ -37,7 +37,7 @@ def test_gaussian_potential_4d_closed_form(default_nodes):
     vp = radial_gradient(profiles.gaussian_profile(4, 1.0, default_nodes))
     idx = int(np.argmin(np.abs(default_nodes - 2.0)))
     r = default_nodes[idx]
-    m4 = -vp.data[idx] * 2.0 * math.pi**2 * r**3
+    m4 = -vp[idx] * 2.0 * math.pi**2 * r**3
     expected = 1.0 - (1.0 + r**2 / 4.0) * math.exp(-(r**2) / 4.0)
     assert expected == pytest.approx(1.0 - 2.0 / math.e, abs=2e-3)  # r ~ 2
     assert m4 == pytest.approx(expected, abs=1e-6)

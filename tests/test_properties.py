@@ -67,9 +67,9 @@ def test_gradient_attractive_and_bounded(field):
     from pkslab.potential import radial_gradient
 
     g = radial_gradient(field)
-    assert np.all(-g.data >= 0.0)  # attractive everywhere
+    assert np.all(-g >= 0.0)  # attractive everywhere
     mass = total_mass(field)
-    flux = -g.data * SPHERE_AREA[field.dim] * NODES ** (field.dim - 1)
+    flux = -g * SPHERE_AREA[field.dim] * NODES ** (field.dim - 1)
     assert flux.max() <= mass * (1.0 + 1e-12)
 
 

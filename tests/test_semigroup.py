@@ -101,7 +101,7 @@ def test_similarity_heat_conjugation(default_nodes):
     # physical image at t = 1, heat to t = e^tau, back to similarity variables
     from pkslab.fields import SimilarityState
 
-    u_init, _ = from_similarity(SimilarityState(field=f, tau=0.0, dim=3))
+    u_init, _ = from_similarity(SimilarityState(field=f, tau=0.0))
     evolved = sg.heat_evolve(u_init, math.exp(tau) - 1.0)
     back = to_similarity(evolved, math.exp(tau)).field
     assert l1_distance(direct, back) < 1e-7
@@ -256,14 +256,47 @@ def test_sphere_average_cos_fast_path_matches_bessel():
 # kernel Taylor expansion
 # ---------------------------------------------------------------------------
 
+def _derive_t2_coefficients():
+    """Series-expand the kernel symbolically and return the r^2 coefficient.
+
+    The kernel (1-r^2)^{-n/2} exp(-|xi - r z|^2 / (4(1-r^2))) is expanded at
+    r = 0; the r^2 coefficient divided by exp(-|xi|^2/4) is a polynomial in
+    (n, |xi|^2, xi.z, |z|^2).  Deriving it mechanically guards against
+    sign/factor slips.
+    """
+    import sympy as sp
+
+    r, n, q1, q2, q3 = sp.symbols("r n q1 q2 q3", real=True)
+    # q1 = |xi|^2, q2 = xi.z, q3 = |z|^2
+    expo = -(q1 - 2 * r * q2 + r**2 * q3) / (4 * (1 - r**2))
+    kernel = (1 - r**2) ** (-n / 2) * sp.exp(expo)
+    series = sp.series(kernel / sp.exp(-q1 / 4), r, 0, 3).removeO()
+    poly = sp.Poly(sp.expand(series), r)
+    c2 = sp.expand(poly.coeff_monomial(r**2))
+    # order-0 and order-1 coefficients, as a consistency guard
+    assert sp.simplify(poly.coeff_monomial(1) - 1) == 0
+    assert sp.simplify(poly.coeff_monomial(r) - q2 / 2) == 0
+    return {
+        "n": float(c2.coeff(n).subs({q1: 0, q2: 0, q3: 0})),
+        "xi_sq": float(c2.coeff(q1).subs({n: 0, q2: 0, q3: 0})),
+        "dot": float(c2.coeff(q2, 2)),
+        "z_sq": float(c2.coeff(q3).subs({n: 0, q1: 0, q2: 0})),
+    }
+
+
 def test_derived_t2_coefficients_frozen():
     # independent hand derivation: n/2 - (|xi|^2 + |z|^2)/4 + (xi.z)^2/8
-    coeffs = sg._derive_t2_coefficients()
+    coeffs = _derive_t2_coefficients()
     assert coeffs == {"n": 0.5, "xi_sq": -0.25, "dot": 0.125, "z_sq": -0.25}
+    # the frozen polynomial, read one monomial at a time
+    frozen = {name: sg.t2_coefficient(*unit) for name, unit in (
+        ("n", (1, 0.0, 0.0, 0.0)), ("xi_sq", (0, 1.0, 0.0, 0.0)),
+        ("dot", (0, 0.0, 1.0, 0.0)), ("z_sq", (0, 0.0, 0.0, 1.0)))}
+    assert frozen == coeffs
 
 
 def test_kernel_taylor_at_origin():
-    t0, t1, t2, rem = sg.kernel_taylor_terms(np.zeros(3), np.zeros(3), 2.0, 3)
+    t0, t1, t2, rem = sg.kernel_taylor_terms(np.zeros(3), np.zeros(3), 2.0)
     assert t0 == 1.0
     assert t1 == 0.0
     assert t2 == pytest.approx(1.5 * math.exp(-2.0), rel=1e-12)
@@ -271,7 +304,7 @@ def test_kernel_taylor_at_origin():
 
 def test_kernel_taylor_orthogonal_first_order():
     _, t1, _, _ = sg.kernel_taylor_terms(np.array([1.0, 0.0, 0.0]),
-                                         np.array([0.0, 0.0, 0.0]), 2.0, 3)
+                                         np.array([0.0, 0.0, 0.0]), 2.0)
     assert t1 == 0.0
 
 
@@ -281,7 +314,7 @@ def test_kernel_taylor_t2_finite_difference_oracle():
     for dim in (2, 3, 4):
         rs = np.array([0.04, 0.02, 0.01])
         vals = np.array(
-            [sg.kernel_lhs(np.zeros(dim), np.zeros(dim), -2.0 * math.log(r), dim)
+            [sg.kernel_lhs(np.zeros(dim), np.zeros(dim), -2.0 * math.log(r))
              for r in rs]
         )
         est = (vals - 1.0) / rs**2
@@ -296,7 +329,7 @@ def test_kernel_remainder_decay_at_origin():
     ss = np.linspace(2.0, 12.0, 11)
     rems, doubled = [], []
     for s in ss:
-        _, _, t2, rem = sg.kernel_taylor_terms(np.zeros(3), np.zeros(3), s, 3)
+        _, _, t2, rem = sg.kernel_taylor_terms(np.zeros(3), np.zeros(3), s)
         rems.append(abs(rem))
         doubled.append(abs(rem - t2))  # remainder if T2 were doubled
     assert fit_exponential_rate(ss, np.array(rems)) > 1.9
@@ -316,7 +349,7 @@ def test_kernel_remainder_exponent_sweep():
         z = rng.normal(size=n)
         z *= rng.uniform(0, 1) / max(np.linalg.norm(z), 1e-12)
         rems = np.array(
-            [abs(sg.kernel_taylor_terms(xi, z, s, n)[3]) for s in ss]
+            [abs(sg.kernel_taylor_terms(xi, z, s)[3]) for s in ss]
         )
         rates.append(fit_exponential_rate(ss, np.maximum(rems, 1e-300)))
     assert float(np.median(rates)) >= 1.4
@@ -324,4 +357,9 @@ def test_kernel_remainder_exponent_sweep():
 
 def test_kernel_taylor_range_guard():
     with pytest.raises(OutOfValidatedRange):
-        sg.kernel_taylor_terms(np.zeros(2), np.zeros(2), 0.5, 2)
+        sg.kernel_taylor_terms(np.zeros(2), np.zeros(2), 0.5)
+
+
+def test_kernel_taylor_refuses_vectors_of_different_lengths():
+    with pytest.raises(InvalidParameter):
+        sg.kernel_taylor_terms(np.zeros(3), np.zeros(2), 2.0)

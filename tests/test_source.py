@@ -1,5 +1,5 @@
 """Source hygiene: every module of the package, every test file and every
-demo uses what it imports."""
+demo uses what it imports, and the package does not import sympy."""
 
 import ast
 from pathlib import Path
@@ -29,3 +29,15 @@ def test_module_uses_every_import(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=_source_id)
+def test_module_does_not_import_sympy(path):
+    # sympy is a test extra: only the tests' symbolic oracles use it
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    assert "sympy" not in {name.split(".")[0] for name in modules}
