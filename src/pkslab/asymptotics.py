@@ -189,9 +189,8 @@ def w_star_quadrature():
         if s == 0.0:
             integrand = source.values
         else:
-            # each s-node's kernel is used once: keep it out of the cache
             a, shrink = kernel_width_shrink(s)
-            evolved = _apply_radial(source, a=a, shrink=shrink, cached=False)
+            evolved = _apply_radial(source, a=a, shrink=shrink)
             integrand = math.exp(s / 2.0) * evolved.values
         slices.append(integrand)
         l1_list.append(float(np.sum(w_meas * np.abs(integrand))))

@@ -21,7 +21,7 @@ import math
 import sys
 import types
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Literal, get_args, get_origin
@@ -307,15 +307,20 @@ def _check_virial_slope(ctx, tolerance: float = 0.01,
     return _result("virial_slope", passed, slope, expected, tolerance, {"mode": mode})
 
 
+def _window_rate(ctx, values, lo, hi=math.inf, keep=True):
+    """The log-log slope of the per-record ``values`` over the records with
+    lo <= t <= hi (and ``keep``)."""
+    t = ctx.trajectory.times()
+    mask = (t >= lo) & (t <= hi) & keep
+    return asymptotics.fit_rate(t[mask], values[mask])[0]
+
+
 def _check_threshold_slope(ctx, window: tuple[float, float] = (10.0, 100.0),
                            bounds: tuple[float, float] = (-0.5, 0.1)):
     lo, hi = window
     blo, bhi = bounds
-    t = ctx.trajectory.times()
-    sup = ctx.trajectory.sup_norms()
-    weighted = t * sup
-    mask = (t >= lo) & (t <= hi)
-    slope, _, _ = asymptotics.fit_rate(t[mask], weighted[mask])
+    weighted = ctx.trajectory.times() * ctx.trajectory.sup_norms()
+    slope = _window_rate(ctx, weighted, lo, hi)
     ok = math.isfinite(weighted.max()) and blo <= slope <= bhi
     return _result("threshold_slope", ok, slope, [blo, bhi], None,
                    {"window": [lo, hi]})
@@ -333,19 +338,14 @@ def _check_blowup_deadline(ctx, factor: float = 1.2):
 def _check_sup_rate(ctx, window: tuple[float, float] = (10.0, 200.0),
                     expected: float = -1.5, tolerance: float = 0.1):
     lo, hi = window
-    t = ctx.trajectory.times()
-    sup = ctx.trajectory.sup_norms()
-    mask = (t >= lo) & (t <= hi)
-    slope, _, _ = asymptotics.fit_rate(t[mask], sup[mask])
+    slope = _window_rate(ctx, ctx.trajectory.sup_norms(), lo, hi)
     return _result("sup_rate", abs(slope - expected) <= tolerance, slope, expected,
                    tolerance, {"window": [lo, hi]})
 
 
 def _check_l1_rate_negative(ctx, from_: float = 10.0, bound: float = 0.0):
-    t = ctx.trajectory.times()
     l1 = ctx.trajectory.l1_errors()
-    mask = (t >= from_) & (l1 > 0)
-    slope, _, _ = asymptotics.fit_rate(t[mask], l1[mask])
+    slope = _window_rate(ctx, l1, from_, keep=l1 > 0)
     return _result("l1_rate_negative", slope < bound, slope, f"< {bound}", None,
                    {"from": from_})
 
@@ -372,7 +372,7 @@ def _check_mass_conservation(ctx, tolerance: float = 1e-7):
 
 def _check_profile_residual(ctx, masses: list[float], tolerance: float = 1e-6):
     results = [ctx.gm(m, (6144, 30.0)) for m in masses]
-    worst = max(gm.residual for gm in results)
+    worst = float(np.max([gm.residual for gm in results]))
     return _result("profile_residual", worst <= tolerance, worst, 0.0, tolerance,
                    {"masses": masses})
 
@@ -430,11 +430,7 @@ def _check_phi_margin(ctx, tolerance: float = 1e-3, s1: float = 2.0,
 
 
 def _check_phi_pure_heat(ctx, tolerance: float = 1e-4, s1: float = 2.0):
-    cfg = ctx.trajectory.config
-    heat_cfg = evolution.SolverConfig(
-        t_init=cfg.t_init, t_end=cfg.t_end, nonlinearity=False,
-        record_times=cfg.record_times, records_per_decade=cfg.records_per_decade,
-    )
+    heat_cfg = replace(ctx.trajectory.config, nonlinearity=False)
     traj = evolution.evolve(ctx.trajectory.records[0].field, heat_cfg)
     rho = diagnostics.rho_grid_from_records(traj, s1, 0.1, 1.0)
     phi = np.array([diagnostics.phi_density(traj, (0.0, s1), p) for p in rho])
@@ -456,10 +452,8 @@ def _check_wstar_quadrature(ctx, mass_tolerance: float = 1e-6):
 def _check_wstar_moment_stability(ctx, tolerance: float = 0.01):
     ws = ctx.wstar()
     refined = asymptotics.w_star(grid=radial_grid(1536, 28.0))
-    worst = 0.0
-    for k in (0, 2, 4):
-        a, b = ws.moment(k), refined.moment(k)
-        worst = max(worst, abs(a - b) / abs(a))
+    pairs = [(ws.moment(k), refined.moment(k)) for k in (0, 2, 4)]
+    worst = float(np.max([abs(a - b) / abs(a) for a, b in pairs]))
     return _result("wstar_moment_stability", worst <= tolerance, worst, 0.0, tolerance)
 
 
@@ -470,12 +464,13 @@ def _check_w_pde_residual(ctx, tolerance: float = 1e-3):
 
 def _check_w_self_similarity(ctx, tolerance: float = 1e-10):
     ws = ctx.wstar()
-    err = 0.0
+    errs = []
     for count in (41, 33):
         xi = np.linspace(0.0, 8.0, count)
         w1 = asymptotics.w_function(ws, 1.0, nodes=xi).values
         w4 = 4.0**2 * asymptotics.w_function(ws, 4.0, nodes=2.0 * xi).values
-        err = max(err, float(np.abs(w1 - w4).max() / np.abs(w1).max()))
+        errs.append(np.abs(w1 - w4).max() / np.abs(w1).max())
+    err = float(np.max(errs))
     return _result("w_self_similarity", err <= tolerance, err, 0.0, tolerance)
 
 
@@ -508,8 +503,7 @@ def _check_potential_disk(ctx, tolerance: float = 1e-3):
 def _check_potential_sweep(ctx, bound: float = 5.0, count: int = 50):
     rng = np.random.default_rng(ctx.scenario.seed)
     nodes = radial_grid(2048, 24.0)
-    worst = 0.0
-    scale_dev = 0.0
+    ratios, deviations = [], []
     for k in range(count):
         n = int(rng.integers(2, 5))
         values = np.zeros_like(nodes)
@@ -520,12 +514,13 @@ def _check_potential_sweep(ctx, bound: float = 5.0, count: int = 50):
             values += amp * np.exp(-((nodes - c) ** 2) / wdt**2)
         u = fields.RadialField(dim=n, nodes=nodes, values=values)
         _, _, ratio = potential.sup_gradient_bound_check(u)
-        worst = max(worst, ratio)
+        ratios.append(ratio)
         for factor in (3.7, 11.0):
             _, _, scaled = potential.sup_gradient_bound_check(
                 u.with_values(factor * values)
             )
-            scale_dev = max(scale_dev, abs(scaled - ratio))
+            deviations.append(abs(scaled - ratio))
+    worst, scale_dev = float(np.max(ratios)), float(np.max(deviations))
     ok = worst <= bound and scale_dev <= 1e-10
     return _result("potential_sweep", ok,
                    {"max_ratio": worst, "scaling_deviation": scale_dev},
@@ -545,23 +540,24 @@ def _check_duhamel_negative_control(ctx, floor: float = 5e-2):
 
 def _check_semigroup_law(ctx, tolerance: float = 1e-7):
     mass = 4.0 * math.pi
-    err = 0.0
+    dists = []
     for nodes in (radial_grid(2048, 40.0), radial_grid()):
         f = fields.gaussian_radial(2, mass, nodes, t0=0.5)
         one = semigroup.similarity_semigroup(
             semigroup.similarity_semigroup(f, 0.7), 0.9
         )
         two = semigroup.similarity_semigroup(f, 1.6)
-        err = max(err, fields.l1_distance(one, two))
+        dists.append(fields.l1_distance(one, two))
+    err = float(np.max(dists))
     return _result("semigroup_law", err <= tolerance, err, 0.0, tolerance)
 
 
 def _check_null_conditions(ctx, tolerance: float = 1e-8):
-    worst = 0.0
+    measured = []
     for n in (2, 3, 4, 5):
         vals = asymptotics.null_structure_checks(n)
-        worst = max(worst, abs(vals["div_mass_integral"]),
-                    abs(vals["pair_null_mismatch"]))
+        measured += [vals["div_mass_integral"], vals["pair_null_mismatch"]]
+    worst = float(np.max(np.abs(measured)))
     return _result("null_conditions", worst <= tolerance, worst, 0.0, tolerance)
 
 

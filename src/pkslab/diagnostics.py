@@ -9,12 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentMoment, InvalidParameter
-from .fields import RadialField, moments, total_mass
+from .errors import InvalidParameter
+from .fields import RadialField, moments, quadrature_weights, total_mass
 from .grids import radial_measure_weights
 from .potential import cartesian_potential_2d, radial_gradient, radial_potential
 from .profiles import EIGHT_PI
-from .semigroup import gaussian_values, kernel_row, scaled_sphere_average
+from .semigroup import (gaussian_values, kernel_row, nonlinearity_weight,
+                        scaled_sphere_average)
 
 # Floor inside logarithms; w log w -> 0 as w -> 0 so the clipped cells are
 # exactly the ones whose contribution is negligible.
@@ -62,22 +63,16 @@ def free_energy_2d(field):
     if field.dim != 2:
         raise InvalidParameter("free_energy_2d is defined for 2D fields")
     mom = moments(field)
-    if not math.isfinite(mom.second_moment):
-        raise DivergentMoment("second moment is not finite on this grid")
     if isinstance(field, RadialField):
-        weights = radial_measure_weights(field.nodes, 2)
         v = radial_potential(field, gauge="canonical")
         gauge_shift = float(v[0])
-        r2 = field.nodes**2
     else:
-        weights = np.full_like(field.values, field.cell_area())
         v = cartesian_potential_2d(field)
         center = field.size // 2
         gauge_shift = float(v[center, center])
-        xx, yy = field.meshgrid()
-        r2 = xx**2 + yy**2
+    weights = quadrature_weights(field)
     entropy = _entropy_integral(field, weights)
-    moment_term = 0.25 * float(np.sum(weights * field.values * r2))
+    moment_term = 0.25 * mom.second_moment
     interaction = 0.5 * float(np.sum(weights * field.values * v))
     return FreeEnergyResult(
         value=entropy + moment_term - interaction,
@@ -104,9 +99,8 @@ def relative_entropy(field, tau=0.0):
     weights = radial_measure_weights(field.nodes, n)
     gauss = gaussian_values(n, field.nodes)
     energy = float(np.sum(weights * radial_gradient(field) ** 2))
-    fn = math.exp((1.0 - n / 2.0) * tau)
     entropy_vs_gauss = _entropy_integral(field, weights, reference=gauss)
-    value = entropy_vs_gauss + 0.5 * fn * energy - (
+    value = entropy_vs_gauss + 0.5 * nonlinearity_weight(n, tau) * energy - (
         mass * math.log(mass) if mass > 0 else 0.0
     )
     entropy_part = _entropy_integral(

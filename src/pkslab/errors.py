@@ -61,10 +61,6 @@ class InsufficientSampling(PKSError):
     """A trajectory does not carry enough records for the requested quadrature."""
 
 
-class DivergentMoment(PKSError):
-    """A moment integral is non-finite on the grid."""
-
-
 class UseProfileModule(PKSError):
     """The 2D long-time asymptote is the self-similar profile, not a Gaussian
     expansion; callers must go through the profiles module instead."""

@@ -63,6 +63,7 @@ from .semigroup import (
     kernel_row,
     kernel_width_shrink,
     line_propagator,
+    nonlinearity_weight,
     scaled_sphere_average,
     scaled_sphere_average_cos,
 )
@@ -72,11 +73,6 @@ MAX_STEPS = 5_000_000
 
 # the run kind each SolverConfig.reference can be computed for
 REFERENCES = {"m_gamma_t": "physical", "profile": "similarity"}
-
-
-def nonlinearity_weight(dim, tau):
-    """f_n(tau) = exp((1 - n/2) tau): the similarity-variable advection weight."""
-    return math.exp((1.0 - dim / 2.0) * tau)
 
 
 @dataclass(frozen=True)
@@ -506,7 +502,7 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
     radii = [0.0, nodes[int(0.15 * nodes.size)], nodes[int(0.35 * nodes.size)]]
     nonlinear = not zero_nonlinear and trajectory.config.nonlinearity
     w = radial_measure_weights(nodes, dim)
-    worst = 0.0
+    mismatches = []
     for t in times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]:
         field_t = trajectory.field_at(t)
         interp = (rec0.field if t == t0 else field_t).interpolator()
@@ -535,8 +531,8 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
             heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
                          @ rec0.field.values[band])
             correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0
-            worst = max(worst, abs(heat + correction - u_actual) / scale)
-    return worst
+            mismatches.append(abs(heat + correction - u_actual) / scale)
+    return float(np.max(mismatches))
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,8 @@ class MomentSet:
 # quadrature-level operations
 # ---------------------------------------------------------------------------
 
-def _weights(field):
+def quadrature_weights(field):
+    """The weights w with sum(w * values) the field's integral over its domain."""
     if isinstance(field, RadialField):
         return field.measure_weights()
     if isinstance(field, CartesianField2D):
@@ -185,7 +186,7 @@ def total_mass(field):
     """Quadrature of the field over its domain."""
     if not np.all(np.isfinite(field.values)):
         raise InvalidField("field contains non-finite samples")
-    return float(np.sum(_weights(field) * field.values))
+    return float(np.sum(quadrature_weights(field) * field.values))
 
 
 def lp_norm(field, p):
@@ -195,7 +196,7 @@ def lp_norm(field, p):
     p = float(p)
     if p < 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
-    w = _weights(field)
+    w = quadrature_weights(field)
     return float(np.sum(w * np.abs(field.values) ** p) ** (1.0 / p))
 
 
@@ -206,7 +207,7 @@ def l1_distance(a, b):
 
 def moments(field):
     """Mass, center of mass B0 = int x u dx, and second moment int u |x|^2 dx."""
-    w = _weights(field)
+    w = quadrature_weights(field)
     mass = float(np.sum(w * field.values))
     if isinstance(field, RadialField):
         center = np.zeros(field.dim)

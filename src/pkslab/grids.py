@@ -23,6 +23,16 @@ SPHERE_AREA = {
     5: 8.0 * math.pi**2 / 3.0,
 }
 
+
+def gauss_law_gradient(nodes, enclosed, dim):
+    """The Gauss law V'(r) = -m(r) / (area(n) r^{n-1}) from the enclosed mass
+    m at each node; V'(0) = 0 by symmetry, and attraction means V' <= 0."""
+    vprime = np.zeros_like(enclosed)
+    mask = nodes > 0
+    vprime[mask] = -enclosed[mask] / (SPHERE_AREA[dim] * nodes[mask] ** (dim - 1))
+    return vprime
+
+
 DEFAULT_RADIAL_NODES = 4096
 DEFAULT_RADIAL_RMAX = 40.0
 

@@ -23,29 +23,16 @@ from scipy.special import j0, j1
 
 from .errors import DomainTooSmall, InvalidParameter
 from .fields import CartesianField2D, RadialField, lp_norm, total_mass
-from .grids import SPHERE_AREA, cumulative_integral, cumulative_shell_mass
-
-
-def enclosed_mass(u, order=2):
-    """Mass inside radius r at every node, by cumulative quadrature.
-
-    order=2 (default) reproduces the trapezoid total-mass weights exactly;
-    order=4 is the smooth high-order variant used by the profile solver.
-    """
-    return cumulative_shell_mass(u.nodes, u.values, u.dim, order=order)
+from .grids import SPHERE_AREA, cumulative_integral, cumulative_shell_mass, gauss_law_gradient
 
 
 def radial_gradient(u, order=2):
-    """V'(r) for radial u via the Gauss/shell reduction, on the nodes of u;
-    V'(0) = 0 by symmetry, and attraction means V' <= 0."""
+    """V'(r) for radial u via the Gauss/shell reduction, on the nodes of u,
+    from the enclosed mass of :func:`grids.cumulative_shell_mass` at ``order``."""
     if not isinstance(u, RadialField):
         raise InvalidParameter("radial_gradient expects a RadialField")
-    m = enclosed_mass(u, order=order)
-    area = SPHERE_AREA[u.dim]
-    vprime = np.zeros_like(m)
-    mask = u.nodes > 0
-    vprime[mask] = -m[mask] / (area * u.nodes[mask] ** (u.dim - 1))
-    return vprime
+    m = cumulative_shell_mass(u.nodes, u.values, u.dim, order=order)
+    return gauss_law_gradient(u.nodes, m, u.dim)
 
 
 def radial_potential(u, gauge="canonical", order=2):
@@ -66,7 +53,7 @@ def radial_potential(u, gauge="canonical", order=2):
         return cumulative_integral(r, vp, order=order)
     if gauge != "canonical":
         raise InvalidParameter(f"unknown gauge {gauge!r}")
-    m = enclosed_mass(u, order=order)
+    m = cumulative_shell_mass(r, u.values, n, order=order)
     shell = area * r ** (n - 1) * u.values
     if n == 2:
         kernel = np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), 0.0)

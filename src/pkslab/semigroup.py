@@ -14,24 +14,34 @@ band that fills more than half the matrix is evaluated whole and stored dense.
 Columns are renormalised so the discrete operator conserves mass exactly
 against the shared trapezoid weights.  On 2D Cartesian grids the kernel
 separates per axis into two small matrices.
+
+The public applies (:func:`heat_evolve`, :func:`similarity_semigroup`) build
+each kernel for one use and drop it.  Only the time stepper applies one kernel
+again and again, and only its kernels go into the process propagator cache.
 """
 
 import math
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.special import erf, i0e, i1e, ive
 from scipy.special import gamma as gamma_fn
-from scipy.special import i0e, i1e, ive
 
 from .errors import InvalidParameter, OutOfValidatedRange
 from .fields import RadialField, moments
-from .grids import SPHERE_AREA, radial_measure_weights, trapezoid_weights
+from .grids import SPHERE_AREA, gauss_law_gradient, radial_measure_weights, trapezoid_weights
 
 
 def kernel_width_shrink(tau):
     """Width a = 1 - e^{-tau} (accurate for small tau) and shrink factor
     c = e^{-tau/2} of S_n(tau), the same in every dimension."""
     return -math.expm1(-tau), math.exp(-tau / 2.0)
+
+
+def nonlinearity_weight(dim, tau):
+    """f_n(tau) = exp((1 - n/2) tau): the similarity-variable weight of the
+    nonlinearity (advection velocity, field energy)."""
+    return math.exp((1.0 - dim / 2.0) * tau)
 
 
 def scaled_sphere_average(dim, z):
@@ -84,8 +94,12 @@ def scaled_sphere_average_cos(dim, z):
 # Kernel entries with (r - c s)^2 > 4 a BAND_EXPONENT are dropped (the dense
 # layout keeps them; they cost it nothing).  The n-dimensional kernel never
 # exceeds its Gaussian factor, so each dropped entry is below e^-60 (~9e-27)
-# of the kernel's peak (4 pi a)^{-n/2}: far under double-precision rounding
-# of the entries that carry the mass.
+# of the kernel's peak (4 pi a)^{-n/2}.  That is negligible only next to a
+# result of the order of the peak times the source's mass.  A zero-mass
+# source gives a result about e^-s smaller at time s, so w_star_quadrature
+# relies on its wide kernels (51-80% fill) taking the dense layout, which
+# keeps every entry: forced into CSR they move its mass defect from 5.9e-11
+# to 1.05e-5, past the wstar_quadrature check's 1e-6.
 BAND_EXPONENT = 60.0
 
 
@@ -180,7 +194,8 @@ _cache_used = 0  # bytes held by the matrices in _PROPAGATOR_CACHE
 
 
 def _radial_propagator(nodes, dim, a, shrink):
-    """:func:`_build_propagator`, memoised for kernels that are applied again."""
+    """:func:`_build_propagator`, memoised for the time stepper, which applies
+    one kernel at every step of a record interval."""
     global _cache_used
     key = (nodes.tobytes(), dim, float(a), float(shrink))
     hit = _PROPAGATOR_CACHE.get(key)
@@ -194,11 +209,10 @@ def _radial_propagator(nodes, dim, a, shrink):
     return mat
 
 
-def _apply_radial(field, a, shrink, cached=True):
-    """Apply the radial kernel to a field; ``cached=False`` builds a
-    single-use matrix that bypasses the propagator cache."""
-    build = _radial_propagator if cached else _build_propagator
-    mat = build(field.nodes, field.dim, a, shrink)
+def _apply_radial(field, a, shrink):
+    """Apply the radial kernel to a field with a single-use matrix, built
+    outside the propagator cache."""
+    mat = _build_propagator(field.nodes, field.dim, a, shrink)
     return field.with_values(mat @ field.values)
 
 
@@ -218,32 +232,30 @@ def line_propagator(x, a, shrink):
     return kern * (w[None, :] / col[None, :])
 
 
-def _apply_cartesian(field, a, shrink):
-    k = line_propagator(field.axis(), a, shrink)
-    return field.with_values(k @ field.values @ k.T)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
+
+def _apply(field, a, shrink):
+    """The kernel of width a and shrink factor c applied once to a field."""
+    if isinstance(field, RadialField):
+        return _apply_radial(field, a, shrink)
+    k = line_propagator(field.axis(), a, shrink)
+    return field.with_values(k @ field.values @ k.T)
+
 
 def heat_evolve(field, t):
     """Evolve a field by the free heat semigroup for time t (mass-exact)."""
     if t <= 0:
         raise InvalidParameter(f"heat time must be positive, got {t}")
-    if isinstance(field, RadialField):
-        return _apply_radial(field, a=t, shrink=1.0)
-    return _apply_cartesian(field, a=t, shrink=1.0)
+    return _apply(field, t, 1.0)
 
 
 def similarity_semigroup(field, tau):
     """Apply S_n(tau) to a field in similarity variables."""
     if tau <= 0:
         raise InvalidParameter(f"tau must be positive, got {tau}")
-    a, shrink = kernel_width_shrink(tau)
-    if isinstance(field, RadialField):
-        return _apply_radial(field, a=a, shrink=shrink)
-    return _apply_cartesian(field, a=a, shrink=shrink)
+    return _apply(field, *kernel_width_shrink(tau))
 
 
 def gaussian_values(dim, r):
@@ -356,8 +368,6 @@ def div_gaussian_gradient_values(dim, r):
 
 def gaussian_enclosed_mass(dim, r):
     """Closed-form mass of G_n inside radius r (unit total mass)."""
-    from scipy.special import erf
-
     r = np.asarray(r, dtype=float)
     half = r / 2.0
     if dim == 2:
@@ -372,12 +382,6 @@ def gaussian_enclosed_mass(dim, r):
 
 
 def gaussian_potential_gradient(dim, r):
-    """V_n'(r) = -m_n(r) / (area(n) r^{n-1}) of the unit Gaussian by the Gauss
-    law; 0 at r = 0 by symmetry."""
+    """V_n'(r) of the unit Gaussian by the Gauss law."""
     r = np.asarray(r, dtype=float)
-    vprime = np.zeros_like(r)
-    mask = r > 0
-    vprime[mask] = -gaussian_enclosed_mass(dim, r[mask]) / (
-        SPHERE_AREA[dim] * r[mask] ** (dim - 1)
-    )
-    return vprime
+    return gauss_law_gradient(r, gaussian_enclosed_mass(dim, r), dim)

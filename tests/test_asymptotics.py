@@ -120,9 +120,7 @@ def test_wstar_dual_quadrature_center(wstar_quadrature):
         s = math.expm1(x)
         if s <= 0:
             continue
-        # single-use kernels: keep them out of the session's propagator cache
-        evolved = _apply_radial(source, a=-math.expm1(-s), shrink=math.exp(-s / 2.0),
-                                cached=False)
+        evolved = _apply_radial(source, a=-math.expm1(-s), shrink=math.exp(-s / 2.0))
         total += wt * (1.0 + s) * math.exp(s / 2.0) * evolved.values
     assert total[0] == pytest.approx(wstar_quadrature.field.values[0], rel=5e-3)
 

@@ -1,14 +1,17 @@
 """Scenario parsing, exit codes, determinism, and the console entry point."""
 
+import itertools
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from pkslab import asymptotics, cli, potential
+from pkslab import asymptotics, cli, evolution, fields, potential, semigroup
 from pkslab.errors import InvalidData, ScenarioConfigError, UseProfileModule
 
 FAST_SCENARIO = """\
@@ -323,6 +326,90 @@ def test_deterministic_rerun(tmp_path, monkeypatch, text, kernels):
     assert cli.run_scenario(str(cfg), out_dir=out2) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
+
+
+def _nan_on_call(nth, value):
+    """A stand-in that returns ``value``, with NaN for its last entry on its
+    ``nth`` call (counting from 0)."""
+    calls = itertools.count()
+
+    def stand_in(*args, **kwargs):
+        if next(calls) != nth:
+            return value
+        return (*value[:-1], math.nan) if isinstance(value, tuple) else math.nan
+
+    return stand_in
+
+
+def _nan_profile_residual(monkeypatch, ctx):
+    residuals = iter([1e-9, math.nan, 1e-9])
+    ctx.gm = lambda mass, nodes: SimpleNamespace(residual=next(residuals))
+    return cli._check_profile_residual(ctx, masses=[1.0, 2.0, 3.0])
+
+
+def _nan_wstar_moment_stability(monkeypatch, ctx):
+    ctx.wstar = lambda: SimpleNamespace(moment=lambda k: 1.0)
+    refined = SimpleNamespace(moment=lambda k: math.nan if k == 2 else 1.0)
+    monkeypatch.setattr(asymptotics, "w_star", lambda grid: refined)
+    return cli._check_wstar_moment_stability(ctx)
+
+
+def _nan_w_self_similarity(monkeypatch, ctx):
+    # an exactly self-similar W, unreadable on the second sample set
+    def w_function(ws, t, nodes):
+        return SimpleNamespace(values=np.full(nodes.size, math.nan if nodes.size == 33
+                                              else t**-2.0))
+
+    ctx.wstar = lambda: None
+    monkeypatch.setattr(asymptotics, "w_function", w_function)
+    return cli._check_w_self_similarity(ctx)
+
+
+def _nan_potential_ratio(monkeypatch, ctx):
+    # calls go unscaled, x3.7, x11 per sample: call 3 is the second ratio
+    monkeypatch.setattr(potential, "sup_gradient_bound_check",
+                        _nan_on_call(3, (1.0, 1.0, 1.0)))
+    return cli._check_potential_sweep(ctx, count=2)
+
+
+def _nan_potential_scaling(monkeypatch, ctx):
+    monkeypatch.setattr(potential, "sup_gradient_bound_check",
+                        _nan_on_call(4, (1.0, 1.0, 1.0)))
+    return cli._check_potential_sweep(ctx, count=2)
+
+
+def _nan_semigroup_law(monkeypatch, ctx):
+    monkeypatch.setattr(semigroup, "similarity_semigroup", lambda f, tau: f)
+    monkeypatch.setattr(fields, "l1_distance", _nan_on_call(0, 0.0))
+    return cli._check_semigroup_law(ctx)
+
+
+def _nan_null_conditions(monkeypatch, ctx):
+    monkeypatch.setattr(asymptotics, "null_structure_checks", lambda n: {
+        "div_mass_integral": math.nan if n == 3 else 0.0, "pair_null_mismatch": 0.0})
+    return cli._check_null_conditions(ctx)
+
+
+def _nan_duhamel(monkeypatch, ctx):
+    # the heat row of the second sample radius reads NaN
+    average = evolution.scaled_sphere_average
+    calls = itertools.count()
+    monkeypatch.setattr(evolution, "scaled_sphere_average", lambda dim, z: average(dim, z)
+                        * (math.nan if next(calls) == 1 else 1.0))
+    return cli._check_duhamel(ctx)
+
+
+NAN_FOLDS = [_nan_profile_residual, _nan_wstar_moment_stability, _nan_w_self_similarity,
+             _nan_potential_ratio, _nan_potential_scaling, _nan_semigroup_law,
+             _nan_null_conditions, _nan_duhamel]
+
+
+@pytest.mark.parametrize("inject", NAN_FOLDS, ids=lambda fn: fn.__name__[5:])
+def test_nan_measurement_fails_its_check(monkeypatch, pure_heat_run_2d, inject):
+    # each check folds several measurements into its worst case; one NaN
+    # among finite values that pass must fail the check
+    ctx = SimpleNamespace(scenario=SimpleNamespace(seed=1), trajectory=pure_heat_run_2d)
+    assert inject(monkeypatch, ctx)["pass"] is False
 
 
 def test_failed_check_exits_1(tmp_path):

