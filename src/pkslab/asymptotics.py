@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     DependencyMissing,
@@ -136,6 +135,8 @@ def w_star(grid=None):
     quadrature mass projected out along G_3.  :func:`w_star_quadrature`
     evaluates the s-integral itself and is the oracle of this solve.
     """
+    from scipy.linalg import solve_banded
+
     nodes = radial_grid(*W_STAR_GRID) if grid is None else np.asarray(grid, dtype=float)
     if nodes[0] != 0.0:
         raise InvalidParameter("the W_star solve needs a grid that starts at r = 0")

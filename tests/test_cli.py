@@ -1,5 +1,6 @@
 """Scenario parsing, exit codes, determinism, and the console entry point."""
 
+import concurrent.futures
 import itertools
 import json
 import math
@@ -497,3 +498,102 @@ def test_parallel_run(tmp_path):
     assert code == 0
     assert (tmp_path / "par" / "one" / "summary.json").exists()
     assert (tmp_path / "par" / "two" / "summary.json").exists()
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that runs the map in this process and
+    records the worker count it was asked for."""
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_parallel_starts_at_most_one_worker_per_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    paths = []
+    for name in ("one", "two", "three"):
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(FAST_SCENARIO.replace("fast_disk", name))
+    for parallel in ("8", "2"):
+        assert cli.main(["run", *map(str, paths), "--parallel", parallel,
+                         "--out", str(tmp_path / parallel)]) == 0
+    assert _RecordingPool.made == [3, 2]
+    assert (tmp_path / "8" / "three" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("parallel", ["0", "-1"])
+def test_parallel_below_one_exits_2(tmp_path, capsys, parallel):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_SCENARIO)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(cfg), "--parallel", parallel])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: loads each scenario file and prints which of the
+# libraries evolve runs never call were imported, then the scipy subpackages a
+# compute run imported after its scenario was loaded.
+IMPORT_PROBE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from pkslab import cli
+
+UNUSED_BY_EVOLVE = ("scipy.interpolate", "scipy.linalg", "scipy.optimize",
+                    "concurrent.futures.process")
+
+
+def scipy_subpackages():
+    return {".".join(name.split(".")[:2]) for name in sys.modules
+            if name.startswith("scipy.")}
+
+
+report = {}
+for path in sys.argv[2:4]:
+    cli.load_scenario(path)
+    report[path] = [name for name in UNUSED_BY_EVOLVE if name in sys.modules]
+cli.load_scenario(sys.argv[4])
+loaded = scipy_subpackages()
+assert cli.run_scenario(sys.argv[4], out_dir=sys.argv[5]) == 0
+report["compute run"] = sorted(scipy_subpackages() - loaded)
+print(json.dumps(report))
+"""
+
+# c2 runs no spline; the W_star solve behind w_pde_residual refines its grid
+# by a spline and solves a banded system
+COMPUTE_SCENARIO = """\
+[scenario]
+kind = compute
+
+[check:c2_agreement]
+
+[check:w_pde_residual]
+"""
+
+
+def test_run_kinds_import_only_what_they_call(tmp_path):
+    files = {"radial.cfg": TINY_RUN, "cartesian.cfg": TINY_CARTESIAN_RUN,
+             "compute.cfg": COMPUTE_SCENARIO}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(src),
+         *(str(tmp_path / name) for name in files), str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {str(tmp_path / "radial.cfg"): [], str(tmp_path / "cartesian.cfg"): [],
+                      "compute run": []}
