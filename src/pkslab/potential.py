@@ -9,16 +9,20 @@ convolution uses the truncated Green's function of Vico, Greengard and
 Ferrando (J. Comput. Phys. 323, 2016), which is accurate to quadrature
 precision for smooth compactly supported densities (a plain sampled-kernel
 convolution is only second order and cannot reach the agreement targets of
-the radial oracle).  Its closed-form transform is sampled once per grid on an
-FFT grid oversampled past 2 sqrt(2) n and brought to real space; every solve
-then convolves with that kernel on the 2n x 2n grid by real FFTs: one rfft2
-of the density and one irfft2 per output.
+the radial oracle).  Its closed-form transform, a function of |k| alone, is
+sampled once per grid on one quadrant of an FFT grid oversampled past
+2 sqrt(2) n, mirrored onto the other three and brought to real space.  Every
+solve then convolves with that kernel on the 2n x 2n grid by real FFTs, one
+axis at a time so that only rows some output reads are transformed: the
+forward r2c pass runs on the n rows of the density, not on the n zero rows
+of its padding, and each output's c2r pass runs on the n rows kept by the
+crop.  The results equal rfft2 and irfft2 on the full 2n grid bit for bit.
 """
 
 import math
 
 import numpy as np
-from scipy.fft import ifft2, irfft2, next_fast_len, rfft2
+from scipy.fft import fft, ifft, ifft2, irfft, next_fast_len, rfft, rfft2
 from scipy.special import j0, j1
 
 from .errors import DomainTooSmall, InvalidParameter
@@ -83,8 +87,11 @@ def _green_hat_2d(extent, size):
     The kernel E_2 restricted to |x| <= L_K with L_K = sqrt(2) * box width has
     the closed-form transform (1 - J0(k L_K))/k^2 - L_K log(L_K) J1(k L_K)/k;
     sampled on a grid oversampled past 2 sqrt(2), it leaves no aliased images
-    within any source-target distance.  That transform, and i kx and i ky
-    times it, are brought to real space once per (extent, size).  A
+    within any source-target distance.  The transform depends on |k| alone,
+    and the grid's negative frequencies are the exact negatives of its
+    positive ones, so it is evaluated on the quadrant of non-negative
+    frequencies and mirrored onto the other three.  That transform, and i kx
+    and i ky times it, are brought to real space once per (extent, size).  A
     source-target offset is at most n - 1 cells per axis, so only the kernel
     offsets |m| <= n - 1 are ever read: copied into a 2n x 2n array, they
     give the same discrete convolution as a circular one on the 2n grid.
@@ -99,11 +106,15 @@ def _green_hat_2d(extent, size):
     lk = math.sqrt(2.0) * width
     padded = next_fast_len(int(math.ceil(2.0 * math.sqrt(2.0) * size)) + 1)
     k1d = 2.0 * math.pi * np.fft.fftfreq(padded, d=h)
-    kx, ky = k1d[:, None], k1d[None, :]
-    k = np.hypot(kx, ky)
+    kq = np.abs(k1d[:padded // 2 + 1])  # |k| per axis, Nyquist included
+    k = np.hypot(kq[:, None], kq[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = (1.0 - j0(k * lk)) / k**2 - lk * math.log(lk) * j1(k * lk) / k
-    ghat[0, 0] = lk**2 / 4.0 - lk**2 * math.log(lk) / 2.0
+        quad = (1.0 - j0(k * lk)) / k**2 - lk * math.log(lk) * j1(k * lk) / k
+    quad[0, 0] = lk**2 / 4.0 - lk**2 * math.log(lk) / 2.0
+    i = np.arange(padded)
+    fold = np.minimum(i, padded - i)  # index of |k| in the quadrant
+    ghat = quad[np.ix_(fold, fold)]
+    kx, ky = k1d[:, None], k1d[None, :]
     near = np.r_[0:size, -size + 1:0]  # offsets 0..n-1, then -(n-1)..-1
     at = np.r_[0:size, size + 1:2 * size]  # where they sit on the 2n grid
     spectra = []
@@ -145,11 +156,18 @@ def _free_space_solve(u, mode, check_domain=True):
         check_boundary_decay(u)
     n = u.size
     potential_hat, gx_hat, gy_hat = _green_hat_2d(u.extent, n)
-    spec = rfft2(u.values, s=(2 * n, 2 * n))
+    # irfft2 applies its 1/(2n)^2 as one multiply after the c2r pass; n is a
+    # power of two, so that factor is exact and the result the same bits
+    spec = fft(rfft(u.values, n=2 * n, axis=1), n=2 * n, axis=0)
+    scale = 1.0 / (4 * n * n)
+
+    def convolve(kernel):
+        rows = ifft(spec * kernel, axis=0, norm="forward")[:n]
+        return irfft(rows, n=2 * n, axis=1, norm="forward")[:, :n] * scale
+
     if mode == "potential":
-        return irfft2(spec * potential_hat, s=(2 * n, 2 * n))[:n, :n]
-    return np.stack([irfft2(spec * kernel, s=(2 * n, 2 * n))[:n, :n]
-                     for kernel in (gx_hat, gy_hat)])
+        return convolve(potential_hat)
+    return np.stack([convolve(kernel) for kernel in (gx_hat, gy_hat)])
 
 
 def cartesian_potential_2d(u):

@@ -11,6 +11,8 @@ angular integral collapses to a modified-Bessel factor.  The kernel matrix
 in radius is built on its band |r - c s| <= sqrt(4 a BAND_EXPONENT), outside
 which every entry is below e^-60 of the kernel's peak, and stored as CSR; a
 band that fills more than half the matrix is evaluated whole and stored dense.
+A heat kernel (c = 1) is symmetric bit for bit, so its CSR band evaluates
+each entry once per unordered node pair and copies the mirror images.
 Columns are renormalised so the discrete operator conserves mass exactly
 against the shared trapezoid weights.  On 2D Cartesian grids the kernel
 separates per axis into two small matrices.
@@ -153,9 +155,13 @@ def _build_propagator(nodes, dim, a, shrink):
     so that sum_i w_i P_ij = w_j exactly (discrete mass conservation; also
     keeps narrow under-resolved kernels conservative instead of lossy).  Only
     the band |r_i - c s_j| <= sqrt(4 a BAND_EXPONENT) is evaluated and stored
-    in CSR form.  A band filling more than half the matrix is evaluated whole
-    and stored dense: there the CSR indices cost more than the few entries
-    they skip.  ``P @ u`` applies either layout.
+    in CSR form.  When c = 1, k(r_i, r_j) and k(r_j, r_i) are the same
+    floating-point number, so only the entries on and above the diagonal are
+    evaluated and each one below copies its mirror; an entry whose mirror
+    falls outside the band (the edges are rounded per row) is evaluated too.
+    A band filling more than half the matrix is evaluated whole and stored
+    dense: there the CSR indices cost more than the few entries they skip.
+    ``P @ u`` applies either layout.
     """
     size = nodes.size
     s = shrink * nodes
@@ -180,8 +186,16 @@ def _build_propagator(nodes, dim, a, shrink):
     np.cumsum(counts, out=indptr[1:])
     rows = np.repeat(np.arange(size), counts)
     cols = np.arange(nnz) - np.repeat(indptr[:-1] - lo, counts)
-    gauss, z = radial_kernel(dim, a, nodes[rows], s[cols])
-    kern = gauss * scaled_sphere_average(dim, z)
+    # r s and (r - s)^2 are symmetric in IEEE arithmetic: with c = 1 an entry
+    # (r, c) below the diagonal copies its mirror (c, r), stored at
+    # indptr[c] + r - lo[c] when r < hi[c]
+    direct = (cols >= rows) | (shrink != 1.0) | (rows >= hi[cols])
+    kern = np.empty(nnz)
+    gauss, z = radial_kernel(dim, a, nodes[rows[direct]], s[cols[direct]])
+    kern[direct] = gauss * scaled_sphere_average(dim, z)
+    below = ~direct
+    mirror_row = cols[below]
+    kern[below] = kern[indptr[mirror_row] + rows[below] - lo[mirror_row]]
     col = np.bincount(cols, weights=w[rows] * kern, minlength=size)
     col = np.where(col <= 0.0, 1.0, col)
     data = kern * (w / col)[cols]

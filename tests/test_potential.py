@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import fft2, ifft2, irfft2, next_fast_len, rfft2
 from scipy.special import j0, j1, roots_legendre
 
 from pkslab import fields, potential
@@ -191,6 +191,56 @@ def test_free_space_kernel_built_once_per_grid():
     assert len(potential._KERNEL_CACHE) == entries
     assert potential._KERNEL_CACHE[(7.5, 32)] is cached
     np.testing.assert_allclose(second, 2.0 * first, rtol=0, atol=1e-15 * np.abs(first).max())
+
+
+def _full_grid_green_hat_2d(extent, size):
+    """The kernel spectra as built before the quadrant evaluation: the
+    closed-form transform evaluated on every point of the padded grid."""
+    h = 2.0 * extent / size
+    width = 2.0 * extent
+    lk = math.sqrt(2.0) * width
+    padded = next_fast_len(int(math.ceil(2.0 * math.sqrt(2.0) * size)) + 1)
+    k1d = 2.0 * math.pi * np.fft.fftfreq(padded, d=h)
+    kx, ky = k1d[:, None], k1d[None, :]
+    k = np.hypot(kx, ky)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ghat = (1.0 - j0(k * lk)) / k**2 - lk * math.log(lk) * j1(k * lk) / k
+    ghat[0, 0] = lk**2 / 4.0 - lk**2 * math.log(lk) / 2.0
+    near = np.r_[0:size, -size + 1:0]
+    at = np.r_[0:size, size + 1:2 * size]
+    spectra = []
+    for spectrum in (ghat, 1j * kx * ghat, 1j * ky * ghat):
+        kernel = np.zeros((2 * size, 2 * size))
+        kernel[np.ix_(at, at)] = ifft2(spectrum).real[np.ix_(near, near)]
+        spectra.append(rfft2(kernel))
+    return tuple(spectra)
+
+
+def _full_grid_solve(u, spectra):
+    """The solve as made before the pruned passes: one rfft2 of the density
+    on the 2n grid and one irfft2 per output.  Returns (V, grad V)."""
+    n = u.size
+    spec = rfft2(u.values, s=(2 * n, 2 * n))
+    out = [irfft2(spec * kernel, s=(2 * n, 2 * n))[:n, :n] for kernel in spectra]
+    return out[0], np.stack(out[1:])
+
+
+@pytest.mark.parametrize("size", [32, 64, 128, 256, 512])
+@pytest.mark.parametrize("extent", [6.0, 20.0, 75.0])
+def test_pruned_free_space_solve_is_bit_identical(monkeypatch, extent, size):
+    # size 64 pads to an odd grid (189), 256 to an even one (726)
+    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
+    u = _bumps(extent, size)
+    spectra = potential._green_hat_2d(extent, size)
+    # the layout perfbench's fft_points reads: three (2n, n + 1) half spectra
+    assert potential._KERNEL_CACHE[(extent, size)] is spectra
+    assert len(spectra) == 3
+    for got, want in zip(spectra, _full_grid_green_hat_2d(extent, size)):
+        assert got.shape == (2 * size, size + 1) and np.iscomplexobj(got)
+        assert np.array_equal(got, want)
+    v_ref, g_ref = _full_grid_solve(u, spectra)
+    assert np.array_equal(potential.cartesian_potential_2d(u), v_ref)
+    assert np.array_equal(potential.cartesian_gradient_2d(u), g_ref)
 
 
 def test_domain_too_small():

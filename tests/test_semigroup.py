@@ -207,6 +207,63 @@ def test_banded_propagator_matches_dense(dim, kind, num, kernel, layout):
     np.testing.assert_allclose(mat.T @ w, w, rtol=1e-13, atol=0.0)
 
 
+def _full_band_propagator(nodes, dim, a, shrink):
+    """``(data, indices, indptr)`` of the CSR propagator as built before the
+    half-band evaluation: every entry of the band evaluated."""
+    size = nodes.size
+    s = shrink * nodes
+    lo, hi = sg._band_edges(s, nodes, a)
+    counts = hi - lo
+    nnz = int(counts.sum())
+    w = radial_measure_weights(nodes, dim)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    rows = np.repeat(np.arange(size), counts)
+    cols = np.arange(nnz) - np.repeat(indptr[:-1] - lo, counts)
+    gauss, z = sg.radial_kernel(dim, a, nodes[rows], s[cols])
+    kern = gauss * sg.scaled_sphere_average(dim, z)
+    col = np.bincount(cols, weights=w[rows] * kern, minlength=size)
+    col = np.where(col <= 0.0, 1.0, col)
+    data = kern * (w / col)[cols]
+    return data, cols, indptr
+
+
+def _assert_same_csr(mat, oracle):
+    assert issparse(mat)
+    for got, want in zip((mat.data, mat.indices, mat.indptr), oracle):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shrink", [1.0, math.exp(-0.05)])
+@pytest.mark.parametrize("kind", ["graded", "uniform"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_half_band_propagator_is_bit_identical(dim, kind, shrink):
+    nodes = radial_grid(512, 40.0, kind)
+    for a in (1e-4, 0.02, 0.2):
+        _assert_same_csr(sg._build_propagator(nodes, dim, a, shrink),
+                         _full_band_propagator(nodes, dim, a, shrink))
+
+
+def test_half_band_propagator_evaluates_entries_without_a_mirror(monkeypatch):
+    # trim one row's band: the entry past its new end loses its place, so the
+    # entry of the other row that mirrors it has to be evaluated directly
+    nodes = radial_grid(512, 40.0)
+    band_edges = sg._band_edges
+    trimmed = 300
+
+    def trimmed_band_edges(points, centers, a):
+        lo, hi = band_edges(points, centers, a)
+        hi[trimmed] -= 1
+        return lo, hi
+
+    monkeypatch.setattr(sg, "_band_edges", trimmed_band_edges)
+    lo, hi = sg._band_edges(nodes, nodes, 0.05)
+    orphan = hi[trimmed]  # row orphan keeps column trimmed, row trimmed lost orphan
+    assert orphan > trimmed and lo[orphan] <= trimmed
+    _assert_same_csr(sg._build_propagator(nodes, 2, 0.05, 1.0),
+                     _full_band_propagator(nodes, 2, 0.05, 1.0))
+
+
 def test_propagator_cache_keeps_a_running_byte_total():
     nodes = radial_grid(512, 40.0)
     for a in (1e-3, 0.05, 2.0):

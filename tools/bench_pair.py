@@ -11,8 +11,9 @@ workload and seed the script runs the benchmark's own ``perfbench/run.py
 --trace 0`` once on each side for ``BENCHMARK.json``'s ``run_seconds``, one
 at a time, and alternates which side goes first from seed to seed, so a
 drift in host speed does not favour either side.  It reads the metrics from
-each run's last output line (one JSON object) and the check values from the
-run's ``report.json``.
+each run's last output line (one JSON object) and the check values and the
+``provenance`` block (host, library versions, seed, mass, sample counts) from
+the run's ``report.json``.
 
 The result, written as JSON to ``--out`` (standard output by default),
 names the parent's commit and the change's base commit (``HEAD``), with
@@ -21,8 +22,8 @@ end-to-end metric (from ``BENCHMARK.json``) the parent's and the change's
 values, medians and quartiles, the number of pairs the change won, and
 whether the change's median beats the parent's by more than the parent's
 interquartile range; per workload it also says whether every run was
-correct and whether both sides reported the same check values for every
-seed.
+correct, whether both sides reported the same check values for every
+seed, and each side's provenance blocks, one per seed.
 """
 
 import argparse
@@ -60,7 +61,7 @@ def export_working_tree(dest, root):
 
 def run_side(side, workload, seed, seconds):
     """One ``perfbench/run.py --trace 0`` run in the checkout ``side``:
-    (last-line JSON, check values from its report)."""
+    (last-line JSON, check values and provenance from its report)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -70,8 +71,10 @@ def run_side(side, workload, seed, seconds):
         raise RuntimeError(f"{side.name} {workload} seed {seed}: no output\n{proc.stderr}")
     result = json.loads(lines[-1])
     report = side / "perfbench" / "work" / workload / f"seed{seed}-trace0" / "report.json"
-    checks = json.loads(report.read_text())["checks"] if report.exists() else None
-    return result, checks
+    if not report.exists():
+        return result, None, None
+    report = json.loads(report.read_text())
+    return result, report["checks"], report.get("provenance")
 
 
 def spread(values):
@@ -129,9 +132,9 @@ def main(argv=None):
             for k, seed in enumerate(args.seeds):
                 order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
                 for side in order:
-                    result, checks = run_side(sides[side], workload, seed, seconds)
+                    result, checks, prov = run_side(sides[side], workload, seed, seconds)
                     runs[workload][side].append({"seed": seed, "result": result,
-                                                 "checks": checks})
+                                                 "checks": checks, "provenance": prov})
                     metrics = {name: round(m["value"], 4)
                                for name, m in result["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: correct={result['correct']} "
@@ -149,6 +152,8 @@ def main(argv=None):
             "checks_agree": all(p["checks"] is not None and p["checks"] == c["checks"]
                                 for p, c in zip(by_side["parent"], by_side["change"])),
             "metrics": {},
+            "provenance": {side: [r["provenance"] for r in side_runs]
+                           for side, side_runs in by_side.items()},
         }
         for metric in bench["end_to_end"]:
             name = metric["name"]
