@@ -18,8 +18,9 @@ against the shared trapezoid weights.  On 2D Cartesian grids the kernel
 separates per axis into two small matrices.
 
 The public applies (:func:`heat_evolve`, :func:`similarity_semigroup`) build
-each kernel for one use and drop it.  Only the time stepper applies one kernel
-again and again, and only its kernels go into the process propagator cache.
+each kernel for one use and drop it.  The time stepper keeps its 4 most
+recently used kernels in a process cache and evicts the least recently used:
+all but 4 reuses in the bundled runs (in ``profile_gm``) are within 3 kernels.
 """
 
 import math
@@ -202,24 +203,22 @@ def _build_propagator(nodes, dim, a, shrink):
     return _BandMatrix((data, cols, indptr), shape=(size, size))
 
 
+# the tracer holds this dict, so it is mutated in place and never rebound
 _PROPAGATOR_CACHE = {}
-_PROPAGATOR_CACHE_BYTES = 500 * 1024**2  # evict oldest beyond this budget
-_cache_used = 0  # bytes held by the matrices in _PROPAGATOR_CACHE
+_PROPAGATOR_CACHE_KERNELS = 4
 
 
 def _radial_propagator(nodes, dim, a, shrink):
-    """:func:`_build_propagator`, memoised for the time stepper, which applies
-    one kernel at every step of a record interval."""
-    global _cache_used
+    """:func:`_build_propagator` for the time stepper.  Holds the 4 most
+    recently used kernels, evicting the least recently used: bundled runs
+    reuse a kernel after at most 3 others, except 4 reuses in ``profile_gm``."""
     key = (nodes.tobytes(), dim, float(a), float(shrink))
-    hit = _PROPAGATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mat = _build_propagator(nodes, dim, a, shrink)
-    while _PROPAGATOR_CACHE and _cache_used + mat.nbytes > _PROPAGATOR_CACHE_BYTES:
-        _cache_used -= _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE))).nbytes
+    mat = _PROPAGATOR_CACHE.pop(key, None)
+    if mat is None:
+        mat = _build_propagator(nodes, dim, a, shrink)
+        if len(_PROPAGATOR_CACHE) >= _PROPAGATOR_CACHE_KERNELS:
+            del _PROPAGATOR_CACHE[next(iter(_PROPAGATOR_CACHE))]
     _PROPAGATOR_CACHE[key] = mat
-    _cache_used += mat.nbytes
     return mat
 
 

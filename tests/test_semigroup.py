@@ -9,7 +9,7 @@ from scipy.special import ive
 
 from pkslab import fields, semigroup as sg
 from pkslab.errors import InvalidParameter, OutOfValidatedRange
-from pkslab.evolution import _make_stepper
+from pkslab.evolution import SolverConfig, _make_stepper, evolve
 from pkslab.fields import (
     RadialField,
     from_similarity,
@@ -264,27 +264,58 @@ def test_half_band_propagator_evaluates_entries_without_a_mirror(monkeypatch):
                      _full_band_propagator(nodes, 2, 0.05, 1.0))
 
 
-def test_propagator_cache_keeps_a_running_byte_total():
-    nodes = radial_grid(512, 40.0)
-    for a in (1e-3, 0.05, 2.0):
-        mat = sg._radial_propagator(nodes, 2, a, 1.0)
-        assert sg._radial_propagator(nodes, 2, a, 1.0) is mat
-    held = sum(m.nbytes for m in sg._PROPAGATOR_CACHE.values())
-    assert sg._cache_used == held > 0
+def test_propagator_cache_keeps_the_four_most_recently_used_kernels(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", cache)
+    nodes = radial_grid(256, 40.0)
+    keys = [(nodes.tobytes(), 2, a, 1.0) for a in (1e-3, 0.05, 0.3, 2.0, 5.0)]
+    first = sg._radial_propagator(nodes, 2, 1e-3, 1.0)
+    for a in (0.05, 0.3, 2.0):
+        sg._radial_propagator(nodes, 2, a, 1.0)
+    assert list(cache) == keys[:4]
+    assert sg._radial_propagator(nodes, 2, 1e-3, 1.0) is first  # a hit moves to the end
+    sg._radial_propagator(nodes, 2, 5.0, 1.0)  # evicts keys[1], the least recently used
+    assert list(cache) == [keys[2], keys[3], keys[0], keys[4]]
+    assert sg._PROPAGATOR_CACHE is cache  # mutated in place, never rebound
 
 
 def test_only_the_stepper_caches_its_kernels(monkeypatch):
     # the public applies build single-use kernels; the stepper reuses its own
     monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
-    monkeypatch.setattr(sg, "_cache_used", 0)
     nodes = radial_grid(256, 40.0)
     f = gaussian_radial(2, 1.0, nodes)
     sg.heat_evolve(f, 0.3)
     sg.similarity_semigroup(f, 0.4)
-    assert sg._PROPAGATOR_CACHE == {} and sg._cache_used == 0
+    assert sg._PROPAGATOR_CACHE == {}
     _make_stepper(f, "physical").diffuse(f.values, 0.3)
     assert list(sg._PROPAGATOR_CACHE) == [(nodes.tobytes(), 2, 0.3, 1.0)]
-    assert sg._cache_used == sg._PROPAGATOR_CACHE[nodes.tobytes(), 2, 0.3, 1.0].nbytes
+
+
+def test_cache_eviction_never_changes_a_result(monkeypatch):
+    u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(192, 40.0))
+    config = SolverConfig(t_end=2.0)
+    built = []
+    build = sg._build_propagator
+
+    def counted_build(nodes, dim, a, shrink):
+        built.append((a, shrink))
+        return build(nodes, dim, a, shrink)
+
+    monkeypatch.setattr(sg, "_build_propagator", counted_build)
+    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
+    kept = evolve(u0, config).records
+    assert len(set(built)) > sg._PROPAGATOR_CACHE_KERNELS  # the run evicts
+    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE_KERNELS", 1)
+    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
+    evicted = evolve(u0, config).records
+    assert len(kept) == len(evicted) > 1
+    for a, b in zip(kept, evicted):
+        assert np.array_equal(a.field.values, b.field.values)
+        assert np.array_equal(a.moments.center, b.moments.center)
+        assert ((a.time, a.moments.mass, a.moments.second_moment, a.sup_norm,
+                 a.free_energy, a.l1_dist_to_profile)
+                == (b.time, b.moments.mass, b.moments.second_moment, b.sup_norm,
+                    b.free_energy, b.l1_dist_to_profile))
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.5, 7.0])
