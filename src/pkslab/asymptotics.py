@@ -318,10 +318,10 @@ def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
     bnorm = float(np.linalg.norm(b0))
     bhat = b0 / bnorm if bnorm > 0 else np.array([1.0, 0.0, 0.0])
     nodes = wstar.field.nodes
-    w_interp = wstar.interpolator()
     wprime, _ = radial_derivatives(nodes, wstar.field.values)
-    wp_interp = radial_interpolator(nodes, wprime)
-    vwp_interp = radial_interpolator(nodes, radial_gradient(wstar.field, order=4))
+    # W*, W*' and V_W' on the same knots: one spline, one interval search
+    profiles = radial_interpolator(nodes, np.column_stack(
+        [wstar.field.values, wprime, radial_gradient(wstar.field, order=4)]))
 
     strata = 200
     per = max(1, samples // (2 * strata))  # antithetic pairs
@@ -336,9 +336,7 @@ def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
         gpp = (-0.5 + r**2 / 4.0) * g
         v3p = gaussian_potential_gradient(3, r)
         v3pp = -g - np.where(r > 0, 2.0 * v3p / r, 0.0)
-        wv = w_interp(r)
-        wpv = wp_interp(r)
-        vwp = vwp_interp(r)
+        wv, wpv, vwp = profiles(r).T
 
         def integrand(cosang):
             # grad G . grad V1 + grad G1 . grad V - 2 G G1, radial + dipole

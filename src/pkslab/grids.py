@@ -181,7 +181,7 @@ def radial_interpolator(nodes, values, order=3):
     ``order`` is the spline degree (odd): 3 is the cubic default, 5 a quintic
     whose h**6 error keeps a rescaled profile's mass when the profile spans
     only ~10 nodes per width.  Returns a callable f(r) accepting arrays of
-    nonnegative radii.
+    nonnegative radii; ``values`` may carry trailing axes.
     """
     from scipy.interpolate import CubicSpline, make_interp_spline
 
@@ -196,7 +196,7 @@ def radial_interpolator(nodes, values, order=3):
     def evaluate(r):
         r = np.asarray(r, dtype=float)
         out = spline(np.clip(r, 0.0, r_max))
-        out = np.where(r > r_max, 0.0, out)
+        out[r > r_max] = 0.0
         return np.nan_to_num(out, nan=0.0)
 
     return evaluate

@@ -20,7 +20,7 @@ separates per axis into two small matrices.
 The public applies (:func:`heat_evolve`, :func:`similarity_semigroup`) build
 each kernel for one use and drop it.  The time stepper keeps its 4 most
 recently used kernels in a process cache and evicts the least recently used:
-all but 4 reuses in the bundled runs (in ``profile_gm``) are within 3 kernels.
+all but 2 reuses in the bundled runs (in ``profile_gm``) are within 2 kernels.
 """
 
 import math
@@ -211,7 +211,7 @@ _PROPAGATOR_CACHE_KERNELS = 4
 def _radial_propagator(nodes, dim, a, shrink):
     """:func:`_build_propagator` for the time stepper.  Holds the 4 most
     recently used kernels, evicting the least recently used: bundled runs
-    reuse a kernel after at most 3 others, except 4 reuses in ``profile_gm``."""
+    reuse a kernel after at most 2 others, except 2 reuses in ``profile_gm``."""
     key = (nodes.tobytes(), dim, float(a), float(shrink))
     mat = _PROPAGATOR_CACHE.pop(key, None)
     if mat is None:

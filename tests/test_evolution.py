@@ -55,7 +55,8 @@ def test_clamp_keeps_mass_on_graded_grid():
 class _ReferenceRadialAdvection:
     """The radial advection of the stepper before it precomputed its grid
     geometry, kept verbatim (with ``grids.cumulative_shell_mass`` at order 2
-    and ``_minmod``) as the oracle the stepper must match bit for bit."""
+    and ``_minmod``) apart from the mass-conserving ``rhs[1]`` row, as the
+    oracle the stepper must match bit for bit."""
 
     def __init__(self, grid_nodes, dim, kind):
         self.nodes = grid_nodes
@@ -102,6 +103,7 @@ class _ReferenceRadialAdvection:
         w0 = self.weights[0] if self.weights[0] > 0.0 else self.origin_volume
         rhs[0] = -af[0] / w0
         rhs[1:-1] = -(af[1:] - af[:-1]) / self.weights[1:-1]
+        rhs[1] = -af[1] / self.weights[1]
         rhs[-1] = af[-1] / self.weights[-1]
         return rhs
 
@@ -281,6 +283,37 @@ def test_cartesian_run_solves_once_per_cfl_and_rhs(monkeypatch):
     assert traj.termination == "t_end"
     assert counts["steps"] > 0
     assert counts["solves"] <= 3 * counts["steps"] + 1
+
+
+def test_radial_run_builds_one_kernel_per_record_interval(monkeypatch):
+    # every step of a record interval takes the interval's one dt, so the
+    # interval asks for one propagator key, however many steps it takes
+    intervals = []  # per interval: the propagator keys asked for and the steps
+    make_record, propagator, strang_step = (
+        ev._make_record, ev._radial_propagator, ev._strang_step)
+
+    def record(*args, **kwargs):
+        intervals.append({"keys": set(), "steps": 0})
+        return make_record(*args, **kwargs)
+
+    def lookup(nodes, dim, a, shrink):
+        intervals[-1]["keys"].add((a, shrink))
+        return propagator(nodes, dim, a, shrink)
+
+    def step(*args, **kwargs):
+        intervals[-1]["steps"] += 1
+        return strang_step(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "_make_record", record)
+    monkeypatch.setattr(ev, "_radial_propagator", lookup)
+    monkeypatch.setattr(ev, "_strang_step", step)
+    u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(192, 40.0))
+    traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=4.0, records_per_decade=20))
+    assert traj.termination == "t_end"
+    run = intervals[:-1]  # the last record closes the run
+    assert len(run) == len(traj.records) - 1
+    assert sum(interval["steps"] >= 2 for interval in run) >= len(run) // 2
+    assert [len(interval["keys"]) for interval in run] == [1] * len(run)
 
 
 @pytest.mark.parametrize("geometry, kind, scheme, tolerance", [
