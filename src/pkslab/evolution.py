@@ -33,10 +33,19 @@ steps of an interval share one kernel.
 
 The radial stepper builds everything that depends only on the nodes and the
 dimension once: the shell factor, the half spacings of the cumulative
-trapezoid, the MUSCL face offsets and the divisors of the flux divergence.
-A step then costs a few dozen passes over arrays of the grid's size, and
-every operation keeps the order and rounding of the plain formulas, so the
-results are bit-identical to computing them afresh.
+trapezoid, the MUSCL face offsets, the divisors of the flux divergence, and
+its work buffers with the slices of them it reads.  A MUSCL right-hand side
+is then 23 passes over arrays of the grid's size, each written into a buffer
+with ``out=``; a Heun substep is two of them plus five.  Only the arrays
+``advect`` and ``advection_rhs`` return are new, so a caller may keep them.
+The results are bit-identical to the plain formulas.  Halving the mean
+enclosed mass and dividing it by the face area is one division by twice the
+area, which rounds alike because halving is exact above the subnormal
+range.  A weight of 1.0 is not multiplied in.  Minmod as
+max(min(a, b), 0) + min(max(a, b), 0) picks the same slope, and the same
+signed zero, because numpy's minimum and maximum return their second
+operand on a tie (a test checks this).  IEEE sums and products do not
+depend on operand order, so Heun's stages combine in place.
 """
 
 import json
@@ -169,11 +178,20 @@ class Trajectory:
 # radial advection machinery
 # ---------------------------------------------------------------------------
 
-def _minmod_adjacent(d):
-    """minmod(d[:-1], d[1:]): the smaller of each pair of neighbouring slopes
-    when they share a sign, else 0.  Each slope's sign and size is taken once."""
-    sign, size = np.sign(d), np.abs(d)
-    return np.where(sign[:-1] == sign[1:], np.where(size[:-1] < size[1:], d[:-1], d[1:]), 0.0)
+def _minmod_adjacent(d, out, scratch):
+    """minmod(d[:-1], d[1:]) into ``out``: the smaller of each pair of
+    neighbouring slopes when they share a sign, else 0, as
+    max(min(a, b), 0) + min(max(a, b), 0).  ``scratch`` has the size of
+    ``out``.  With the operands in this order numpy's minimum and maximum
+    return their second operand on a tie of zeros, so a pair of zeros gives
+    b with its sign, as the sign/abs form does."""
+    a, b = d[:-1], d[1:]
+    np.minimum(a, b, out=out)
+    np.maximum(a, b, out=scratch)
+    np.maximum(0.0, out, out=out)
+    np.minimum(0.0, scratch, out=scratch)
+    out += scratch
+    return out
 
 
 class _Stepper:
@@ -210,54 +228,98 @@ class _RadialStepper(_Stepper):
         self._half_dr = 0.5 * self.dr
         self._left_offset = self.faces - grid_nodes[:-1]
         self._right_offset = self.faces - grid_nodes[1:]
-        self._neg_face_area = -self.face_area
+        # (0.5 * x) / -A is x / -2A: halving is exact above the subnormals
+        self._neg_two_face_area = -2.0 * self.face_area
         w0 = self.weights[0] if self.weights[0] > 0.0 else self.origin_volume
         self._neg_origin_weight = -w0
         self._neg_inner_weights = -self.weights[1:-1]
         self._last_weight = self.weights[-1]
+        # Work buffers and their views, written by the ufuncs of every call
+        # with out=.  Only the arrays advect and advection_rhs return are
+        # fresh: callers keep them.
+        n = grid_nodes.size
+        self._g = np.empty(n)  # shell mass density
+        self._m = np.zeros(n)  # cumulative shell mass; m[0] stays 0
+        self._trap = np.empty(n - 1)  # trapezoid terms, then minmod scratch
+        self._v = np.empty(n - 1)  # face velocity
+        self._d = np.empty(n - 1)  # slopes between nodes
+        self._slopes = np.zeros(n)  # limited node slopes; both ends stay 0
+        self._left = np.empty(n - 1)  # left face values, then the face flux
+        self._right = np.empty(n - 1)
+        self._upwind_right = np.empty(n - 1, dtype=bool)
+        self._stage = np.empty(n)  # Heun's predictor
+        self._k2 = np.empty(n)  # Heun's second right-hand side
+        self._g_hi, self._g_lo = self._g[1:], self._g[:-1]
+        self._m_hi, self._m_lo = self._m[1:], self._m[:-1]
+        self._slopes_hi, self._slopes_lo = self._slopes[1:], self._slopes[:-1]
+        self._slopes_mid = self._slopes[1:-1]
+        self._minmod_scratch = self._trap[:-1]
+        self._flux_hi, self._flux_lo = self._left[1:], self._left[:-1]
 
     def face_velocity(self, values):
         """Gauss-law radial velocity V'(r) at the cell faces: minus the mean
-        of the enclosed shell mass at the two nodes, over the face area."""
+        of the enclosed shell mass at the two nodes, over the face area.
+        The result is the stepper's buffer, overwritten by the next call."""
         # the cumulative trapezoid sums of grids.cumulative_shell_mass
-        g = self._shell * values
-        m = np.empty_like(g)
-        m[0] = 0.0
-        (self._half_dr * (g[1:] + g[:-1])).cumsum(out=m[1:])
-        m_face = m[1:] + m[:-1]
-        m_face *= 0.5
-        m_face /= self._neg_face_area
-        return m_face
+        np.multiply(self._shell, values, out=self._g)
+        trap = np.add(self._g_hi, self._g_lo, out=self._trap)
+        np.multiply(self._half_dr, trap, out=trap)
+        trap.cumsum(out=self._m_hi)
+        v = np.add(self._m_hi, self._m_lo, out=self._v)
+        v /= self._neg_two_face_area
+        return v
+
+    def _rhs_into(self, values, weight, rhs):
+        """``advection_rhs(values, weight)`` written into ``rhs``."""
+        v = self.face_velocity(values)
+        if weight != 1.0:
+            v *= weight
+        flux = self._left
+        if self.scheme == "central":
+            np.add(values[1:], values[:-1], out=flux)
+            flux *= 0.5
+        else:
+            lo, hi = values[:-1], values[1:]
+            d = np.subtract(hi, lo, out=self._d)
+            d /= self.dr
+            _minmod_adjacent(d, self._slopes_mid, self._minmod_scratch)
+            np.multiply(self._slopes_lo, self._left_offset, out=flux)
+            flux += lo
+            right = np.multiply(self._slopes_hi, self._right_offset, out=self._right)
+            right += hi
+            # the upwind face value: the left one where v >= 0
+            np.less(v, 0.0, out=self._upwind_right)
+            np.copyto(flux, right, where=self._upwind_right)
+        # the face flux times the face area
+        flux *= v
+        flux *= self.face_area
+        rhs[0] = flux[0] / self._neg_origin_weight
+        inner = np.subtract(self._flux_hi, self._flux_lo, out=rhs[1:-1])
+        inner /= self._neg_inner_weights
+        # node 1's trapezoid cell reaches r = 0: the first face is inside it
+        rhs[1] = flux[1] / self._neg_inner_weights[0]
+        rhs[-1] = flux[-1] / self._last_weight
+        return rhs
 
     def advection_rhs(self, values, weight):
-        v = self.face_velocity(values)
-        v *= weight
-        if self.scheme == "central":
-            u_face = values[1:] + values[:-1]
-            u_face *= 0.5
-        else:
-            slopes = np.empty_like(values)
-            slopes[0] = slopes[-1] = 0.0
-            slopes[1:-1] = _minmod_adjacent((values[1:] - values[:-1]) / self.dr)
-            left = values[:-1] + slopes[:-1] * self._left_offset
-            right = values[1:] + slopes[1:] * self._right_offset
-            u_face = np.where(v >= 0.0, left, right)
-        # the face flux times the face area
-        u_face *= v
-        u_face *= self.face_area
-        rhs = np.empty_like(values)
-        rhs[0] = u_face[0] / self._neg_origin_weight
-        np.divide(u_face[1:] - u_face[:-1], self._neg_inner_weights, out=rhs[1:-1])
-        # node 1's trapezoid cell reaches r = 0: the first face is inside it
-        rhs[1] = u_face[1] / self._neg_inner_weights[0]
-        rhs[-1] = u_face[-1] / self._last_weight
-        return rhs
+        return self._rhs_into(values, weight, np.empty_like(values))
+
+    def advect(self, values, dt, weight):
+        """Heun's step values + dt/2 (k1 + k2), combined in place in k1."""
+        k1 = self.advection_rhs(values, weight)
+        stage = np.multiply(k1, dt, out=self._stage)
+        stage += values
+        k1 += self._rhs_into(stage, weight, self._k2)
+        k1 *= 0.5 * dt
+        k1 += values
+        return k1
 
     def cfl_limit(self, values):
         # a face at rest bounds nothing: its quotient is infinite, and so is
         # the limit when the whole field is at rest
+        ratio = self.face_velocity(values)
         with np.errstate(divide="ignore"):
-            ratio = self.dr / self.face_velocity(values)
+            np.divide(self.dr, ratio, out=ratio)
         return CFL_SAFETY * float(np.abs(ratio, out=ratio).min())
 
     def diffuse(self, values, dt):

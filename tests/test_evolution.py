@@ -1,6 +1,7 @@
 """Time integration: splitting steps, drivers, blow-up, Duhamel residual."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -125,6 +126,10 @@ def _advection_test_fields(nodes):
     yield bump - 1e-3 * np.exp(-((nodes - 0.3 * rmax) ** 2))
 
 
+def same_bits(a, b):  # also tells +0.0 from -0.0
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["physical", "similarity"])  # muscl, central
 @pytest.mark.parametrize("grid_kind", ["graded", "uniform"])
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -134,16 +139,54 @@ def test_radial_advection_matches_reference_bit_for_bit(dim, grid_kind, kind):
     reference = _ReferenceRadialAdvection(nodes, dim, kind)
     assert stepper.scheme == reference.scheme
 
-    def same_bits(a, b):  # also tells +0.0 from -0.0
-        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
     for values in _advection_test_fields(nodes):
         assert same_bits(stepper.face_velocity(values), reference.face_velocity(values))
         assert same_bits(stepper.cfl_limit(values), reference.cfl_limit(values))
         for weight in (1.0, ev.nonlinearity_weight(4, 0.3)):
             assert same_bits(stepper.advection_rhs(values, weight),
                              reference.advection_rhs(values, weight))
+            # the whole Heun substep, at the step the CFL limit allows
+            dt = reference.cfl_limit(values) / weight
+            k1 = reference.advection_rhs(values, weight)
+            k2 = reference.advection_rhs(values + dt * k1, weight)
+            assert same_bits(stepper.advect(values, dt, weight),
+                             values + 0.5 * dt * (k1 + k2))
     assert stepper.cfl_limit(np.zeros_like(nodes)) == math.inf
+
+
+def test_minmod_keeps_the_reference_signed_zeros():
+    # every ordered pair of slopes from this set, zeros of both signs and
+    # subnormals included, at lengths and offsets that reach both the
+    # vectorised loops and their scalar remainders
+    slopes = [-2.0, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 2.0]
+    d_all = np.array([x for pair in itertools.product(slopes, repeat=2) for x in pair])
+    for start in range(4):
+        for stop in (start + 2, start + 3, start + 9, start + 18, d_all.size):
+            d = d_all[start:stop]
+            out, scratch = np.empty(d.size - 1), np.empty(d.size - 1)
+            got = ev._minmod_adjacent(d, out, scratch)
+            assert same_bits(got, _ReferenceRadialAdvection._minmod(d[:-1], d[1:]))
+
+
+def test_radial_stepper_results_outlive_its_buffers():
+    nodes = radial_grid(256, 20.0)
+    stepper = ev._RadialStepper(nodes, 2, "physical")
+    first, second = (2.0 * np.exp(-((nodes - c) ** 2) / 4.0) for c in (1.0, 5.0))
+    rhs = stepper.advection_rhs(first, 1.0)
+    stepped = stepper.advect(first, 1e-3, 1.0)
+    kept = rhs.tobytes(), stepped.tobytes()
+    stepper.advection_rhs(second, 1.0)
+    stepper.advect(second, 1e-3, 0.5)
+    stepper.cfl_limit(second)
+    assert (rhs.tobytes(), stepped.tobytes()) == kept
+    # the records of a run hold arrays no step writes again
+    u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(512, 20.0), t0=1.0)
+    traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=1.1, records_per_decade=64))
+    values = [rec.field.values for rec in traj.records]
+    assert len(values) > 2
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_record_free_energy_catches_only_package_errors(monkeypatch):

@@ -35,6 +35,25 @@ def test_heat_semigroup_property(default_nodes):
         assert abs(total_mass(out) - mass) < 1e-10 * mass
 
 
+@pytest.mark.parametrize("a1, a2", [(1e-3, 2e-3), (0.05, 0.1)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_banded_heat_semigroup_law(dim, a1, a2):
+    """S(a2) S(a1) f = S(a1 + a2) f for the banded kernels, to 1e-9 relative
+    in L1 (3.3e-11 in dim 2, 4.5e-15 in dims 3-5).  The law holds only as
+    far as the grid resolves the kernels: on radial_grid(256, 20.0,
+    "uniform") it holds to about 1e-4 in dims 3-5 with a1 = 1e-3, where
+    sqrt(a1) is below the node spacing, and in dim 2 at both widths, where
+    the r dr trapezoid is second order at the origin.  That is
+    discretisation, not a defect of the band."""
+    nodes = radial_grid(512, 20.0)
+    f = gaussian_radial(dim, 1.0, nodes, t0=0.5)
+    assert isinstance(sg._build_propagator(nodes, dim, a1, 1.0), sg._BandMatrix)
+    assert isinstance(sg._build_propagator(nodes, dim, a2, 1.0), sg._BandMatrix)
+    two = sg.heat_evolve(sg.heat_evolve(f, a1), a2)
+    one = sg.heat_evolve(f, a1 + a2)
+    assert l1_distance(two, one) <= 1e-9 * lp_norm(one, 1)
+
+
 def test_heat_sup_bound(default_nodes):
     mass = 2.0
     u0 = gaussian_radial(3, mass, default_nodes, t0=0.5)

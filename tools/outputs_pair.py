@@ -8,15 +8,19 @@ the script runs, at one BLAS thread, every scenario file of that side
 (``src/pkslab/scenarios/*.cfg`` and ``perfbench/scenarios/*.cfg``) with
 ``pks run --seed 7``, and every demo (``demos/*.py``) in an empty working
 directory; it keeps each run's output directory, the demos' stdout and the
-files they write, and every run's exit code.
+files they write, and every run's exit code.  It then runs the change side
+once more at two BLAS threads.
 
-It then names every output file as identical or differing (or present on
-one side only).  For a differing CSV it gives, per column, the largest
-absolute and relative difference; for a differing JSON file, the same per
-key path, and it flags every check whose ``pass`` changed.  A differing
-text file is shown by its first differing line.  The report goes to
+It names every output file as identical or differing (or present on one
+side only) between the parent and the change.  For a differing CSV it
+gives, per column, the largest absolute and relative difference; for a
+differing JSON file, the same per key path, and it flags every check whose
+``pass`` changed.  A differing text file is shown by its first differing
+line.  It then names every file of the two-thread run that differs from
+the change's one-thread run, described the same way with the one-thread
+run in the parent's place.  The report goes to
 standard output; ``--out`` also writes it as JSON.  The exit code is 0 when
-every file is identical and 1 otherwise.
+every file is identical in both comparisons and 1 otherwise.
 """
 
 import argparse
@@ -35,16 +39,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pair import export_commit, export_working_tree, git  # noqa: E402
 
 SEED = 7
-THREAD_VARS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                      "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                                      "VECLIB_MAXIMUM_THREADS")}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SCENARIO_DIRS = ("src/pkslab/scenarios", "perfbench/scenarios")
 
 
-def run_side(side, out):
-    """Run every scenario file and demo of the checkout ``side``, with their
-    outputs under ``out``; the exit codes go to ``out/exit_codes.json``."""
-    env = dict(os.environ, PYTHONPATH=str(side / "src"), **THREAD_VARS)
+def run_side(side, out, threads):
+    """Run every scenario file and demo of the checkout ``side`` at
+    ``threads`` BLAS threads, with their outputs under ``out``; the exit
+    codes go to ``out/exit_codes.json``."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"),
+               **{name: str(threads) for name in THREAD_VARS})
     codes = {}
 
     def run(label, command, cwd):
@@ -195,21 +200,27 @@ def main(argv=None):
         outs = {name: scratch / f"out_{name}" for name in sides}
         for name, side in sides.items():
             print(f"running the {name} side", file=sys.stderr)
-            run_side(side, outs[name])
+            run_side(side, outs[name], 1)
+        print("running the change side at 2 BLAS threads", file=sys.stderr)
+        run_side(sides["change"], scratch / "out_change_2", 2)
         files = compare_trees(outs["parent"], outs["change"])
+        threads = compare_trees(outs["change"], scratch / "out_change_2")
     finally:
         shutil.rmtree(scratch)
 
-    differing = {name: entry for name, entry in files.items()
-                 if entry["status"] != "identical"}
-    for name, entry in files.items():
-        print(describe(name, entry))
-    print(f"{len(files) - len(differing)} of {len(files)} files identical "
-          f"against {parent_commit[:12]}")
+    same = True
+    for report, against in ((files, f"against {parent_commit[:12]}"),
+                            (threads, "at 2 BLAS threads against 1")):
+        differing = [name for name, entry in report.items()
+                     if entry["status"] != "identical"]
+        for name, entry in report.items():
+            print(describe(name, entry))
+        print(f"{len(report) - len(differing)} of {len(report)} files identical {against}")
+        same = same and not differing
     if args.out:
-        Path(args.out).write_text(json.dumps({"parent": parent_commit, "files": files},
-                                             indent=1) + "\n")
-    return 1 if differing else 0
+        Path(args.out).write_text(json.dumps(
+            {"parent": parent_commit, "files": files, "threads": threads}, indent=1) + "\n")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
