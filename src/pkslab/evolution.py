@@ -67,11 +67,13 @@ from .errors import (
 from . import diagnostics as _diagnostics
 from .fields import (CartesianField2D, RadialField, gaussian_cartesian, gaussian_radial,
                      lp_norm, moments, total_mass)
-from .grids import SPHERE_AREA, radial_measure_weights
-from .potential import cartesian_gradient_2d, check_boundary_decay, radial_gradient
+from .grids import (SPHERE_AREA, cumulative_shell_mass, gauss_law_gradient,
+                    radial_measure_weights)
+from .potential import cartesian_gradient_2d, check_boundary_decay
 from .semigroup import (
     _radial_propagator,
     kernel_row,
+    kernel_rows,
     kernel_width_shrink,
     line_propagator,
     nonlinearity_weight,
@@ -155,23 +157,43 @@ class Trajectory:
         m = self.masses()
         return float(np.abs(np.diff(m)).max() / max(m[0], 1e-300)) if m.size > 1 else 0.0
 
-    def field_at(self, t):
-        """Field values interpolated linearly in log-time between records."""
+    def values_at(self, ts):
+        """The field values at each time in ``ts``, stacked along a new first
+        axis.
+
+        Between two records the values are linear in log-time in physical
+        runs, and linear in time in similarity runs and after a physical
+        record at t = 0.  Two records at the same time give the earlier
+        one's values: (1 - 0) lo + 0 lo is lo bit for bit.
+        """
         times = self.times()
-        if not times[0] <= t <= times[-1]:
-            raise OutOfRange(f"time {t} outside recorded range [{times[0]}, {times[-1]}]")
-        idx = int(np.searchsorted(times, t))
-        if idx == 0 or times[idx - 1] == t:
-            idx = max(idx, 1)
-        lo, hi = self.records[idx - 1], self.records[min(idx, len(self.records) - 1)]
-        if hi.time == lo.time:
-            return lo.field
-        if self.kind == "physical" and lo.time > 0:
-            w = (math.log(t) - math.log(lo.time)) / (math.log(hi.time) - math.log(lo.time))
-        else:
-            w = (t - lo.time) / (hi.time - lo.time)
-        values = (1.0 - w) * lo.field.values + w * hi.field.values
-        return lo.field.with_values(values, nonnegative=False)
+        lo, hi, weights = [], [], []
+        for t in np.asarray(ts, dtype=float):
+            if not times[0] <= t <= times[-1]:
+                raise OutOfRange(f"time {t} outside recorded range [{times[0]}, {times[-1]}]")
+            idx = int(np.searchsorted(times, t))
+            if idx == 0 or times[idx - 1] == t:
+                idx = max(idx, 1)
+            lo_rec, hi_rec = self.records[idx - 1], self.records[min(idx, len(self.records) - 1)]
+            if hi_rec.time == lo_rec.time:
+                hi_rec, w = lo_rec, 0.0
+            elif self.kind == "physical" and lo_rec.time > 0:
+                w = ((math.log(t) - math.log(lo_rec.time))
+                     / (math.log(hi_rec.time) - math.log(lo_rec.time)))
+            else:
+                w = (t - lo_rec.time) / (hi_rec.time - lo_rec.time)
+            lo.append(lo_rec.field.values)
+            hi.append(hi_rec.field.values)
+            weights.append(w)
+        lo, hi = np.stack(lo), np.stack(hi)
+        w = np.reshape(weights, (-1,) + (1,) * (lo.ndim - 1))
+        return (1.0 - w) * lo + w * hi
+
+    def field_at(self, t):
+        """The field at time t: linear in log-time between the records of a
+        physical run, linear in time in a similarity run (see
+        :meth:`values_at`)."""
+        return self.records[0].field.with_values(self.values_at([t])[0], nonnegative=False)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +562,11 @@ def evolve_similarity(U0, config=None, reference_field=None):
 # Duhamel (mild-solution) residual
 # ---------------------------------------------------------------------------
 
+# q nodes of the correction's time quadrature evaluated together: the block
+# bounds the stacked field, flux and kernel arrays, so peak memory stays flat
+DUHAMEL_BLOCK = 32
+
+
 def duhamel_residual(trajectory, zero_nonlinear=False):
     """Max relative mismatch of the mild-solution identity at sampled (r, t).
 
@@ -581,19 +608,28 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
             q_max = math.sqrt(t - t0)
             qs = np.linspace(1e-3 * q_max, q_max, 192)
             vals = np.empty((len(radii), qs.size))
-            for k, q in enumerate(qs):
-                s = max(t - q * q, t0)  # guard the rounding at q = q_max
-                fld = trajectory.field_at(s)
-                flux = w * fld.values * radial_gradient(fld)
+            for start in range(0, qs.size, DUHAMEL_BLOCK):
+                q = qs[start:start + DUHAMEL_BLOCK]
+                s = np.maximum(t - q * q, t0)  # guard the rounding at q = q_max
+                values = trajectory.values_at(s)
+                # radial_gradient of each row, through the stacked Gauss law
+                flux = w * values * gauss_law_gradient(
+                    nodes, cumulative_shell_mass(nodes, values, dim), dim)
                 for i, r in enumerate(radii):
-                    band, gauss, z = kernel_row(nodes, dim, r, t - s)
-                    lam0 = scaled_sphere_average(dim, z)
-                    lam1 = scaled_sphere_average_cos(dim, z)
-                    inner = float(np.sum(
-                        flux[band] * gauss * (nodes[band] * lam0 - r * lam1)
-                    ))
+                    cols, bounds, gauss, z = kernel_rows(nodes, dim, r, t - s)
+                    rows = np.repeat(np.arange(q.size), np.diff(bounds))
+                    if r == 0.0:
+                        # z = 0 on the whole band: the averages are 1 and 0
+                        terms = flux[rows, cols] * gauss * nodes[cols]
+                    else:
+                        terms = flux[rows, cols] * gauss * (
+                            nodes[cols] * scaled_sphere_average(dim, z)
+                            - r * scaled_sphere_average_cos(dim, z))
+                    # one pairwise sum per row, as over its own band
+                    inner = np.array([terms[lo:hi].sum()
+                                      for lo, hi in zip(bounds[:-1], bounds[1:])])
                     # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
-                    vals[i, k] = -0.5 * inner * 2.0 / q
+                    vals[i, start:start + q.size] = -0.5 * inner * 2.0 / q
         scale = max(float(np.abs(field_t.values).max()), 1e-300)
         for i, r in enumerate(radii):
             u_actual = float(u_t[i])

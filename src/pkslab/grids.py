@@ -30,10 +30,10 @@ SPHERE_AREA = {
 
 def gauss_law_gradient(nodes, enclosed, dim):
     """The Gauss law V'(r) = -m(r) / (area(n) r^{n-1}) from the enclosed mass
-    m at each node; V'(0) = 0 by symmetry, and attraction means V' <= 0."""
+    m at each node; V'(0) = 0 by symmetry, and attraction means V' <= 0.
+    ``enclosed`` may stack several profiles along leading axes."""
     vprime = np.zeros_like(enclosed)
-    mask = nodes > 0
-    vprime[mask] = -enclosed[mask] / (SPHERE_AREA[dim] * nodes[mask] ** (dim - 1))
+    np.divide(-enclosed, SPHERE_AREA[dim] * nodes ** (dim - 1), out=vprime, where=nodes > 0)
     return vprime
 
 
@@ -109,13 +109,17 @@ def cumulative_integral(nodes, values, order=2):
     order=2 accumulates trapezoid segments (and then matches the global
     trapezoid weights identically); order=4 integrates the cubic-spline
     interpolant, which is 4th-order accurate and keeps derived quantities
-    smooth enough to re-differentiate.
+    smooth enough to re-differentiate.  At order=2 the integral runs along
+    the last axis of ``values``; leading axes stack profiles, and a running
+    sum adds in the same order per profile, so each equals its own 1D
+    integral.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if order == 2:
         out = np.zeros_like(values)
-        out[1:] = np.cumsum(0.5 * (nodes[1:] - nodes[:-1]) * (values[1:] + values[:-1]))
+        out[..., 1:] = np.cumsum(
+            0.5 * (nodes[1:] - nodes[:-1]) * (values[..., 1:] + values[..., :-1]), axis=-1)
         return out
     if order == 4:
         from scipy.interpolate import CubicSpline
@@ -132,7 +136,9 @@ def cumulative_shell_mass(nodes, values, dim, order=2):
     The default order=2 uses cumulative trapezoid sums built from the same
     spacing as :func:`radial_measure_weights`, so the final entry matches the
     total mass at quadrature level exactly (Gauss-law consistency); order=4
-    trades that exact tie for 4th-order pointwise accuracy.
+    trades that exact tie for 4th-order pointwise accuracy.  Like
+    :func:`cumulative_integral` at order=2, it integrates along the last
+    axis.
     """
     nodes = np.asarray(nodes, dtype=float)
     g = SPHERE_AREA[dim] * nodes ** (dim - 1) * np.asarray(values, dtype=float)

@@ -10,13 +10,15 @@ Ferrando (J. Comput. Phys. 323, 2016), which is accurate to quadrature
 precision for smooth compactly supported densities (a plain sampled-kernel
 convolution is only second order and cannot reach the agreement targets of
 the radial oracle).  Its closed-form transform, a function of |k| alone, is
-sampled once per grid on one quadrant of an FFT grid oversampled past
-2 sqrt(2) n, mirrored onto the other three and brought to real space.  Every
-solve then convolves with that kernel on the 2n x 2n grid by real FFTs, one
-axis at a time so that only rows some output reads are transformed: the
-forward r2c pass runs on the n rows of the density, not on the n zero rows
-of its padding, and each output's c2r pass runs on the n rows kept by the
-crop.  The results equal rfft2 and irfft2 on the full 2n grid bit for bit.
+sampled on one quadrant of an FFT grid oversampled past 2 sqrt(2) n,
+mirrored onto the other three and brought to real space once per grid for
+the gradient and, only if some caller asks for it, once for the potential.
+Every solve then convolves with that kernel on the 2n x 2n grid by real
+FFTs, one axis at a time so that only rows some output reads are
+transformed: the forward r2c pass runs on the n rows of the density, not
+on the n zero rows of its padding, and each output's c2r pass runs on the
+n rows kept by the crop.  The results equal rfft2 and irfft2 on the full
+2n grid bit for bit.
 """
 
 import math
@@ -81,8 +83,9 @@ def radial_potential(u, gauge="canonical", order=2):
 _KERNEL_CACHE = {}
 
 
-def _green_hat_2d(extent, size):
-    """Half spectra of the potential and gradient kernels on the 2n grid.
+def _green_hat_2d(extent, size, mode):
+    """Half spectra of the potential kernel (``mode="potential"``) or of the
+    two gradient kernels (``mode="gradient"``) on the 2n grid.
 
     The kernel E_2 restricted to |x| <= L_K with L_K = sqrt(2) * box width has
     the closed-form transform (1 - J0(k L_K))/k^2 - L_K log(L_K) J1(k L_K)/k;
@@ -90,14 +93,15 @@ def _green_hat_2d(extent, size):
     within any source-target distance.  The transform depends on |k| alone,
     and the grid's negative frequencies are the exact negatives of its
     positive ones, so it is evaluated on the quadrant of non-negative
-    frequencies and mirrored onto the other three.  That transform, and i kx
-    and i ky times it, are brought to real space once per (extent, size).  A
+    frequencies and mirrored onto the other three.  That transform, or i kx
+    and i ky times it, is brought to real space once per (extent, size,
+    mode), so a run that never asks for the potential never builds it.  A
     source-target offset is at most n - 1 cells per axis, so only the kernel
     offsets |m| <= n - 1 are ever read: copied into a 2n x 2n array, they
     give the same discrete convolution as a circular one on the 2n grid.
-    The cache holds the ``rfft2`` of the three kernels, in that order.
+    The cache holds the tuple of the kernels' ``rfft2``.
     """
-    key = (extent, size)
+    key = (extent, size, mode)
     hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
@@ -114,13 +118,17 @@ def _green_hat_2d(extent, size):
     i = np.arange(padded)
     fold = np.minimum(i, padded - i)  # index of |k| in the quadrant
     ghat = quad[np.ix_(fold, fold)]
-    kx, ky = k1d[:, None], k1d[None, :]
+    if mode == "potential":
+        wanted = (ghat,)
+    else:
+        kx, ky = k1d[:, None], k1d[None, :]
+        wanted = (1j * kx * ghat, 1j * ky * ghat)
     near = np.r_[0:size, -size + 1:0]  # offsets 0..n-1, then -(n-1)..-1
     at = np.r_[0:size, size + 1:2 * size]  # where they sit on the 2n grid
     spectra = []
     # real part: on an even padded grid the unpaired Nyquist samples of i k ghat
     # give the kernel an imaginary part, which only feeds an imaginary output
-    for spectrum in (ghat, 1j * kx * ghat, 1j * ky * ghat):
+    for spectrum in wanted:
         kernel = np.zeros((2 * size, 2 * size))
         kernel[np.ix_(at, at)] = ifft2(spectrum).real[np.ix_(near, near)]
         spectra.append(rfft2(kernel))
@@ -155,7 +163,7 @@ def _free_space_solve(u, mode, check_domain=True):
     if check_domain:
         check_boundary_decay(u)
     n = u.size
-    potential_hat, gx_hat, gy_hat = _green_hat_2d(u.extent, n)
+    kernels = _green_hat_2d(u.extent, n, mode)
     # irfft2 applies its 1/(2n)^2 as one multiply after the c2r pass; n is a
     # power of two, so that factor is exact and the result the same bits
     spec = fft(rfft(u.values, n=2 * n, axis=1), n=2 * n, axis=0)
@@ -166,8 +174,8 @@ def _free_space_solve(u, mode, check_domain=True):
         return irfft(rows, n=2 * n, axis=1, norm="forward")[:, :n] * scale
 
     if mode == "potential":
-        return convolve(potential_hat)
-    return np.stack([convolve(kernel) for kernel in (gx_hat, gy_hat)])
+        return convolve(kernels[0])
+    return np.stack([convolve(kernel) for kernel in kernels])
 
 
 def cartesian_potential_2d(u):

@@ -83,7 +83,7 @@ def scaled_sphere_average_cos(dim, z):
     if dim == 2:
         return i1e(z)
     nu = dim / 2.0 - 1.0
-    out = z / dim
+    out = np.asarray(z / dim)  # an array for the masked write, also for a 0-d z
     big = z > 1e-12
     zb = z[big]
     out[big] = gamma_fn(dim / 2.0) * (2.0 / zb) ** nu * ive(nu + 1.0, zb)
@@ -106,22 +106,32 @@ def scaled_sphere_average_cos(dim, z):
 BAND_EXPONENT = 60.0
 
 
-def radial_kernel(dim, a, r, s):
+def kernel_peak(dim, a):
+    """(4 pi a)^{-n/2}, the peak of the heat kernel of width a.  Taken per
+    scalar width: numpy's array power need not round like the scalar one."""
+    return (4.0 * math.pi * a) ** (-dim / 2.0)
+
+
+def radial_kernel(dim, a, r, s, peak=None):
     """Gaussian factor and Bessel argument of the radial heat kernel.
 
     The angular average of (4 pi a)^{-n/2} exp(-|x - y|^2 / (4a)) over
     |x| = r, |y| = s is ``gauss * scaled_sphere_average(n, z)``, with
     gauss = (4 pi a)^{-n/2} exp(-(r - s)^2 / (4a)) and z = r s / (2a); its
     cosine-weighted average uses :func:`scaled_sphere_average_cos` instead.
-    Returns ``(gauss, z)``; r and s broadcast.
+    Returns ``(gauss, z)``; a, r and s broadcast.  An array of widths comes
+    with ``peak``, the :func:`kernel_peak` of each.
     """
-    pref = (4.0 * math.pi * a) ** (-dim / 2.0)
-    return pref * np.exp(-((r - s) ** 2) / (4.0 * a)), r * s / (2.0 * a)
+    if peak is None:
+        peak = kernel_peak(dim, a)
+    return peak * np.exp(-((r - s) ** 2) / (4.0 * a)), r * s / (2.0 * a)
 
 
 def _band_edges(points, centers, a):
-    """Index range [lo, hi) of the increasing ``points`` in each center's band."""
-    h = math.sqrt(4.0 * a * BAND_EXPONENT)
+    """Index ranges [lo, hi) of the increasing ``points`` in the bands of
+    half-width sqrt(4 a BAND_EXPONENT) around ``centers``; a and the centers
+    broadcast."""
+    h = np.sqrt(4.0 * a * BAND_EXPONENT)
     return (np.searchsorted(points, centers - h, side="left"),
             np.searchsorted(points, centers + h, side="right"))
 
@@ -136,6 +146,24 @@ def kernel_row(nodes, dim, r, a):
     band = slice(int(lo), int(hi))
     gauss, z = radial_kernel(dim, a, r, nodes[band])
     return band, gauss, z
+
+
+def kernel_rows(nodes, dim, r, widths):
+    """:func:`kernel_row` for several widths at one radius, in one pass.
+
+    Returns ``(cols, bounds, gauss, z)``: the row of ``widths[k]`` is entries
+    ``bounds[k]:bounds[k + 1]`` of ``gauss`` and ``z``, at the nodes
+    ``nodes[cols]`` of its band.  Every entry equals kernel_row's bit for bit.
+    """
+    widths = np.asarray(widths, dtype=float)
+    lo, hi = _band_edges(nodes, r, widths)
+    counts = hi - lo
+    bounds = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    cols = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - lo, counts)
+    peak = np.repeat([kernel_peak(dim, a) for a in widths], counts)
+    gauss, z = radial_kernel(dim, np.repeat(widths, counts), r, nodes[cols], peak)
+    return cols, bounds, gauss, z
 
 
 _DENSE_BLOCK_ENTRIES = 1 << 14

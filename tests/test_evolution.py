@@ -467,6 +467,142 @@ def test_duhamel_reads_the_spline_values_at_nodes(request, run, zero_nonlinear):
             == _duhamel_residual_by_spline(traj, zero_nonlinear=zero_nonlinear))
 
 
+# The residual as it was computed before it evaluated the q nodes in blocks:
+# one field_at, one radial_gradient and one kernel_row with its own Bessel
+# calls per (q node, sample radius).  The blocked residual must equal it.
+def _duhamel_residual_by_rows(trajectory, zero_nonlinear=False):
+    """Max relative mismatch of the mild-solution identity at sampled (r, t).
+
+    The identity writes u(x, t) as heat flow from the first record plus the
+    time-integrated nonlinear correction; the correction's spatial integral
+    reduces, for radial data, to Bessel-weighted quadrature.  The time
+    integral is regularised by the substitution q = sqrt(t - s); the field
+    and its velocity at each q node serve every sample radius.
+    ``zero_nonlinear`` drops the correction (negative control); trajectories
+    integrated with the nonlinearity switched off are checked against the
+    plain heat identity, whose correction is identically zero.
+
+    The sample radii are the nodes at 0, 15% and 35% of the grid's index
+    range, and u is read there as the field's value at the node.  On a grid
+    that starts at r = 0 the first sample is the origin; on one that starts at
+    ``nodes[0] > 0`` it is ``nodes[0]``, and the heat row and the correction
+    are evaluated there.
+    """
+    if trajectory.kind != "physical":
+        raise InvalidParameter("the mild-solution identity applies to physical runs")
+    if len(trajectory.records) < 64:
+        raise InsufficientSampling("need at least 64 records for the time quadrature")
+    rec0 = trajectory.records[0]
+    if not isinstance(rec0.field, RadialField):
+        raise InvalidParameter("duhamel_residual is implemented for radial runs")
+    nodes = rec0.field.nodes
+    dim = rec0.field.dim
+    t0 = rec0.time
+    times = trajectory.times()
+    idx = [0, int(0.15 * nodes.size), int(0.35 * nodes.size)]
+    radii = nodes[idx]
+    nonlinear = not zero_nonlinear and trajectory.config.nonlinearity
+    w = radial_measure_weights(nodes, dim)
+    mismatches = []
+    for t in times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]:
+        field_t = trajectory.field_at(t)
+        u_t = (rec0.field if t == t0 else field_t).values[idx]
+        if nonlinear:
+            q_max = math.sqrt(t - t0)
+            qs = np.linspace(1e-3 * q_max, q_max, 192)
+            vals = np.empty((len(radii), qs.size))
+            for k, q in enumerate(qs):
+                s = max(t - q * q, t0)  # guard the rounding at q = q_max
+                fld = trajectory.field_at(s)
+                flux = w * fld.values * radial_gradient(fld)
+                for i, r in enumerate(radii):
+                    band, gauss, z = kernel_row(nodes, dim, r, t - s)
+                    lam0 = scaled_sphere_average(dim, z)
+                    lam1 = scaled_sphere_average_cos(dim, z)
+                    inner = float(np.sum(
+                        flux[band] * gauss * (nodes[band] * lam0 - r * lam1)
+                    ))
+                    # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
+                    vals[i, k] = -0.5 * inner * 2.0 / q
+        scale = max(float(np.abs(field_t.values).max()), 1e-300)
+        for i, r in enumerate(radii):
+            u_actual = float(u_t[i])
+            # quadrature rows of the heat kernel (raw, not renormalised), on its band
+            band, gauss, z = kernel_row(nodes, dim, r, t - t0)
+            heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
+                         @ rec0.field.values[band])
+            correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0
+            mismatches.append(abs(heat + correction - u_actual) / scale)
+    return float(np.max(mismatches))
+
+
+@pytest.fixture(scope="module")
+def physical_run_3d():
+    u0 = gaussian_radial(3, 2.0, radial_grid(384, 40.0))
+    return ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=3.0, records_per_decade=160))
+
+
+@pytest.fixture(scope="module")
+def offset_grid_run_2d():
+    # nodes[0] > 0: no sample radius is the origin
+    u0 = gaussian_radial(2, 4.0 * math.pi, np.linspace(0.05, 60.0, 400))
+    return ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=3.0, records_per_decade=160))
+
+
+@pytest.mark.parametrize("run", ["reference_run_2d", "pure_heat_run_2d", "physical_run_3d",
+                                 "offset_grid_run_2d"])
+@pytest.mark.parametrize("zero_nonlinear", [False, True])
+def test_blocked_duhamel_equals_row_by_row(request, run, zero_nonlinear):
+    traj = request.getfixturevalue(run)
+    assert len(traj.records) >= 64
+    assert (ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
+            == _duhamel_residual_by_rows(traj, zero_nonlinear=zero_nonlinear))
+
+
+def _field_values_by_record(trajectory, t):
+    """Trajectory.field_at's values as computed before the stacked helper."""
+    times = trajectory.times()
+    idx = int(np.searchsorted(times, t))
+    if idx == 0 or times[idx - 1] == t:
+        idx = max(idx, 1)
+    lo, hi = trajectory.records[idx - 1], trajectory.records[min(idx, len(trajectory.records) - 1)]
+    if hi.time == lo.time:
+        return lo.field.values
+    if trajectory.kind == "physical" and lo.time > 0:
+        w = (math.log(t) - math.log(lo.time)) / (math.log(hi.time) - math.log(lo.time))
+    else:
+        w = (t - lo.time) / (hi.time - lo.time)
+    return (1.0 - w) * lo.field.values + w * hi.field.values
+
+
+@pytest.fixture(scope="module")
+def similarity_run_2d():
+    U0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(256, 20.0), t0=1.0)
+    return ev.evolve_similarity(U0, ev.SolverConfig(t_init=0.0, t_end=1.0,
+                                                    records_per_decade=16))
+
+
+@pytest.mark.parametrize("run", ["reference_run_2d", "similarity_run_2d"])
+def test_values_at_equals_field_at_bit_for_bit(request, run):
+    traj = request.getfixturevalue(run)
+    times = traj.times()
+    # both ends, every record time, and points between records
+    ts = np.concatenate([times, 0.5 * (times[:-1] + times[1:]),
+                         times[:-1] + 1e-3 * np.diff(times)])
+    stacked = traj.values_at(ts)
+    assert stacked.shape == (ts.size, traj.records[0].field.nodes.size)
+    for t, row in zip(ts, stacked):
+        assert np.array_equal(row, traj.field_at(t).values)
+        assert np.array_equal(row, _field_values_by_record(traj, t))
+    with pytest.raises(OutOfRange):
+        traj.values_at([times[0], times[-1] + 1.0])
+    # a record repeated at its time, and a lone record, give its own values
+    first = traj.records[0]
+    for records in ([first] + traj.records, [first]):
+        single = dataclasses.replace(traj, records=records)
+        assert np.array_equal(single.values_at([first.time])[0], first.field.values)
+
+
 def test_export_trajectory(tmp_path, phi_run_2d):
     csv_path = tmp_path / "traj.csv"
     manifest_path = tmp_path / "manifest.json"

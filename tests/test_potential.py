@@ -10,7 +10,8 @@ from scipy.special import j0, j1, roots_legendre
 from pkslab import fields, potential
 from pkslab.errors import DomainTooSmall
 from pkslab.fields import RadialField, total_mass
-from pkslab.grids import radial_interpolator
+from pkslab.grids import (SPHERE_AREA, cumulative_shell_mass, gauss_law_gradient,
+                          radial_grid, radial_interpolator)
 
 from conftest import gaussian_radial
 
@@ -78,6 +79,25 @@ def test_gauss_law_discrete_identity(default_nodes):
     )
     np.testing.assert_allclose(lhs[1:], m_indep[1:], rtol=1e-13)
     assert m_indep[-1] == pytest.approx(total_mass(u), rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stacked_gauss_law_equals_radial_gradient_per_row(dim):
+    # duhamel_residual forms the gradient of a block of profiles at once
+    nodes = radial_grid(300, 30.0)
+    rows = np.stack([np.exp(-((nodes - c) ** 2) / w) for c, w in
+                     [(0.0, 4.0), (3.0, 1.0), (10.0, 9.0), (0.5, 0.01)]])
+    stacked = gauss_law_gradient(nodes, cumulative_shell_mass(nodes, rows, dim), dim)
+    inner = nodes > 0
+    assert not inner[0]
+    for row, got in zip(rows, stacked):
+        assert np.array_equal(
+            got, potential.radial_gradient(RadialField(dim=dim, nodes=nodes, values=row)))
+        # the Gauss law written out on the nodes r > 0, V'(0) = 0
+        m = cumulative_shell_mass(nodes, row, dim)
+        want = np.zeros_like(m)
+        want[inner] = -m[inner] / (SPHERE_AREA[dim] * nodes[inner] ** (dim - 1))
+        assert np.array_equal(got, want)
 
 
 def test_far_field_gradient(default_nodes):
@@ -181,15 +201,19 @@ def test_free_space_solve_matches_oversampled_complex_oracle(source, extent, siz
     assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
-def test_free_space_kernel_built_once_per_grid():
+def test_free_space_kernel_built_once_per_grid(monkeypatch):
+    # the gradient spectra are built by the first gradient solve, the
+    # potential spectrum only by the first potential solve
+    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
     u = _bumps(7.5, 32)
     first = potential.cartesian_gradient_2d(u)
-    entries = len(potential._KERNEL_CACHE)
-    cached = potential._KERNEL_CACHE[(7.5, 32)]
+    assert list(potential._KERNEL_CACHE) == [(7.5, 32, "gradient")]
+    cached = potential._KERNEL_CACHE[(7.5, 32, "gradient")]
     second = potential.cartesian_gradient_2d(u.with_values(2.0 * u.values))
     potential.cartesian_potential_2d(u)
-    assert len(potential._KERNEL_CACHE) == entries
-    assert potential._KERNEL_CACHE[(7.5, 32)] is cached
+    potential.cartesian_potential_2d(u)
+    assert list(potential._KERNEL_CACHE) == [(7.5, 32, "gradient"), (7.5, 32, "potential")]
+    assert potential._KERNEL_CACHE[(7.5, 32, "gradient")] is cached
     np.testing.assert_allclose(second, 2.0 * first, rtol=0, atol=1e-15 * np.abs(first).max())
 
 
@@ -231,11 +255,14 @@ def test_pruned_free_space_solve_is_bit_identical(monkeypatch, extent, size):
     # size 64 pads to an odd grid (189), 256 to an even one (726)
     monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
     u = _bumps(extent, size)
-    spectra = potential._green_hat_2d(extent, size)
-    # the layout perfbench's fft_points reads: three (2n, n + 1) half spectra
-    assert potential._KERNEL_CACHE[(extent, size)] is spectra
-    assert len(spectra) == 3
-    for got, want in zip(spectra, _full_grid_green_hat_2d(extent, size)):
+    gradient = potential._green_hat_2d(extent, size, "gradient")
+    potential_hat = potential._green_hat_2d(extent, size, "potential")
+    # the layout perfbench's fft_points reads: tuples of (2n, n + 1) half spectra
+    assert potential._KERNEL_CACHE[(extent, size, "gradient")] is gradient
+    assert potential._KERNEL_CACHE[(extent, size, "potential")] is potential_hat
+    assert len(gradient) == 2 and len(potential_hat) == 1
+    spectra = potential_hat + gradient
+    for got, want in zip(spectra, _full_grid_green_hat_2d(extent, size), strict=True):
         assert got.shape == (2 * size, size + 1) and np.iscomplexobj(got)
         assert np.array_equal(got, want)
     v_ref, g_ref = _full_grid_solve(u, spectra)

@@ -359,6 +359,30 @@ def test_banded_duhamel_row_matches_full_row(a):
     assert abs(banded - full.sum()) <= 1e-14 * np.abs(full).sum()
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_sphere_averages_at_zero_are_exact(dim):
+    # duhamel_residual skips both averages at r = 0, where every z is 0
+    assert sg.scaled_sphere_average(dim, 0.0) == 1.0
+    assert sg.scaled_sphere_average_cos(dim, 0.0) == 0.0
+    z = np.zeros(5)
+    assert np.array_equal(sg.scaled_sphere_average(dim, z), np.ones(5))
+    assert np.array_equal(sg.scaled_sphere_average_cos(dim, z), np.zeros(5))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_kernel_rows_equal_kernel_row(dim):
+    nodes = radial_grid(512, 80.0)
+    widths = np.array([1e-6, 1e-3, 0.37, 2.0, 7.0, 50.0])
+    for r in (0.0, nodes[77], nodes[300]):
+        cols, bounds, gauss, z = sg.kernel_rows(nodes, dim, r, widths)
+        for k, a in enumerate(widths):
+            band, g_row, z_row = sg.kernel_row(nodes, dim, r, a)
+            entries = slice(bounds[k], bounds[k + 1])
+            assert np.array_equal(cols[entries], np.arange(nodes.size)[band])
+            assert np.array_equal(gauss[entries], g_row)
+            assert np.array_equal(z[entries], z_row)
+
+
 def test_sphere_average_cos_fast_path_matches_bessel():
     z = np.concatenate([[0.0, 1e-13], np.geomspace(1e-6, 1e4, 200)])
     # Gamma(1) (2/z)^0 I_1(z) e^{-z}, through the generic-order Bessel function
