@@ -24,7 +24,7 @@ for mult in (0.5, 1.0, 4.0, 6.0):
 mass = 4.0 * math.pi
 gm = profiles.self_similar_profile_2d(mass, grid=grid).field
 g0 = profiles.gaussian_profile(2, mass, grid)
-cfg = SolverConfig(t_init=0.0, t_end=6.0, reference="profile")
+cfg = SolverConfig(t_init=0.0, t_end=6.0)
 traj = evolve_similarity(g0, cfg, reference_field=gm)
 
 print("\nrelaxation of the mass-4pi Gaussian onto G_M:")

@@ -192,7 +192,7 @@ def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
                              ("clamp_tolerance", clamp_tolerance, stepper.clamp_tolerance)):
         if given is not None and given != used:
             raise ScenarioConfigError(f"[solver] {key} = {given}, but this grid runs {used}")
-    if reference and evolution.REFERENCES.get(reference) != "physical":
+    if reference not in ("", "m_gamma_t"):
         raise ScenarioConfigError(f"[solver] reference {reference!r} is not for physical runs")
     span = {}
     if record_window is not None:
@@ -392,7 +392,7 @@ def _check_profile_residual(ctx, masses: list[float], tolerance: float = 1e-6):
 def _check_profile_stationarity(ctx, mass: float, tolerance: float = 1e-3,
                                 tau_end: float = 5.0):
     gm = ctx.gm(mass, (1536, 30.0)).field
-    cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
+    cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end)
     traj = evolution.evolve_similarity(gm, cfg, reference_field=gm)
     drift = float(np.nanmax(traj.l1_errors()))
     return _result("profile_stationarity", drift <= tolerance, drift, 0.0, tolerance,
@@ -403,7 +403,7 @@ def _check_profile_relaxation(ctx, mass: float, tau_end: float = 6.0,
                               final_fraction: float = 0.05):
     gm = ctx.gm(mass, (1536, 30.0)).field
     g0 = profiles.gaussian_profile(2, mass, grid=gm.nodes)
-    cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end, reference="profile")
+    cfg = evolution.SolverConfig(t_init=0.0, t_end=tau_end)
     traj = evolution.evolve_similarity(g0, cfg, reference_field=gm)
     errs = traj.l1_errors()
     ok = bool(np.all(np.diff(errs) < 1e-12)) and errs[-1] <= final_fraction * mass
@@ -421,12 +421,8 @@ def _check_c2_agreement(ctx, tolerance: float = 1e-3):
 
 
 def _check_c1_mc_agreement(ctx, tolerance: float = 5e-3, samples: int = 10_000_000):
-    ws = ctx.wstar()
-    quad = asymptotics.constant_c1(1.0, ws)
-    mc = asymptotics.constant_c1_monte_carlo(
-        1.0, [1.0, 0.0, 0.0], ws, samples=samples, seed=ctx.scenario.seed
-    )
-    rel = abs(mc - quad) / abs(quad)
+    report = export_constants(3, 1.0, [1.0], samples=samples, seed=ctx.scenario.seed)
+    rel = report["rel_disagreement"]["c1"]
     return _result("c1_mc_agreement", rel <= tolerance, rel, 0.0, tolerance,
                    {"samples": samples})
 

@@ -14,7 +14,7 @@ from .fields import RadialField, moments, quadrature_weights, total_mass
 from .grids import radial_measure_weights
 from .potential import cartesian_potential_2d, radial_gradient, radial_potential
 from .profiles import EIGHT_PI
-from .semigroup import (gaussian_values, kernel_row, nonlinearity_weight,
+from .semigroup import (gaussian_values, kernel_rows, nonlinearity_weight,
                         scaled_sphere_average)
 
 # Floor inside logarithms; w log w -> 0 as w -> 0 so the clipped cells are
@@ -129,9 +129,9 @@ def phi_density(trajectory, z1, rho):
     # the heat kernel of width rho^2 at radius |y0|, times rho^2
     d = float(np.linalg.norm(np.atleast_1d(np.asarray(y0, dtype=float))))
     w = radial_measure_weights(field.nodes, n)
-    band, gauss, z = kernel_row(field.nodes, n, d, rho * rho)
+    cols, _, gauss, z = kernel_rows(field.nodes, n, d, [rho * rho])
     kern = gauss * scaled_sphere_average(n, z)
-    return rho * rho * float(np.sum(w[band] * field.values[band] * kern))
+    return rho * rho * float(np.sum(w[cols] * field.values[cols] * kern))
 
 
 def phi_scan(trajectory, z1, rho_grid):

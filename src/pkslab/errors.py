@@ -33,12 +33,9 @@ class OutOfRange(PKSError):
     """A requested time or coordinate lies outside the recorded range."""
 
 
-class StepRejected(PKSError):
-    """A single step violated its stability constraint; retry with smaller dt."""
-
-
 class StiffnessFailure(PKSError):
-    """Adaptive stepping exhausted its dt budget without making progress."""
+    """A run cannot go on: it exhausted its step budget, or a step left
+    negative samples beyond the clamp tolerance."""
 
 
 class SupercriticalMass(PKSError):

@@ -19,8 +19,8 @@ profiles, where the limiter would cost accuracy at the peak, and use central
 fluxes.  Both clamp at 1e-12.  2D Cartesian runs use dealiased pseudo-spectral
 fluxes and clamp at 3e-8, which admits their ringing below zero in the nearly
 empty far field.  The clamp zeroes negative samples no deeper than the
-tolerance times the run's peak, restoring the mass, and rejects the step
-otherwise.
+tolerance times the run's peak, restoring the mass, and otherwise ends the
+run with :class:`StiffnessFailure`.
 
 Both geometries share one stepper contract: ``advection_rhs(values, weight)``
 returns the flux divergence and ``cfl_limit(values)`` the unweighted advective
@@ -61,7 +61,6 @@ from .errors import (
     InvalidParameter,
     OutOfRange,
     PKSError,
-    StepRejected,
     StiffnessFailure,
 )
 from . import diagnostics as _diagnostics
@@ -72,7 +71,6 @@ from .grids import (SPHERE_AREA, cumulative_shell_mass, gauss_law_gradient,
 from .potential import cartesian_gradient_2d, check_boundary_decay
 from .semigroup import (
     _radial_propagator,
-    kernel_row,
     kernel_rows,
     kernel_width_shrink,
     line_propagator,
@@ -84,9 +82,6 @@ from .semigroup import (
 CFL_SAFETY = 0.45  # fraction of the advective CFL bound a step may take
 MAX_STEPS = 5_000_000
 
-# the run kind each SolverConfig.reference can be computed for
-REFERENCES = {"m_gamma_t": "physical", "profile": "similarity"}
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -94,10 +89,10 @@ class SolverConfig:
 
     The advection scheme and the clamp tolerance are not settings: the
     geometry and the kind of run fix them (see the module docstring), and
-    the :class:`Trajectory` records the pair used.  ``reference`` names the
-    field each record's ``l1_dist_to_profile`` is measured against:
-    ``m_gamma_t`` (the mass-M heat kernel) in physical runs, ``profile`` (the
-    ``reference_field`` passed in) in similarity runs.
+    the :class:`Trajectory` records the pair used.  ``reference =
+    "m_gamma_t"`` measures each record's ``l1_dist_to_profile`` against the
+    mass-M heat kernel; only physical runs can compute it.  A similarity run
+    measures against the ``reference_field`` it is given, if any.
     """
 
     t_end: float = 10.0
@@ -107,7 +102,7 @@ class SolverConfig:
     record_times: tuple = ()  # explicit schedule overriding the log spacing
     blowup_factor: float = 1e6
     dt_min: float = 1e-12
-    reference: str = ""  # "", "m_gamma_t" or "profile"
+    reference: str = ""  # "" or "m_gamma_t"
 
 
 @dataclass(frozen=True)
@@ -404,13 +399,14 @@ def _make_stepper(field, kind):
 def _clamp(values, tolerance, sup_reference, weights):
     """Zero negative samples no deeper than ``tolerance`` times the peak, then
     rescale to restore the discrete mass sum(weights * values);
-    ``weights=None`` means uniform cells."""
+    ``weights=None`` means uniform cells.  A deeper undershoot raises
+    :class:`StiffnessFailure`: no smaller step is tried."""
     low = values.min()
     if low >= 0.0:
         return values
     tol = tolerance * max(sup_reference, values.max(), 1e-300)
     if low < -tol:
-        raise StepRejected(
+        raise StiffnessFailure(
             f"negative samples ({low:.3e}) beyond the clamp tolerance {tol:.3e}"
         )
     clipped = np.maximum(values, 0.0)
@@ -454,12 +450,10 @@ def _record_schedule(config, kind):
     return np.linspace(config.t_init, config.t_end, count)
 
 
-def _check_reference(config, kind, reference_field):
+def _check_reference(config, kind):
     ref = config.reference
-    if ref and REFERENCES.get(ref) != kind:
+    if ref and (ref != "m_gamma_t" or kind != "physical"):
         raise InvalidParameter(f"reference {ref!r} cannot be computed in a {kind} run")
-    if ref == "profile" and reference_field is None:
-        raise InvalidParameter("reference 'profile' needs a reference_field")
 
 
 def _reference_values(config, field, t, mass, reference_field):
@@ -467,7 +461,7 @@ def _reference_values(config, field, t, mass, reference_field):
         if isinstance(field, RadialField):
             return gaussian_radial(field.dim, mass, field.nodes, t).values
         return gaussian_cartesian(mass, extent=field.extent, size=field.size, t0=t).values
-    if config.reference == "profile":
+    if reference_field is not None:
         return reference_field.values
     return None
 
@@ -493,7 +487,7 @@ def _make_record(field, t, config, reference_field, initial_mass):
 
 
 def _drive(u0, config, kind, reference_field=None):
-    _check_reference(config, kind, reference_field)
+    _check_reference(config, kind)
     stepper = _make_stepper(u0, kind)
     traj = Trajectory(dim=u0.dim, kind=kind, config=config,
                       scheme=stepper.scheme,
@@ -529,10 +523,7 @@ def _drive(u0, config, kind, reference_field=None):
                 if dt < config.dt_min:
                     traj.termination, traj.blowup_time = "dt_collapse", t
                     return traj
-            try:
-                values = _strang_step(stepper, values, dt, weight, config, sup0)
-            except StepRejected as exc:
-                raise StiffnessFailure(str(exc)) from exc
+            values = _strang_step(stepper, values, dt, weight, config, sup0)
             t += dt
             left -= 1
             steps += 1
@@ -634,9 +625,9 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
         for i, r in enumerate(radii):
             u_actual = float(u_t[i])
             # quadrature rows of the heat kernel (raw, not renormalised), on its band
-            band, gauss, z = kernel_row(nodes, dim, r, t - t0)
-            heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
-                         @ rec0.field.values[band])
+            cols, _, gauss, z = kernel_rows(nodes, dim, r, [t - t0])
+            heat = float((gauss * scaled_sphere_average(dim, z) * w[cols])
+                         @ rec0.field.values[cols])
             correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0
             mismatches.append(abs(heat + correction - u_actual) / scale)
     return float(np.max(mismatches))

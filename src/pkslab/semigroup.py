@@ -77,17 +77,14 @@ def scaled_sphere_average_cos(dim, z):
     """exp(-z) times the sphere average of cos(angle) exp(z cos angle).
 
     This is the derivative of :func:`scaled_sphere_average`'s unscaled form,
-    Gamma(n/2) (2/z)^{n/2-1} I_{n/2}(z) exp(-z); tends to z/n as z -> 0.
+    Gamma(n/2) (2/z)^{n/2-1} I_{n/2}(z) exp(-z) = (z/n) times the plain
+    average in dimension n + 2; tends to z/n as z -> 0.
     """
     z = np.asarray(z, dtype=float)
     if dim == 2:
         return i1e(z)
-    nu = dim / 2.0 - 1.0
-    out = np.asarray(z / dim)  # an array for the masked write, also for a 0-d z
-    big = z > 1e-12
-    zb = z[big]
-    out[big] = gamma_fn(dim / 2.0) * (2.0 / zb) ** nu * ive(nu + 1.0, zb)
-    return out
+    # Gamma(n/2 + 1) = (n/2) Gamma(n/2)
+    return z / dim * scaled_sphere_average(dim + 2, z)
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +133,13 @@ def _band_edges(points, centers, a):
             np.searchsorted(points, centers + h, side="right"))
 
 
-def kernel_row(nodes, dim, r, a):
-    """The radial kernel of width a at radius r, on the nodes of its band.
-
-    Returns ``(band, gauss, z)``: the slice of ``nodes`` within
-    sqrt(4 a BAND_EXPONENT) of r, and :func:`radial_kernel`'s factors there.
-    """
-    lo, hi = _band_edges(nodes, r, a)
-    band = slice(int(lo), int(hi))
-    gauss, z = radial_kernel(dim, a, r, nodes[band])
-    return band, gauss, z
-
-
 def kernel_rows(nodes, dim, r, widths):
-    """:func:`kernel_row` for several widths at one radius, in one pass.
+    """The radial kernel at radius r for each of several widths, on the nodes
+    of its band, in one pass.
 
     Returns ``(cols, bounds, gauss, z)``: the row of ``widths[k]`` is entries
-    ``bounds[k]:bounds[k + 1]`` of ``gauss`` and ``z``, at the nodes
-    ``nodes[cols]`` of its band.  Every entry equals kernel_row's bit for bit.
+    ``bounds[k]:bounds[k + 1]`` of :func:`radial_kernel`'s ``gauss`` and ``z``,
+    at the nodes ``nodes[cols]`` within sqrt(4 widths[k] BAND_EXPONENT) of r.
     """
     widths = np.asarray(widths, dtype=float)
     lo, hi = _band_edges(nodes, r, widths)
@@ -167,6 +153,16 @@ def kernel_rows(nodes, dim, r, widths):
 
 
 _DENSE_BLOCK_ENTRIES = 1 << 14
+
+
+def _normalise_columns(kern, w):
+    """Scale the columns of the dense kernel ``kern`` in place so that
+    w @ kern = w (mass-exact); a column whose integral is not positive is
+    scaled by w alone.  Returns ``kern``."""
+    col = kern.T @ w  # integral of the kernel over the output variable
+    col = np.where(col <= 0.0, 1.0, col)
+    kern *= w[None, :] / col[None, :]
+    return kern
 
 
 class _BandMatrix(csr_array):
@@ -200,17 +196,15 @@ def _build_propagator(nodes, dim, a, shrink):
     w = radial_measure_weights(nodes, dim)
     if 2 * nnz > size * size:
         # a block of rows at a time: whole-matrix temporaries go back to the
-        # OS after each single-use build (W_star makes hundreds) and would
-        # be page-faulted in again by the next one
+        # OS after each single-use build (w_star_quadrature makes 343 dense
+        # builds at N = 768) and would be page-faulted in again by the next
+        # one; at N = 4096 the blocks also bound the temporaries
         kern = np.empty((size, size))
         step = max(1, _DENSE_BLOCK_ENTRIES // size)
         for i in range(0, size, step):
             gauss, z = radial_kernel(dim, a, nodes[i:i + step, None], s[None, :])
             kern[i:i + step] = gauss * scaled_sphere_average(dim, z)
-        col = kern.T @ w  # integral of the kernel over the output variable
-        col = np.where(col <= 0.0, 1.0, col)
-        kern *= w[None, :] / col[None, :]
-        return kern
+        return _normalise_columns(kern, w)
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     rows = np.repeat(np.arange(size), counts)
@@ -262,15 +256,12 @@ def _apply_radial(field, a, shrink):
 # ---------------------------------------------------------------------------
 
 def line_propagator(x, a, shrink):
-    """Mass-exact 1D kernel matrix on an arbitrary increasing coordinate set."""
+    """Mass-exact 1D kernel matrix on an arbitrary increasing coordinate set:
+    the one-dimensional :func:`radial_kernel`, columns normalised against the
+    trapezoid weights."""
     x = np.asarray(x, dtype=float)
-    w = trapezoid_weights(x)
-    kern = (4.0 * math.pi * a) ** -0.5 * np.exp(
-        -((x[:, None] - shrink * x[None, :]) ** 2) / (4.0 * a)
-    )
-    col = kern.T @ w
-    col = np.where(col <= 0.0, 1.0, col)
-    return kern * (w[None, :] / col[None, :])
+    kern, _ = radial_kernel(1, a, x[:, None], shrink * x[None, :])
+    return _normalise_columns(kern, trapezoid_weights(x))
 
 
 # ---------------------------------------------------------------------------

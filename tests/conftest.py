@@ -11,8 +11,18 @@ import numpy as np
 import pytest
 
 from pkslab import asymptotics, evolution, fields, profiles
+from pkslab import semigroup as sg
 from pkslab.fields import gaussian_radial
 from pkslab.grids import radial_grid
+
+
+def kernel_row(nodes, dim, r, a):
+    """The reference row: the radial kernel of width a at radius r on the
+    slice of ``nodes`` within its band, as ``(band, gauss, z)``."""
+    lo, hi = sg._band_edges(nodes, r, a)
+    band = slice(int(lo), int(hi))
+    gauss, z = sg.radial_kernel(dim, a, r, nodes[band])
+    return band, gauss, z
 
 
 @pytest.fixture(scope="session")

@@ -16,14 +16,14 @@ from pkslab.errors import (
     InvalidField,
     InvalidParameter,
     OutOfRange,
-    StepRejected,
+    StiffnessFailure,
 )
 from pkslab.fields import RadialField, l1_distance, total_mass
 from pkslab.potential import radial_gradient
-from pkslab.semigroup import kernel_row, scaled_sphere_average, scaled_sphere_average_cos
+from pkslab.semigroup import scaled_sphere_average, scaled_sphere_average_cos
 from pkslab.grids import SPHERE_AREA, radial_grid, radial_interpolator, radial_measure_weights
 
-from conftest import gaussian_radial
+from conftest import gaussian_radial, kernel_row
 
 
 def test_step_mass_conservation(default_nodes):
@@ -40,7 +40,7 @@ def test_step_mass_conservation(default_nodes):
 
 def test_clamp_keeps_mass_on_graded_grid():
     # the clamp restores the measure-weighted mass, not the plain sample sum,
-    # which differ on a graded grid; undershoots beyond the tolerance reject
+    # which differ on a graded grid; undershoots beyond the tolerance end the run
     nodes = radial_grid(32, 10.0)
     weights = radial_measure_weights(nodes, 2)
     values = np.exp(-((nodes - 3.0) ** 2))
@@ -49,7 +49,7 @@ def test_clamp_keeps_mass_on_graded_grid():
     assert out.min() >= 0.0
     mass = np.sum(weights * values)
     assert abs(np.sum(weights * out) - mass) <= 1e-14 * mass
-    with pytest.raises(StepRejected):
+    with pytest.raises(StiffnessFailure):
         ev._clamp(values, 1e-12, 1.0, weights)
 
 
@@ -214,11 +214,15 @@ def test_small_mass_tracks_pure_heat():
     assert np.nanmax(rel) < 1e-6
 
 
+# the only reference name is m_gamma_t, which a similarity run cannot compute
+# whether or not it is given a field; any other name, "profile" too, is refused
 @pytest.mark.parametrize("kind, reference, with_field", [
     ("physical", "m_gaussian", False),
     ("physical", "profile", True),
     ("similarity", "m_gamma_t", False),
+    ("similarity", "m_gamma_t", True),
     ("similarity", "profile", False),
+    ("similarity", "profile", True),
 ])
 def test_reference_the_run_cannot_compute_is_rejected(kind, reference, with_field):
     u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
@@ -228,6 +232,16 @@ def test_reference_the_run_cannot_compute_is_rejected(kind, reference, with_fiel
             ev.evolve(u0, cfg)  # takes no reference field: only the name decides
         else:
             ev.evolve_similarity(u0, cfg, reference_field=u0 if with_field else None)
+
+
+def test_similarity_run_measures_against_the_field_it_is_given():
+    # the field decides: no reference name is needed, and none is accepted
+    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+    cfg = ev.SolverConfig(t_init=0.0, t_end=0.2)
+    errors = ev.evolve_similarity(u0, cfg, reference_field=u0).l1_errors()
+    assert len(errors) > 2 and np.all(np.isfinite(errors))
+    assert errors[0] == 0.0
+    assert np.all(np.isnan(ev.evolve_similarity(u0, cfg).l1_errors()))
 
 
 def test_record_schedule_log_spaced():
@@ -394,77 +408,6 @@ def test_duhamel_requires_enough_records(default_nodes):
 
 def test_duhamel_pure_heat(pure_heat_run_2d):
     assert ev.duhamel_residual(pure_heat_run_2d) <= 1e-6
-
-
-# The residual as it was computed before it read u at the sample nodes: u
-# through the field's cubic spline, the first sample at r = 0.0.  At a knot the
-# spline returns the knot's value, so on grids that start at r = 0 the two
-# agree bit for bit.
-def _duhamel_residual_by_spline(trajectory, zero_nonlinear=False):
-    """Max relative mismatch of the mild-solution identity at sampled (r, t).
-
-    The identity writes u(x, t) as heat flow from the first record plus the
-    time-integrated nonlinear correction; the correction's spatial integral
-    reduces, for radial data, to Bessel-weighted quadrature.  The time
-    integral is regularised by the substitution q = sqrt(t - s); the field
-    and its velocity at each q node serve every sample radius.
-    ``zero_nonlinear`` drops the correction (negative control); trajectories
-    integrated with the nonlinearity switched off are checked against the
-    plain heat identity, whose correction is identically zero.
-    """
-    if trajectory.kind != "physical":
-        raise InvalidParameter("the mild-solution identity applies to physical runs")
-    if len(trajectory.records) < 64:
-        raise InsufficientSampling("need at least 64 records for the time quadrature")
-    rec0 = trajectory.records[0]
-    if not isinstance(rec0.field, RadialField):
-        raise InvalidParameter("duhamel_residual is implemented for radial runs")
-    nodes = rec0.field.nodes
-    dim = rec0.field.dim
-    t0 = rec0.time
-    times = trajectory.times()
-    radii = [0.0, nodes[int(0.15 * nodes.size)], nodes[int(0.35 * nodes.size)]]
-    nonlinear = not zero_nonlinear and trajectory.config.nonlinearity
-    w = radial_measure_weights(nodes, dim)
-    mismatches = []
-    for t in times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]:
-        field_t = trajectory.field_at(t)
-        interp = (rec0.field if t == t0 else field_t).interpolator()
-        if nonlinear:
-            q_max = math.sqrt(t - t0)
-            qs = np.linspace(1e-3 * q_max, q_max, 192)
-            vals = np.empty((len(radii), qs.size))
-            for k, q in enumerate(qs):
-                s = max(t - q * q, t0)  # guard the rounding at q = q_max
-                fld = trajectory.field_at(s)
-                flux = w * fld.values * radial_gradient(fld)
-                for i, r in enumerate(radii):
-                    band, gauss, z = kernel_row(nodes, dim, r, t - s)
-                    lam0 = scaled_sphere_average(dim, z)
-                    lam1 = scaled_sphere_average_cos(dim, z)
-                    inner = float(np.sum(
-                        flux[band] * gauss * (nodes[band] * lam0 - r * lam1)
-                    ))
-                    # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
-                    vals[i, k] = -0.5 * inner * 2.0 / q
-        scale = max(float(np.abs(field_t.values).max()), 1e-300)
-        for i, r in enumerate(radii):
-            u_actual = float(interp(np.array([r]))[0])
-            # quadrature rows of the heat kernel (raw, not renormalised), on its band
-            band, gauss, z = kernel_row(nodes, dim, r, t - t0)
-            heat = float((gauss * scaled_sphere_average(dim, z) * w[band])
-                         @ rec0.field.values[band])
-            correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0
-            mismatches.append(abs(heat + correction - u_actual) / scale)
-    return float(np.max(mismatches))
-
-
-@pytest.mark.parametrize("run", ["reference_run_2d", "pure_heat_run_2d"])
-@pytest.mark.parametrize("zero_nonlinear", [False, True])
-def test_duhamel_reads_the_spline_values_at_nodes(request, run, zero_nonlinear):
-    traj = request.getfixturevalue(run)
-    assert (ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
-            == _duhamel_residual_by_spline(traj, zero_nonlinear=zero_nonlinear))
 
 
 # The residual as it was computed before it evaluated the q nodes in blocks:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import issparse
-from scipy.special import ive
+from scipy.special import gamma, ive
 
 from pkslab import fields, semigroup as sg
 from pkslab.errors import InvalidParameter, OutOfValidatedRange
@@ -19,10 +19,10 @@ from pkslab.fields import (
     to_similarity,
     total_mass,
 )
-from pkslab.grids import radial_grid, radial_measure_weights
+from pkslab.grids import radial_grid, radial_measure_weights, trapezoid_weights
 from pkslab.semigroup import gaussian_values
 
-from conftest import gaussian_radial
+from conftest import gaussian_radial, kernel_row
 
 
 def test_heat_semigroup_property(default_nodes):
@@ -167,6 +167,28 @@ def test_separable_line_kernel_matches_radial(default_nodes):
     k = sg.line_propagator(x, a=1 - math.exp(-1.3), shrink=math.exp(-0.65))
     out = k @ g1
     np.testing.assert_allclose(out, g1, atol=1e-12)
+
+
+def _line_propagator_by_formula(x, a, shrink):
+    """The line kernel as written out before it went through radial_kernel
+    and the shared column normaliser."""
+    w = trapezoid_weights(x)
+    kern = (4.0 * math.pi * a) ** -0.5 * np.exp(
+        -((x[:, None] - shrink * x[None, :]) ** 2) / (4.0 * a)
+    )
+    col = kern.T @ w
+    col = np.where(col <= 0.0, 1.0, col)
+    return kern * (w[None, :] / col[None, :])
+
+
+@pytest.mark.parametrize("shrink", [1.0, math.exp(-0.35)], ids=["heat", "similarity"])
+def test_line_propagator_is_bit_identical_to_its_formula(shrink):
+    uniform = np.linspace(-20.0, 20.0, 256)
+    graded = np.sign(uniform) * 20.0 * (np.abs(uniform) / 20.0) ** 1.5
+    for x in (uniform, graded):
+        for a in (1e-3, 0.3, 1.0 - math.exp(-0.7), 4.0):
+            assert np.array_equal(sg.line_propagator(x, a, shrink),
+                                  _line_propagator_by_formula(x, a, shrink))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +374,7 @@ def test_banded_duhamel_row_matches_full_row(a):
         return gauss * (nodes[band] * sg.scaled_sphere_average(2, z)
                         - r * sg.scaled_sphere_average_cos(2, z))
 
-    band, gauss, z = sg.kernel_row(nodes, 2, r, a)
+    band, gauss, z = kernel_row(nodes, 2, r, a)
     assert band.stop - band.start < nodes.size
     banded = float(np.sum(density[band] * row(band, gauss, z)))
     full = row(slice(None), *sg.radial_kernel(2, a, r, nodes)) * density
@@ -376,7 +398,7 @@ def test_kernel_rows_equal_kernel_row(dim):
     for r in (0.0, nodes[77], nodes[300]):
         cols, bounds, gauss, z = sg.kernel_rows(nodes, dim, r, widths)
         for k, a in enumerate(widths):
-            band, g_row, z_row = sg.kernel_row(nodes, dim, r, a)
+            band, g_row, z_row = kernel_row(nodes, dim, r, a)
             entries = slice(bounds[k], bounds[k + 1])
             assert np.array_equal(cols[entries], np.arange(nodes.size)[band])
             assert np.array_equal(gauss[entries], g_row)
@@ -384,10 +406,19 @@ def test_kernel_rows_equal_kernel_row(dim):
 
 
 def test_sphere_average_cos_fast_path_matches_bessel():
-    z = np.concatenate([[0.0, 1e-13], np.geomspace(1e-6, 1e4, 200)])
-    # Gamma(1) (2/z)^0 I_1(z) e^{-z}, through the generic-order Bessel function
-    np.testing.assert_allclose(sg.scaled_sphere_average_cos(2, z), ive(1.0, z),
+    z = np.geomspace(1e-6, 1e4, 200)
+    for dim in (2, 3, 4, 5):
+        # Gamma(n/2) (2/z)^{n/2-1} I_{n/2}(z) e^{-z}, through the generic-order
+        # Bessel function: i1e in dim 2, (z/n) times the dim n + 2 average above
+        nu = dim / 2.0
+        bessel = gamma(nu) * (2.0 / z) ** (nu - 1.0) * ive(nu, z)
+        np.testing.assert_allclose(sg.scaled_sphere_average_cos(dim, z), bessel,
+                                   rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(sg.scaled_sphere_average_cos(2, 1e-13), ive(1.0, 1e-13),
                                rtol=1e-14, atol=0.0)
+    for dim in (3, 4, 5):
+        # below z = 1e-12 the plain average is 1, so this is its leading term
+        assert sg.scaled_sphere_average_cos(dim, 1e-13) == 1e-13 / dim
 
 
 # ---------------------------------------------------------------------------

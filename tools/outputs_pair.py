@@ -6,10 +6,11 @@ Run from the root of a git checkout; the change is its working tree.  Both
 sides are exported as ``tools/bench_pair.py`` exports them.  On each side
 the script runs, at one BLAS thread, every scenario file of that side
 (``src/pkslab/scenarios/*.cfg`` and ``perfbench/scenarios/*.cfg``) with
-``pks run --seed 7``, and every demo (``demos/*.py``) in an empty working
-directory; it keeps each run's output directory, the demos' stdout and the
-files they write, and every run's exit code.  It then runs the change side
-once more at two BLAS threads.
+``pks run --seed 7``, and every command of ``COMMANDS`` (``pks constants``
+and ``pks profile``) and every demo (``demos/*.py``) in an empty working
+directory; it keeps each run's output directory, the stdout of the commands
+and demos and the files they write, and every run's exit code.  It then
+runs the change side once more at two BLAS threads.
 
 It names every output file as identical or differing (or present on one
 side only) between the parent and the change.  For a differing CSV it
@@ -42,10 +43,16 @@ SEED = 7
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SCENARIO_DIRS = ("src/pkslab/scenarios", "perfbench/scenarios")
+# (label, pks arguments): each runs in its own empty working directory
+COMMANDS = (
+    ("constants_n3", ["constants", "--n", "3", "--mass", "1"]),
+    ("constants_n4", ["constants", "--n", "4", "--mass", "2"]),
+    ("profile_4pi", ["profile", "--mass", "12.566370614359172", "--out", "."]),
+)
 
 
 def run_side(side, out, threads):
-    """Run every scenario file and demo of the checkout ``side`` at
+    """Run every scenario file, command and demo of the checkout ``side`` at
     ``threads`` BLAS threads, with their outputs under ``out``; the exit
     codes go to ``out/exit_codes.json``."""
     env = dict(os.environ, PYTHONPATH=str(side / "src"),
@@ -64,6 +71,10 @@ def run_side(side, out, threads):
             run(f"{group}/{cfg.name}",
                 [sys.executable, "-m", "pkslab.cli", "run", str(cfg), "--seed", str(SEED),
                  "--out", str(out / group.replace("/", "_"))], side)
+    for label, args in COMMANDS:
+        cwd = out / "commands" / label
+        stdout = run(f"pks {label}", [sys.executable, "-m", "pkslab.cli", *args], cwd)
+        (cwd / "stdout.txt").write_text(stdout)
     for demo in sorted((side / "demos").glob("*.py")):
         cwd = out / "demos" / demo.stem
         stdout = run(f"demos/{demo.name}", [sys.executable, str(demo)], cwd)
