@@ -92,7 +92,8 @@ class SolverConfig:
     the :class:`Trajectory` records the pair used.  ``reference =
     "m_gamma_t"`` measures each record's ``l1_dist_to_profile`` against the
     mass-M heat kernel; only physical runs can compute it.  A similarity run
-    measures against the ``reference_field`` it is given, if any.
+    measures against the ``reference_field`` it is given, if any; a field on
+    another grid than the run's is refused with :class:`InvalidParameter`.
     """
 
     t_end: float = 10.0
@@ -372,13 +373,17 @@ class _CartesianStepper(_Stepper):
         )
 
     def advection_rhs(self, values, weight):
-        vx, vy = weight * self.velocity(values)
+        v = self.velocity(values)
+        if weight != 1.0:
+            v *= weight
+        vx, vy = v
         fx_hat = rfft2(values * vx) * self.dealias
         fy_hat = rfft2(values * vy) * self.dealias
         return -irfft2(1j * self.kx * fx_hat + 1j * self.ky * fy_hat, s=values.shape)
 
     def cfl_limit(self, values):
-        vmax = np.abs(self.velocity(values)).max()
+        v = self.velocity(values)
+        vmax = np.abs(v, out=v).max()
         if vmax == 0.0:
             return math.inf
         return CFL_SAFETY * self.h / vmax
@@ -450,10 +455,22 @@ def _record_schedule(config, kind):
     return np.linspace(config.t_init, config.t_end, count)
 
 
-def _check_reference(config, kind):
+def _check_reference(config, kind, u0, reference_field):
     ref = config.reference
     if ref and (ref != "m_gamma_t" or kind != "physical"):
         raise InvalidParameter(f"reference {ref!r} cannot be computed in a {kind} run")
+    if reference_field is None:
+        return
+    if isinstance(u0, RadialField):
+        same_grid = (isinstance(reference_field, RadialField)
+                     and reference_field.dim == u0.dim
+                     and np.array_equal(reference_field.nodes, u0.nodes))
+    else:
+        same_grid = (isinstance(reference_field, CartesianField2D)
+                     and reference_field.extent == u0.extent
+                     and reference_field.size == u0.size)
+    if not same_grid:
+        raise InvalidParameter("reference_field must lie on the grid of the initial field")
 
 
 def _reference_values(config, field, t, mass, reference_field):
@@ -487,7 +504,7 @@ def _make_record(field, t, config, reference_field, initial_mass):
 
 
 def _drive(u0, config, kind, reference_field=None):
-    _check_reference(config, kind)
+    _check_reference(config, kind, u0, reference_field)
     stepper = _make_stepper(u0, kind)
     traj = Trajectory(dim=u0.dim, kind=kind, config=config,
                       scheme=stepper.scheme,

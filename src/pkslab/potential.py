@@ -13,12 +13,17 @@ the radial oracle).  Its closed-form transform, a function of |k| alone, is
 sampled on one quadrant of an FFT grid oversampled past 2 sqrt(2) n,
 mirrored onto the other three and brought to real space once per grid for
 the gradient and, only if some caller asks for it, once for the potential.
+The two gradient kernels are built one after the other, each transformed in
+the array it is formed in, so the build holds the real transform and one
+padded complex grid at a time: at n = 256 (a 726 x 726 padded grid) it
+peaks at 18 MiB.
 Every solve then convolves with that kernel on the 2n x 2n grid by real
 FFTs, one axis at a time so that only rows some output reads are
 transformed: the forward r2c pass runs on the n rows of the density, not
 on the n zero rows of its padding, and each output's c2r pass runs on the
 n rows kept by the crop.  The results equal rfft2 and irfft2 on the full
-2n grid bit for bit.
+2n grid bit for bit.  The solve's complex passes run in place on arrays it
+made itself, and each cropped output is scaled into one preallocated array.
 """
 
 import math
@@ -100,6 +105,14 @@ def _green_hat_2d(extent, size, mode):
     offsets |m| <= n - 1 are ever read: copied into a 2n x 2n array, they
     give the same discrete convolution as a circular one on the 2n grid.
     The cache holds the tuple of the kernels' ``rfft2``.
+
+    The gradient kernels are made one at a time: i kx ghat is formed,
+    inverse-transformed in place (``overwrite_x``), cropped and placed, and
+    dropped before i ky ghat is formed.  The potential kernel transforms the
+    real ghat itself, since a complex copy would take scipy's complex path
+    and change the bits.  Under tracemalloc the build peaks at 2.3 padded
+    complex grids for the gradient and 2.0 for the potential (18 and 16 MiB
+    at n = 256).
     """
     key = (extent, size, mode)
     hit = _KERNEL_CACHE.get(key)
@@ -118,22 +131,28 @@ def _green_hat_2d(extent, size, mode):
     i = np.arange(padded)
     fold = np.minimum(i, padded - i)  # index of |k| in the quadrant
     ghat = quad[np.ix_(fold, fold)]
-    if mode == "potential":
-        wanted = (ghat,)
-    else:
-        kx, ky = k1d[:, None], k1d[None, :]
-        wanted = (1j * kx * ghat, 1j * ky * ghat)
+    del k, quad  # free before the padded grids are made
     near = np.r_[0:size, -size + 1:0]  # offsets 0..n-1, then -(n-1)..-1
     at = np.r_[0:size, size + 1:2 * size]  # where they sit on the 2n grid
-    spectra = []
-    # real part: on an even padded grid the unpaired Nyquist samples of i k ghat
-    # give the kernel an imaginary part, which only feeds an imaginary output
-    for spectrum in wanted:
+
+    def place(kernel_full):
+        # real part: on an even padded grid the unpaired Nyquist samples of
+        # i k ghat give the kernel an imaginary part, which only feeds an
+        # imaginary output
         kernel = np.zeros((2 * size, 2 * size))
-        kernel[np.ix_(at, at)] = ifft2(spectrum).real[np.ix_(near, near)]
-        spectra.append(rfft2(kernel))
-    out = _KERNEL_CACHE[key] = tuple(spectra)
-    return out
+        kernel[np.ix_(at, at)] = kernel_full.real[np.ix_(near, near)]
+        return rfft2(kernel)
+
+    if mode == "potential":
+        # on the real ghat: a complex copy would take another FFT path
+        spectra = (place(ifft2(ghat)),)
+    else:
+        # one gradient spectrum at a time, transformed in the array it is
+        # formed in, so no two padded complex grids are alive at once
+        spectra = tuple(place(ifft2(1j * kx * ghat, overwrite_x=True))
+                        for kx in (k1d[:, None], k1d[None, :]))
+    _KERNEL_CACHE[key] = spectra
+    return spectra
 
 
 def check_boundary_decay(u):
@@ -165,17 +184,15 @@ def _free_space_solve(u, mode, check_domain=True):
     n = u.size
     kernels = _green_hat_2d(u.extent, n, mode)
     # irfft2 applies its 1/(2n)^2 as one multiply after the c2r pass; n is a
-    # power of two, so that factor is exact and the result the same bits
-    spec = fft(rfft(u.values, n=2 * n, axis=1), n=2 * n, axis=0)
+    # power of two, so that factor is exact and the result the same bits.
+    # Each complex pass runs in place on an array the solve itself made.
+    spec = fft(rfft(u.values, n=2 * n, axis=1), n=2 * n, axis=0, overwrite_x=True)
     scale = 1.0 / (4 * n * n)
-
-    def convolve(kernel):
-        rows = ifft(spec * kernel, axis=0, norm="forward")[:n]
-        return irfft(rows, n=2 * n, axis=1, norm="forward")[:, :n] * scale
-
-    if mode == "potential":
-        return convolve(kernels[0])
-    return np.stack([convolve(kernel) for kernel in kernels])
+    out = np.empty((len(kernels), n, n))
+    for kernel, crop in zip(kernels, out):
+        rows = ifft(spec * kernel, axis=0, norm="forward", overwrite_x=True)[:n]
+        np.multiply(irfft(rows, n=2 * n, axis=1, norm="forward")[:, :n], scale, out=crop)
+    return out[0] if mode == "potential" else out
 
 
 def cartesian_potential_2d(u):

@@ -244,6 +244,33 @@ def test_similarity_run_measures_against_the_field_it_is_given():
     assert np.all(np.isnan(ev.evolve_similarity(u0, cfg).l1_errors()))
 
 
+# a reference field on another grid is refused before the first step, not
+# broadcast or compared sample by sample at other radii
+@pytest.mark.parametrize("dim, count, rmax", [
+    (2, 128, 20.0),  # more nodes
+    (2, 64, 40.0),  # as many nodes, farther out
+    (3, 64, 20.0),  # the same nodes in another dimension
+])
+def test_reference_field_on_another_grid_is_rejected(dim, count, rmax):
+    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+    reference = gaussian_radial(dim, math.pi, radial_grid(count, rmax))
+    cfg = ev.SolverConfig(t_init=0.0, t_end=0.05)
+    with pytest.raises(InvalidParameter, match="grid"):
+        ev.evolve_similarity(u0, cfg, reference_field=reference)
+
+
+def test_cartesian_reference_field_on_another_grid_is_rejected():
+    u0 = fields.gaussian_cartesian(1.0, extent=10.0, size=32)
+    cfg = ev.SolverConfig(t_init=0.0, t_end=0.05, nonlinearity=False)
+    for reference in (fields.gaussian_cartesian(1.0, extent=20.0, size=32),
+                      fields.gaussian_cartesian(1.0, extent=10.0, size=64),
+                      gaussian_radial(2, 1.0, radial_grid(64, 10.0))):
+        with pytest.raises(InvalidParameter, match="grid"):
+            ev.evolve_similarity(u0, cfg, reference_field=reference)
+    traj = ev.evolve_similarity(u0, cfg, reference_field=u0)
+    assert traj.l1_errors()[0] == 0.0
+
+
 def test_record_schedule_log_spaced():
     cfg = ev.SolverConfig(t_init=1.0, t_end=100.0, records_per_decade=32)
     times = ev._record_schedule(cfg, "physical")

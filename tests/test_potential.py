@@ -1,6 +1,7 @@
 """Newtonian potential: Gauss-law reduction, free-space FFT solve, sup bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,23 @@ def test_pruned_free_space_solve_is_bit_identical(monkeypatch, extent, size):
     v_ref, g_ref = _full_grid_solve(u, spectra)
     assert np.array_equal(potential.cartesian_potential_2d(u), v_ref)
     assert np.array_equal(potential.cartesian_gradient_2d(u), g_ref)
+
+
+@pytest.mark.parametrize("mode", ["gradient", "potential"])
+def test_kernel_build_holds_one_padded_complex_grid_at_a_time(monkeypatch, mode):
+    # the gradient kernels are formed and transformed one at a time, in place:
+    # the build's peak stays near one complex padded grid plus the real ghat,
+    # where forming both gradient spectra first peaked at 4.5 grids
+    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
+    size = 128
+    padded = next_fast_len(int(math.ceil(2.0 * math.sqrt(2.0) * size)) + 1)
+    tracemalloc.start()
+    try:
+        potential._green_hat_2d(20.0, size, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * padded**2
 
 
 def test_domain_too_small():

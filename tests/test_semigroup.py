@@ -54,6 +54,22 @@ def test_banded_heat_semigroup_law(dim, a1, a2):
     assert l1_distance(two, one) <= 1e-9 * lp_norm(one, 1)
 
 
+def test_dim2_origin_quadrature_is_second_order():
+    # the trapezoid weights integrate s g(s^2) ds, whose slope at s = 0 is
+    # g(0) != 0: the h^2 Euler-Maclaurin end term survives in dimension 2,
+    # while in dimension 3 the integrand s^2 g(s^2) is even and the error is
+    # rounding.  Quartering h divides the dimension-2 error by about 16.
+    def heat_error(dim, num):
+        nodes = radial_grid(num, 20.0, "uniform")
+        u = sg.heat_evolve(gaussian_radial(dim, 1.0, nodes, t0=0.5), 0.05)
+        exact = gaussian_radial(dim, 1.0, nodes, t0=0.55)
+        return l1_distance(u, exact) / lp_norm(exact, 1)
+
+    coarse, fine = heat_error(2, 256), heat_error(2, 1024)
+    assert 12.0 <= coarse / fine <= 20.0
+    assert heat_error(3, 256) <= 1e-14
+
+
 def test_heat_sup_bound(default_nodes):
     mass = 2.0
     u0 = gaussian_radial(3, mass, default_nodes, t0=0.5)
