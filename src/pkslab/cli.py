@@ -186,10 +186,10 @@ def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
     """[solver]: the SolverConfig of a physical run from ``u0``; ``t_init`` and
     ``t_end`` default to the ends of ``record_window`` (``lo hi step``), else
     to SolverConfig's.  ``scheme`` and ``clamp_tolerance`` assert the values
-    the stepper uses on ``u0``; ``reference`` must be a physical one."""
-    stepper = evolution._make_stepper(u0, "physical")
-    for key, given, used in (("scheme", scheme, stepper.scheme),
-                             ("clamp_tolerance", clamp_tolerance, stepper.clamp_tolerance)):
+    a physical run uses on ``u0``'s geometry; ``reference`` must be a
+    physical one."""
+    for key, given, used in zip(("scheme", "clamp_tolerance"), (scheme, clamp_tolerance),
+                                evolution._scheme_and_clamp(u0, "physical")):
         if given is not None and given != used:
             raise ScenarioConfigError(f"[solver] {key} = {given}, but this grid runs {used}")
     if reference not in ("", "m_gamma_t"):

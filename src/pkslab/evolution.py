@@ -226,11 +226,15 @@ class _Stepper:
 class _RadialStepper(_Stepper):
     clamp_tolerance = 1e-12
 
+    @staticmethod
+    def scheme_for(kind):
+        return "muscl" if kind == "physical" else "central"
+
     def __init__(self, grid_nodes, dim, kind):
         self.nodes = grid_nodes
         self.dim = dim
         self.kind = kind
-        self.scheme = "muscl" if kind == "physical" else "central"
+        self.scheme = self.scheme_for(kind)
         self.weights = radial_measure_weights(grid_nodes, dim)
         self.faces = 0.5 * (grid_nodes[1:] + grid_nodes[:-1])
         self.face_area = SPHERE_AREA[dim] * self.faces ** (dim - 1)
@@ -401,6 +405,14 @@ def _make_stepper(field, kind):
     return _CartesianStepper(field, kind)
 
 
+def _scheme_and_clamp(field, kind):
+    """The advection scheme and clamp tolerance of a ``kind`` run on
+    ``field``'s geometry, the pair its stepper runs with; none is built."""
+    if isinstance(field, RadialField):
+        return _RadialStepper.scheme_for(kind), _RadialStepper.clamp_tolerance
+    return _CartesianStepper.scheme, _CartesianStepper.clamp_tolerance
+
+
 def _clamp(values, tolerance, sup_reference, weights):
     """Zero negative samples no deeper than ``tolerance`` times the peak, then
     rescale to restore the discrete mass sum(weights * values);
@@ -561,7 +573,15 @@ def evolve(u0, config=None):
 
 
 def evolve_similarity(U0, config=None, reference_field=None):
-    """Integrate the similarity-variable equation from U0 at tau = config.t_init."""
+    """Integrate the similarity-variable equation from U0 at tau = config.t_init.
+
+    A 2D Cartesian run needs a grid spacing no coarser than that of 128^2
+    over extent 10 (256^2 over extent 20 runs too): on a coarser grid the
+    pseudo-spectral undershoot outgrows the 3e-8 clamp tolerance and the run
+    ends in :class:`StiffnessFailure`.  For M = 4 pi over tau 0 -> 1 that
+    happens at 64^2 over extent 10 (-4.32e-8 against a clamp of 3.63e-8) and
+    at 128^2 over extent 20 (-8.85e-8 against 3.84e-8).
+    """
     config = config or SolverConfig(t_init=0.0, t_end=5.0)
     return _drive(U0, config, "similarity", reference_field)
 

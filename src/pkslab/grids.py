@@ -197,22 +197,44 @@ def radial_interpolator(nodes, values, order=3):
     ``order`` is the spline degree (odd): 3 is the cubic default, 5 a quintic
     whose h**6 error keeps a rescaled profile's mass when the profile spans
     only ~10 nodes per width.  Returns a callable f(r) accepting arrays of
-    nonnegative radii; ``values`` may carry trailing axes.
+    radii; ``values`` may carry trailing axes.
+
+    f reads the spline at clip(r, 0, r_max): radii past r_max read 0,
+    negative radii read the value at 0, and NaN radii read 0.  A cubic read
+    touches only the knots its radii span: it evaluates the knot intervals
+    from min to max of the clipped radii (all of them when a radius is NaN),
+    where each radius finds the interval, offset and coefficients it finds in
+    the whole spline, so every value keeps its bits.  A profile with a NaN or
+    infinite value is refused with :class:`InvalidParameter`.
     """
-    from scipy.interpolate import CubicSpline, make_interp_spline
+    from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 
     nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InvalidParameter("a radial profile to interpolate must be finite")
     xs, ys = _even_extension(nodes, values)
+    r_max = nodes[-1]
     if order == 3:
         spline = CubicSpline(xs, ys, extrapolate=False)
+        coeffs, knots = spline.c, spline.x
+        last = knots.size - 2  # the closed last interval, which holds r_max
+
+        def read(x):
+            if not x.size or np.isnan(x.max()):  # a NaN radius takes the whole spline
+                return spline(x)
+            # the intervals holding min(x) and max(x), half-open as PPoly's
+            ends = np.searchsorted(knots, (x.min(), x.max()), side="right") - 1
+            lo, hi = np.minimum(ends, last)
+            return PPoly.construct_fast(coeffs[:, lo:hi + 1], knots[lo:hi + 2],
+                                        extrapolate=False)(x)
     else:
-        spline = make_interp_spline(xs, ys, k=order)
-    r_max = nodes[-1]
+        read = make_interp_spline(xs, ys, k=order)
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
-        out = spline(np.clip(r, 0.0, r_max))
-        out[r > r_max] = 0.0
-        return np.nan_to_num(out, nan=0.0)
+        out = read(np.clip(r, 0.0, r_max))
+        out[~(r <= r_max)] = 0.0  # past r_max, or NaN
+        return out if out.ndim else out[()]  # a 0-d read gives a scalar
 
     return evaluate

@@ -109,19 +109,26 @@ def kernel_peak(dim, a):
     return (4.0 * math.pi * a) ** (-dim / 2.0)
 
 
+def gaussian_factor(dim, a, r, s, peak=None):
+    """(4 pi a)^{-n/2} exp(-(r - s)^2 / (4a)), the Gaussian factor of the
+    radial heat kernel and, in one dimension, the whole line kernel; a, r and
+    s broadcast.  An array of widths comes with ``peak``, the
+    :func:`kernel_peak` of each."""
+    if peak is None:
+        peak = kernel_peak(dim, a)
+    return peak * np.exp(-((r - s) ** 2) / (4.0 * a))
+
+
 def radial_kernel(dim, a, r, s, peak=None):
     """Gaussian factor and Bessel argument of the radial heat kernel.
 
     The angular average of (4 pi a)^{-n/2} exp(-|x - y|^2 / (4a)) over
-    |x| = r, |y| = s is ``gauss * scaled_sphere_average(n, z)``, with
-    gauss = (4 pi a)^{-n/2} exp(-(r - s)^2 / (4a)) and z = r s / (2a); its
-    cosine-weighted average uses :func:`scaled_sphere_average_cos` instead.
-    Returns ``(gauss, z)``; a, r and s broadcast.  An array of widths comes
-    with ``peak``, the :func:`kernel_peak` of each.
+    |x| = r, |y| = s is ``gauss * scaled_sphere_average(n, z)``, with gauss
+    the :func:`gaussian_factor` and z = r s / (2a); its cosine-weighted
+    average uses :func:`scaled_sphere_average_cos` instead.  Returns
+    ``(gauss, z)``; a, r, s and ``peak`` are as for :func:`gaussian_factor`.
     """
-    if peak is None:
-        peak = kernel_peak(dim, a)
-    return peak * np.exp(-((r - s) ** 2) / (4.0 * a)), r * s / (2.0 * a)
+    return gaussian_factor(dim, a, r, s, peak), r * s / (2.0 * a)
 
 
 def _band_edges(points, centers, a):
@@ -257,10 +264,10 @@ def _apply_radial(field, a, shrink):
 
 def line_propagator(x, a, shrink):
     """Mass-exact 1D kernel matrix on an arbitrary increasing coordinate set:
-    the one-dimensional :func:`radial_kernel`, columns normalised against the
-    trapezoid weights."""
+    the one-dimensional :func:`gaussian_factor`, columns normalised against
+    the trapezoid weights."""
     x = np.asarray(x, dtype=float)
-    kern, _ = radial_kernel(1, a, x[:, None], shrink * x[None, :])
+    kern = gaussian_factor(1, a, x[:, None], shrink * x[None, :])
     return _normalise_columns(kern, trapezoid_weights(x))
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pkslab import asymptotics, evolution, fields, profiles
+from pkslab import asymptotics, evolution, fields, grids, profiles
 from pkslab import semigroup as sg
 from pkslab.fields import gaussian_radial
 from pkslab.grids import radial_grid
@@ -23,6 +23,30 @@ def kernel_row(nodes, dim, r, a):
     band = slice(int(lo), int(hi))
     gauss, z = sg.radial_kernel(dim, a, r, nodes[band])
     return band, gauss, z
+
+
+def reference_radial_interpolator(nodes, values, order=3):
+    """``grids.radial_interpolator`` as it was before a cubic read evaluated
+    only the knot intervals its radii span: every read goes through the whole
+    spline, and NaN outputs are zeroed afterwards.  Kept as the oracle the
+    windowed read must match bit for bit."""
+    from scipy.interpolate import CubicSpline, make_interp_spline
+
+    nodes = np.asarray(nodes, dtype=float)
+    xs, ys = grids._even_extension(nodes, values)
+    if order == 3:
+        spline = CubicSpline(xs, ys, extrapolate=False)
+    else:
+        spline = make_interp_spline(xs, ys, k=order)
+    r_max = nodes[-1]
+
+    def evaluate(r):
+        r = np.asarray(r, dtype=float)
+        out = spline(np.clip(r, 0.0, r_max))
+        out[r > r_max] = 0.0
+        return np.nan_to_num(out, nan=0.0)
+
+    return evaluate
 
 
 @pytest.fixture(scope="session")

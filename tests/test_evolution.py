@@ -414,6 +414,8 @@ def test_manifest_names_the_scheme_that_ran(tmp_path, cartesian_run, geometry, k
         run = ev.evolve if kind == "physical" else ev.evolve_similarity
         traj = run(u0, ev.SolverConfig(t_init=1.0, t_end=1.05))
     assert (traj.scheme, traj.clamp_tolerance) == (scheme, tolerance)
+    # what the [solver] section checks without building a stepper
+    assert ev._scheme_and_clamp(traj.records[0].field, kind) == (scheme, tolerance)
     manifest = _read_manifest(traj, tmp_path)
     assert (manifest["advection_scheme"], manifest["clamp_tolerance"]) == (scheme, tolerance)
     assert manifest["kind"] == kind and manifest["termination"] == "t_end"
@@ -622,3 +624,14 @@ def test_cartesian_similarity_run_matches_radial(mass):
     assert np.abs(end_c.field.values - on_grid).max() <= 5e-3 * end_r.sup_norm
     m2_c, m2_r = end_c.moments.second_moment, end_r.moments.second_moment
     assert abs(m2_c - m2_r) <= 3e-4 * m2_r
+
+
+# the limit of the Cartesian similarity run: at a coarser spacing than 128^2
+# over extent 10 its pseudo-spectral undershoot outgrows the 3e-8 clamp within
+# tau 0 -> 1 (measured -4.32e-8 against 3.63e-8 at 64^2, extent 10, and
+# -8.85e-8 against 3.84e-8 at 128^2, extent 20)
+@pytest.mark.parametrize("extent, size", [(10.0, 64), (20.0, 128)], ids=["coarse", "wide"])
+def test_cartesian_similarity_run_fails_typed_on_a_coarse_grid(extent, size):
+    u0 = fields.gaussian_cartesian(4.0 * math.pi, extent=extent, size=size)
+    with pytest.raises(StiffnessFailure, match="beyond the clamp tolerance"):
+        ev.evolve_similarity(u0, ev.SolverConfig(t_init=0.0, t_end=1.0))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pkslab import fields
+from pkslab import asymptotics, fields
 from pkslab.diagnostics import phi_density, relative_entropy
 from pkslab.errors import InvalidField, InvalidParameter
 from pkslab.evolution import SolverConfig, Trajectory, TrajectoryRecord
@@ -23,11 +23,11 @@ from pkslab.fields import (
     total_mass,
     write_snapshot,
 )
-from pkslab.grids import nested_refinement, radial_grid, trapezoid_weights
+from pkslab.grids import nested_refinement, radial_grid, radial_interpolator, trapezoid_weights
 from pkslab.potential import radial_gradient, sup_gradient_bound_check
 from pkslab.semigroup import gaussian_values
 
-from conftest import gaussian_radial
+from conftest import gaussian_radial, reference_radial_interpolator
 
 
 def test_total_mass_of_gaussian(default_nodes):
@@ -227,3 +227,115 @@ def test_snapshot_round_trip_cartesian(tmp_path):
     assert isinstance(loaded, CartesianField2D)
     assert loaded.extent == pytest.approx(8.0)
     np.testing.assert_allclose(loaded.values, u.values, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# radial_interpolator: a cubic read evaluates only the knots its radii span
+# ---------------------------------------------------------------------------
+
+INTERP_GRIDS = {
+    "graded": radial_grid(512, 40.0),
+    "uniform": radial_grid(300, 20.0, "uniform"),
+    # no node at r = 0, unequal gaps
+    "irregular": np.sort(np.random.default_rng(5).uniform(0.05, 6.0, 80)),
+}
+
+
+def _interp_profile(nodes, columns):
+    """A profile of mixed sign, as ``columns`` columns (1: a flat array)."""
+    base = np.exp(-(nodes**2) / 4.0) * np.cos(nodes)
+    if columns == 1:
+        return base
+    return np.column_stack([base, -0.5 * nodes * base, base - 0.25][:columns])
+
+
+def _interp_queries(nodes):
+    r_max = nodes[-1]
+    rng = np.random.default_rng(11)
+    k = nodes.size // 3
+    strata = [rng.uniform(lo, lo + 0.07, 200) for lo in np.linspace(0.0, r_max, 9)]
+    return {
+        "knots": nodes.copy(),
+        "lone_r_max": np.array([r_max]),
+        "r_max_0d": np.float64(r_max),
+        "past_r_max": np.array([r_max, np.nextafter(r_max, np.inf), 1.5 * r_max, 1e300]),
+        "negative": np.array([-1.0, -0.0, -1e-300, 0.0]),
+        "infinite": np.array([-np.inf, np.inf, 0.5 * r_max]),
+        "nan": np.array([np.nan, 0.25 * r_max, r_max, np.nan]),
+        "lone_nan": np.array(np.nan),
+        "empty": np.array([]),
+        "0d": np.array(0.3 * r_max),
+        "python_float": 0.7 * r_max,
+        "2d": rng.uniform(-1.0, 1.1 * r_max, (20, 9)),
+        "one_interval": rng.uniform(nodes[k], nodes[k + 1], 50),
+        "interval_ends": np.array([nodes[k], np.nextafter(nodes[k + 1], 0.0)]),
+        "strata": np.concatenate(strata),
+        **{f"stratum_{i}": r for i, r in enumerate(strata)},
+    }
+
+
+# order 5 reads the whole spline; it shares the zeroing of NaN radii
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("grid", list(INTERP_GRIDS))
+def test_windowed_read_keeps_the_bits_of_the_whole_spline(grid, columns, order):
+    nodes = INTERP_GRIDS[grid]
+    values = _interp_profile(nodes, columns)
+    windowed = radial_interpolator(nodes, values, order=order)
+    whole = reference_radial_interpolator(nodes, values, order=order)
+    for name, r in _interp_queries(nodes).items():
+        got, want = windowed(r), whole(r)
+        assert type(got) is type(want), name
+        assert np.shape(got) == np.shape(want) == np.shape(r) + values.shape[1:], name
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+def test_interpolator_reads_its_contract():
+    nodes = INTERP_GRIDS["graded"]
+    values = _interp_profile(nodes, 3)
+    f = radial_interpolator(nodes, values)
+    out = f(np.array([-2.0, -np.inf, np.inf, 2.0 * nodes[-1], np.nan, nodes[-1]]))
+    assert np.array_equal(out[:2], [values[0], values[0]])
+    assert not out[2:5].any()
+    np.testing.assert_allclose(out[5], values[-1], rtol=0.0, atol=1e-15)
+
+
+def test_cubic_read_touches_only_the_knots_its_radii_span(monkeypatch):
+    from scipy.interpolate import PPoly
+
+    nodes = INTERP_GRIDS["uniform"]
+    f = radial_interpolator(nodes, _interp_profile(nodes, 1))
+    windows = []
+    construct = PPoly.construct_fast
+
+    def spy(c, x, *args, **kwargs):
+        windows.append(np.array(x))
+        return construct(c, x, *args, **kwargs)
+
+    monkeypatch.setattr(PPoly, "construct_fast", spy)
+    k = 100
+    f(np.array([0.5 * (nodes[k] + nodes[k + 1]), nodes[k]]))
+    f(np.array([nodes[-1]]))
+    f(np.array([nodes[k], nodes[k + 5], -3.0]))
+    assert [w.tolist() for w in windows] == [
+        nodes[k:k + 2].tolist(), nodes[-2:].tolist(), nodes[:k + 7].tolist()]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interpolator_refuses_a_non_finite_profile(bad):
+    nodes = INTERP_GRIDS["uniform"]
+    for columns in (1, 3):
+        values = _interp_profile(nodes, columns)
+        values[(7,) + (1,) * (columns > 1)] = bad
+        for order in (3, 5):
+            with pytest.raises(InvalidParameter):
+                radial_interpolator(nodes, values, order=order)
+
+
+@pytest.mark.parametrize("b0", [[0.0], [0.0, -0.7, 0.2]], ids=["radial", "dipole"])
+def test_c1_monte_carlo_equals_its_whole_spline_value(monkeypatch, wstar_default, b0):
+    windowed = asymptotics.constant_c1_monte_carlo(2.5, b0, wstar_default, samples=20_000, seed=3)
+    monkeypatch.setattr(asymptotics, "radial_interpolator", reference_radial_interpolator)
+    whole = asymptotics.constant_c1_monte_carlo(2.5, b0, wstar_default, samples=20_000, seed=3)
+    assert windowed == whole

@@ -207,6 +207,19 @@ def test_line_propagator_is_bit_identical_to_its_formula(shrink):
                                   _line_propagator_by_formula(x, a, shrink))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_radial_kernel_is_bit_identical_to_its_formula(dim):
+    # the Gaussian factor the line kernel shares, and the Bessel argument
+    r = radial_grid(256, 20.0)[:, None]
+    s = math.exp(-0.35) * r.T
+    for a in (1e-3, 0.3, 4.0):
+        gauss, z = sg.radial_kernel(dim, a, r, s)
+        assert np.array_equal(gauss, (4.0 * math.pi * a) ** (-dim / 2.0)
+                              * np.exp(-((r - s) ** 2) / (4.0 * a)))
+        assert np.array_equal(gauss, sg.gaussian_factor(dim, a, r, s))
+        assert np.array_equal(z, r * s / (2.0 * a))
+
+
 # ---------------------------------------------------------------------------
 # banded radial kernel against a plain dense evaluation
 # ---------------------------------------------------------------------------

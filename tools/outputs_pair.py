@@ -46,6 +46,9 @@ SCENARIO_DIRS = ("src/pkslab/scenarios", "perfbench/scenarios")
 # (label, pks arguments): each runs in its own empty working directory
 COMMANDS = (
     ("constants_n3", ["constants", "--n", "3", "--mass", "1"]),
+    # a mixed-sign dipole B0, which weights the c1 Monte Carlo's cosine terms
+    ("constants_n3_dipole", ["constants", "--n", "3", "--mass", "2.5", "--b0", "0,-0.7,0.2",
+                             "--samples", "500000", "--seed", "3"]),
     ("constants_n4", ["constants", "--n", "4", "--mass", "2"]),
     ("profile_4pi", ["profile", "--mass", "12.566370614359172", "--out", "."]),
 )
