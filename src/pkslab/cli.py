@@ -197,6 +197,8 @@ def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
     span = {}
     if record_window is not None:
         lo, hi, step = record_window
+        if not step > 0.0:
+            raise ScenarioConfigError(f"[solver] record_window step {step} is not positive")
         span = {"t_init": lo, "t_end": hi,
                 "record_times": tuple(np.round(np.arange(lo, hi + step / 2, step), 9))}
     span.update((key, value) for key, value in (("t_init", t_init), ("t_end", t_end))
@@ -264,7 +266,8 @@ def _build_evolution(scenario):
     SolverConfig of the run.  A datum with a start time starts the run there
     when [solver] sets no t_init (nor a record_window); a [solver] that starts
     it elsewhere is refused, and so is a record schedule the run cannot
-    follow (a physical run starting at t <= 0)."""
+    follow (a physical run starting at t <= 0, or times that do not strictly
+    increase)."""
     kind, keys = scenario.initial
     u0, mass, t_start = INITIAL_KINDS[kind](scenario, **keys)
     solver = scenario.solver

@@ -35,17 +35,29 @@ The radial stepper builds everything that depends only on the nodes and the
 dimension once: the shell factor, the half spacings of the cumulative
 trapezoid, the MUSCL face offsets, the divisors of the flux divergence, and
 its work buffers with the slices of them it reads.  A MUSCL right-hand side
-is then 23 passes over arrays of the grid's size, each written into a buffer
-with ``out=``; a Heun substep is two of them plus five.  Only the arrays
-``advect`` and ``advection_rhs`` return are new, so a caller may keep them.
+is then 20 passes over arrays of the grid's size while every face moves
+inward, and 25 otherwise, each written into a buffer with ``out=``; a Heun
+substep is two of them plus five.  Only the arrays ``advect`` and
+``advection_rhs`` return are new, so a caller may keep them.  ``diffuse``
+keeps the kernel of its last half step and looks one up only when the half
+step changes, so the propagator cache sees the run's step sizes with their
+consecutive repeats removed, which leaves it in the same state at every
+build: the same kernels are built.
+
 The results are bit-identical to the plain formulas.  Halving the mean
 enclosed mass and dividing it by the face area is one division by twice the
 area, which rounds alike because halving is exact above the subnormal
-range.  A weight of 1.0 is not multiplied in.  Minmod as
-max(min(a, b), 0) + min(max(a, b), 0) picks the same slope, and the same
-signed zero, because numpy's minimum and maximum return their second
-operand on a tie (a test checks this).  IEEE sums and products do not
-depend on operand order, so Heun's stages combine in place.
+range.  A weight of 1.0 is not multiplied in.  The upwind face value is the
+right node's reconstruction where the velocity is negative and the left
+one's elsewhere.  For u >= 0 the Gauss-law velocity is negative wherever the
+enclosed mass is positive, so the right values are written first and the
+left ones are built and copied in only when some face is at rest or moves
+out: a core of zero mass, where v = -0.0, or a dip below zero in Heun's
+stage.  Minmod as max(min(a, b), 0) + min(max(a, b), 0), against a zero
+array, picks the same slope, and the same signed zero, because numpy's
+minimum and maximum return their second operand on a tie (a test checks
+this).  IEEE sums and products do not depend on operand order, so Heun's
+stages combine in place.
 """
 
 import json
@@ -196,18 +208,19 @@ class Trajectory:
 # radial advection machinery
 # ---------------------------------------------------------------------------
 
-def _minmod_adjacent(d, out, scratch):
+def _minmod_adjacent(d, out, scratch, zero):
     """minmod(d[:-1], d[1:]) into ``out``: the smaller of each pair of
     neighbouring slopes when they share a sign, else 0, as
-    max(min(a, b), 0) + min(max(a, b), 0).  ``scratch`` has the size of
-    ``out``.  With the operands in this order numpy's minimum and maximum
+    max(min(a, b), 0) + min(max(a, b), 0).  ``scratch`` and ``zero`` (all
+    +0.0) have the size of ``out``; an array operand is cheaper than a
+    scalar one.  With the operands in this order numpy's minimum and maximum
     return their second operand on a tie of zeros, so a pair of zeros gives
     b with its sign, as the sign/abs form does."""
     a, b = d[:-1], d[1:]
     np.minimum(a, b, out=out)
     np.maximum(a, b, out=scratch)
-    np.maximum(0.0, out, out=out)
-    np.minimum(0.0, scratch, out=scratch)
+    np.maximum(zero, out, out=out)
+    np.minimum(zero, scratch, out=scratch)
     out += scratch
     return out
 
@@ -266,9 +279,11 @@ class _RadialStepper(_Stepper):
         self._v = np.empty(n - 1)  # face velocity
         self._d = np.empty(n - 1)  # slopes between nodes
         self._slopes = np.zeros(n)  # limited node slopes; both ends stay 0
-        self._left = np.empty(n - 1)  # left face values, then the face flux
-        self._right = np.empty(n - 1)
-        self._upwind_right = np.empty(n - 1, dtype=bool)
+        self._zero = np.zeros(n - 2)  # minmod's zero operand
+        self._zero.flags.writeable = False
+        self._flux = np.empty(n - 1)  # upwind face values, then the face flux
+        self._left = np.empty(n - 1)  # left face values, where some v >= 0
+        self._upwind_left = np.empty(n - 1, dtype=bool)
         self._stage = np.empty(n)  # Heun's predictor
         self._k2 = np.empty(n)  # Heun's second right-hand side
         self._g_hi, self._g_lo = self._g[1:], self._g[:-1]
@@ -276,7 +291,10 @@ class _RadialStepper(_Stepper):
         self._slopes_hi, self._slopes_lo = self._slopes[1:], self._slopes[:-1]
         self._slopes_mid = self._slopes[1:-1]
         self._minmod_scratch = self._trap[:-1]
-        self._flux_hi, self._flux_lo = self._left[1:], self._left[:-1]
+        self._flux_hi, self._flux_lo = self._flux[1:], self._flux[:-1]
+        # diffuse's last half step and its kernel
+        self._half_dt = None
+        self._kernel = None
 
     def face_velocity(self, values):
         """Gauss-law radial velocity V'(r) at the cell faces: minus the mean
@@ -296,7 +314,7 @@ class _RadialStepper(_Stepper):
         v = self.face_velocity(values)
         if weight != 1.0:
             v *= weight
-        flux = self._left
+        flux = self._flux
         if self.scheme == "central":
             np.add(values[1:], values[:-1], out=flux)
             flux *= 0.5
@@ -304,14 +322,17 @@ class _RadialStepper(_Stepper):
             lo, hi = values[:-1], values[1:]
             d = np.subtract(hi, lo, out=self._d)
             d /= self.dr
-            _minmod_adjacent(d, self._slopes_mid, self._minmod_scratch)
-            np.multiply(self._slopes_lo, self._left_offset, out=flux)
-            flux += lo
-            right = np.multiply(self._slopes_hi, self._right_offset, out=self._right)
-            right += hi
-            # the upwind face value: the left one where v >= 0
-            np.less(v, 0.0, out=self._upwind_right)
-            np.copyto(flux, right, where=self._upwind_right)
+            _minmod_adjacent(d, self._slopes_mid, self._minmod_scratch, self._zero)
+            # the upwind face value: the right one where v < 0, which holds
+            # at every face while the enclosed mass is positive
+            np.multiply(self._slopes_hi, self._right_offset, out=flux)
+            flux += hi
+            if not v.max() < 0.0:  # a face at rest or moving out (or a NaN)
+                left = np.multiply(self._slopes_lo, self._left_offset, out=self._left)
+                left += lo
+                upwind_left = np.less(v, 0.0, out=self._upwind_left)
+                np.logical_not(upwind_left, out=upwind_left)
+                np.copyto(flux, left, where=upwind_left)
         # the face flux times the face area
         flux *= v
         flux *= self.face_area
@@ -345,9 +366,12 @@ class _RadialStepper(_Stepper):
         return CFL_SAFETY * float(np.abs(ratio, out=ratio).min())
 
     def diffuse(self, values, dt):
-        a, shrink = (dt, 1.0) if self.kind == "physical" else kernel_width_shrink(dt)
-        mat = _radial_propagator(self.nodes, self.dim, a, shrink)
-        return mat @ values
+        # the steps of a record interval share one dt: look its kernel up once
+        if dt != self._half_dt:
+            a, shrink = (dt, 1.0) if self.kind == "physical" else kernel_width_shrink(dt)
+            self._kernel = _radial_propagator(self.nodes, self.dim, a, shrink)
+            self._half_dt = dt
+        return self._kernel @ values
 
 
 class _CartesianStepper(_Stepper):
@@ -449,22 +473,34 @@ def _strang_step(stepper, values, dt, weight, config, sup0):
 # ---------------------------------------------------------------------------
 
 def _record_schedule(config, kind):
+    """The record times of a run: t_init, then ``record_times`` if given,
+    else times up to t_end at records_per_decade per decade of t (log-spaced
+    in physical time, uniform in similarity time).  A schedule that does not
+    strictly increase is refused with :class:`InvalidParameter`."""
     if config.record_times:
         times = np.asarray(config.record_times, dtype=float)
         if times[0] != config.t_init:
             times = np.concatenate([[config.t_init], times])
-        return times
-    if kind == "physical":
-        if config.t_init <= 0:
+    else:
+        if kind == "physical" and config.t_init <= 0:
             raise InvalidParameter("physical runs need t_init > 0")
-        decades = math.log10(config.t_end / config.t_init)
-        count = max(2, int(math.ceil(decades * config.records_per_decade)) + 1)
-        return np.geomspace(config.t_init, config.t_end, count)
-    # similarity time: uniform spacing matching records_per_decade records
-    # per decade of t
-    dtau = math.log(10.0) / config.records_per_decade
-    count = max(2, int(math.ceil((config.t_end - config.t_init) / dtau)) + 1)
-    return np.linspace(config.t_init, config.t_end, count)
+        if not config.t_end > config.t_init:
+            raise InvalidParameter(
+                f"t_end = {config.t_end} must come after t_init = {config.t_init}")
+        if kind == "physical":
+            decades = math.log10(config.t_end / config.t_init)
+            count = max(2, int(math.ceil(decades * config.records_per_decade)) + 1)
+            times = np.geomspace(config.t_init, config.t_end, count)
+        else:
+            # similarity time: uniform spacing matching records_per_decade
+            # records per decade of t
+            dtau = math.log(10.0) / config.records_per_decade
+            count = max(2, int(math.ceil((config.t_end - config.t_init) / dtau)) + 1)
+            times = np.linspace(config.t_init, config.t_end, count)
+    if not np.all(np.diff(times) > 0.0):
+        raise InvalidParameter(
+            f"record times must strictly increase from t_init = {config.t_init}")
+    return times
 
 
 def _check_reference(config, kind, u0, reference_field):

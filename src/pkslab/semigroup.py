@@ -18,9 +18,10 @@ against the shared trapezoid weights.  On 2D Cartesian grids the kernel
 separates per axis into two small matrices.
 
 The public applies (:func:`heat_evolve`, :func:`similarity_semigroup`) build
-each kernel for one use and drop it.  The time stepper keeps its 4 most
-recently used kernels in a process cache and evicts the least recently used:
-all but 2 reuses in the bundled runs (in ``profile_gm``) are within 2 kernels.
+each kernel for one use and drop it.  The time stepper looks a kernel up once
+per step size, when its half step changes, and keeps the 4 most recently used
+kernels in a process cache, evicting the least recently used: all but 2
+reuses in the bundled runs (in ``profile_gm``) are within 2 kernels.
 """
 
 import math

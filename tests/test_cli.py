@@ -227,6 +227,20 @@ UNHONOURED = {
                     "starts the run at t = 2.0, but [initial] file was written at t = 1.0"),
     "solver_t_init_zero": (_edit(TINY_RUN, "t_init = 1.0", "t_init = 0.0"),
                            "physical runs need t_init > 0"),
+    # a schedule that does not strictly increase
+    "solver_t_end_at_t_init": (_edit(TINY_RUN, "t_end = 1.6", "t_end = 1.0"),
+                               "t_end = 1.0 must come after t_init = 1.0"),
+    "solver_t_end_before_t_init": (_edit(TINY_RUN, "t_init = 1.0", "t_init = 2.0"),
+                                   "t_end = 1.6 must come after t_init = 2.0"),
+    "record_window_backward": (
+        _edit(TINY_RUN, "t_init = 1.0\nt_end = 1.6", "record_window = 1.6 1.0 0.1"),
+        "t_end = 1.0 must come after t_init = 1.6"),
+    "record_window_zero_step": (
+        _edit(TINY_RUN, "t_init = 1.0\nt_end = 1.6", "record_window = 1.0 1.6 0"),
+        "record_window step 0.0 is not positive"),
+    "record_window_negative_step": (
+        _edit(TINY_RUN, "t_init = 1.0\nt_end = 1.6", "record_window = 1.0 1.6 -0.1"),
+        "record_window step -0.1 is not positive"),
 }
 
 

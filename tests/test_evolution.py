@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import pkslab
-from pkslab import evolution as ev, fields
+from pkslab import evolution as ev, fields, semigroup as sg
 from pkslab.errors import (
     InsufficientSampling,
     InvalidField,
@@ -124,6 +124,8 @@ def _advection_test_fields(nodes):
     yield np.where(nodes > 0.05 * rmax, bump, 0.0)  # at rest near the origin
     # a dip below zero, as the second Heun stage may see
     yield bump - 1e-3 * np.exp(-((nodes - 0.3 * rmax) ** 2))
+    # a dip in an empty core: negative enclosed mass moves its faces outward
+    yield np.where(nodes > 0.05 * rmax, bump, 0.0) - 1e-3 * np.exp(-(nodes ** 2))
 
 
 def same_bits(a, b):  # also tells +0.0 from -0.0
@@ -139,7 +141,10 @@ def test_radial_advection_matches_reference_bit_for_bit(dim, grid_kind, kind):
     reference = _ReferenceRadialAdvection(nodes, dim, kind)
     assert stepper.scheme == reference.scheme
 
+    inward, outward = [], []  # per field: every face velocity < 0; one > 0
     for values in _advection_test_fields(nodes):
+        inward.append(bool(np.all(reference.face_velocity(values) < 0.0)))
+        outward.append(bool(np.any(reference.face_velocity(values) > 0.0)))
         assert same_bits(stepper.face_velocity(values), reference.face_velocity(values))
         assert same_bits(stepper.cfl_limit(values), reference.cfl_limit(values))
         for weight in (1.0, ev.nonlinearity_weight(4, 0.3)):
@@ -151,6 +156,9 @@ def test_radial_advection_matches_reference_bit_for_bit(dim, grid_kind, kind):
             k2 = reference.advection_rhs(values + dt * k1, weight)
             assert same_bits(stepper.advect(values, dt, weight),
                              values + 0.5 * dt * (k1 + k2))
+    # both MUSCL upwind branches are compared: right faces only while every
+    # face moves inward, and the selection by sign once one moves out
+    assert any(inward) and any(outward)
     assert stepper.cfl_limit(np.zeros_like(nodes)) == math.inf
 
 
@@ -164,7 +172,7 @@ def test_minmod_keeps_the_reference_signed_zeros():
         for stop in (start + 2, start + 3, start + 9, start + 18, d_all.size):
             d = d_all[start:stop]
             out, scratch = np.empty(d.size - 1), np.empty(d.size - 1)
-            got = ev._minmod_adjacent(d, out, scratch)
+            got = ev._minmod_adjacent(d, out, scratch, np.zeros(d.size - 1))
             assert same_bits(got, _ReferenceRadialAdvection._minmod(d[:-1], d[1:]))
 
 
@@ -278,6 +286,25 @@ def test_record_schedule_log_spaced():
     ratios = times[1:] / times[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
     assert len(times) == 65  # 32 per decade, two decades
+
+
+# a schedule that does not strictly increase: an empty interval (once a 0/0
+# in the interval split) or one run backward through a kernel of negative width
+@pytest.mark.parametrize("t_init, t_end, record_times", [
+    (1.0, 1.0, ()),
+    (2.0, 1.0, ()),
+    (1.0, 2.0, (1.0, 1.5, 1.5, 2.0)),  # a repeat
+    (1.0, 2.0, (1.0, 1.5, 1.2, 2.0)),  # goes back
+    (1.0, 2.0, (0.5, 2.0)),  # starts before t_init
+])
+@pytest.mark.parametrize("kind", ["physical", "similarity"])
+def test_record_schedule_that_does_not_increase_is_refused(kind, t_init, t_end,
+                                                           record_times):
+    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+    cfg = ev.SolverConfig(t_init=t_init, t_end=t_end, record_times=record_times)
+    run = ev.evolve if kind == "physical" else ev.evolve_similarity
+    with pytest.raises(InvalidParameter, match="t_end|record times"):
+        run(u0, cfg)
 
 
 def test_trajectory_mass_drift_and_times(reference_run_2d):
@@ -398,6 +425,77 @@ def test_radial_run_builds_one_kernel_per_record_interval(monkeypatch):
     assert len(run) == len(traj.records) - 1
     assert sum(interval["steps"] >= 2 for interval in run) >= len(run) // 2
     assert [len(interval["keys"]) for interval in run] == [1] * len(run)
+
+
+class _LookupEveryCall(ev._RadialStepper):
+    """The radial stepper with a ``diffuse`` that looks its kernel up on every
+    call, as it did before it kept the kernel of its last half step."""
+
+    def __init__(self, grid_nodes, dim, kind):
+        super().__init__(grid_nodes, dim, kind)
+        self.half_steps = []
+
+    def diffuse(self, values, dt):
+        self.half_steps.append(dt)
+        a, shrink = (dt, 1.0) if self.kind == "physical" else ev.kernel_width_shrink(dt)
+        return ev._radial_propagator(self.nodes, self.dim, a, shrink) @ values
+
+
+@pytest.mark.parametrize("kind, t_init, t_end", [
+    ("physical", 1.0, 3.0),
+    ("similarity", 0.0, 2.0),
+])
+def test_one_kernel_lookup_per_step_size_builds_the_same_kernels(monkeypatch, kind,
+                                                                 t_init, t_end):
+    # supercritical mass on a coarse grid: the CFL limit halves dt within
+    # record intervals, so the half step changes inside them as well
+    u0 = gaussian_radial(2, 10.0 * math.pi, radial_grid(96, 20.0))
+    cfg = ev.SolverConfig(t_init=t_init, t_end=t_end, blowup_factor=1e3,
+                          records_per_decade=8)
+    run = ev.evolve if kind == "physical" else ev.evolve_similarity
+    build, lookup = sg._build_propagator, ev._radial_propagator
+
+    def traced_run(make_stepper):
+        built, looked_up = [], []
+
+        def counted_build(nodes, dim, a, shrink):
+            built.append((a, shrink))
+            return build(nodes, dim, a, shrink)
+
+        def counted_lookup(nodes, dim, a, shrink):
+            looked_up.append((a, shrink))
+            return lookup(nodes, dim, a, shrink)
+
+        monkeypatch.setattr(sg, "_build_propagator", counted_build)
+        monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
+        monkeypatch.setattr(ev, "_radial_propagator", counted_lookup)
+        monkeypatch.setattr(ev, "_make_stepper", make_stepper)
+        return run(u0, cfg), built, looked_up
+
+    steppers = []
+
+    def make_every_call_stepper(field, kind):
+        steppers.append(_LookupEveryCall(field.nodes, field.dim, kind))
+        return steppers[-1]
+
+    traj, built, looked_up = traced_run(ev._make_stepper)
+    every_traj, every_built, every_looked_up = traced_run(make_every_call_stepper)
+    dts = steppers[0].half_steps
+    assert any(b == 0.5 * a for a, b in zip(dts, dts[1:]))  # dt was halved
+    assert len(every_looked_up) == len(dts) > len(looked_up)
+    assert all(a != b for a, b in zip(looked_up, looked_up[1:]))
+    assert looked_up == [key for i, key in enumerate(every_looked_up)
+                         if i == 0 or key != every_looked_up[i - 1]]
+    assert built == every_built and len(set(built)) > sg._PROPAGATOR_CACHE_KERNELS
+    assert (traj.termination, traj.blowup_time) == (every_traj.termination,
+                                                     every_traj.blowup_time)
+    assert len(traj.records) == len(every_traj.records) > 2
+    for rec, every in zip(traj.records, every_traj.records):
+        assert same_bits(rec.field.values, every.field.values)
+        assert same_bits([rec.time, rec.moments.mass, rec.moments.second_moment,
+                          rec.sup_norm, rec.free_energy],
+                         [every.time, every.moments.mass, every.moments.second_moment,
+                          every.sup_norm, every.free_energy])
 
 
 @pytest.mark.parametrize("geometry, kind, scheme, tolerance", [

@@ -1,7 +1,7 @@
 """Paired benchmark of a change against a parent revision.
 
     python3 tools/bench_pair.py PARENT_REV --seeds 501 502 ... \
-        [--workloads NAME ...] [--out FILE]
+        [--workloads NAME ...] [--trace] [--out FILE]
 
 Run from the root of a git checkout; the change is its working tree.  Both
 sides are exported into a scratch directory: the parent with ``git archive
@@ -13,7 +13,10 @@ at a time, and alternates which side goes first from seed to seed, so a
 drift in host speed does not favour either side.  It reads the metrics from
 each run's last output line (one JSON object) and the check values and the
 ``provenance`` block (host, library versions, seed, mass, sample counts) from
-the run's ``report.json``.
+the run's ``report.json``.  With ``--trace`` it also runs ``perfbench/run.py
+--trace 1`` once per side for the first seed and reports each side's
+per-layer metrics (kernel builds and hits, per-phase seconds) and the patch
+points the tracer could not find (``untraced_points``).
 
 The result, written as JSON to ``--out`` (standard output by default),
 names the parent's commit and the change's base commit (``HEAD``), with
@@ -59,18 +62,19 @@ def export_working_tree(dest, root):
             shutil.copy2(src, dest / name)
 
 
-def run_side(side, workload, seed, seconds):
-    """One ``perfbench/run.py --trace 0`` run in the checkout ``side``:
+def run_side(side, workload, seed, seconds, trace=0):
+    """One ``perfbench/run.py --trace TRACE`` run in the checkout ``side``:
     (last-line JSON, check values and provenance from its report)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=side, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{side.name} {workload} seed {seed}: no output\n{proc.stderr}")
     result = json.loads(lines[-1])
-    report = side / "perfbench" / "work" / workload / f"seed{seed}-trace0" / "report.json"
+    report = (side / "perfbench" / "work" / workload / f"seed{seed}-trace{trace}"
+              / "report.json")
     if not report.exists():
         return result, None, None
     report = json.loads(report.read_text())
@@ -114,6 +118,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--trace", action="store_true",
+                        help="add one traced run per side for the first seed")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     seconds = bench["run_seconds"]
@@ -128,7 +134,20 @@ def main(argv=None):
         export_commit(parent_commit, sides["parent"], root)
         export_working_tree(sides["change"], root)
         runs = {w: {side: [] for side in sides} for w in args.workloads}
+        traces = {w: {} for w in args.workloads}
         for workload in args.workloads:
+            if args.trace:
+                for side in sides:
+                    result, _, prov = run_side(sides[side], workload, args.seeds[0],
+                                               seconds, trace=1)
+                    traces[workload][side] = {
+                        "correct": result["correct"],
+                        "metrics": {name: m["value"]
+                                    for name, m in result["metrics"].items()},
+                        "untraced_points": (prov or {}).get("untraced_points"),
+                    }
+                    print(f"{workload} trace seed {args.seeds[0]} {side}: "
+                          f"correct={result['correct']}", file=sys.stderr)
             for k, seed in enumerate(args.seeds):
                 order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
                 for side in order:
@@ -160,6 +179,8 @@ def main(argv=None):
             parent, change = ([r["result"]["metrics"].get(name, {}).get("value")
                                for r in by_side[side]] for side in ("parent", "change"))
             entry["metrics"][name] = compare(parent, change, metric["better"])
+        if traces[workload]:
+            entry["trace"] = dict(traces[workload], seed=args.seeds[0])
         report["workloads"][workload] = entry
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
