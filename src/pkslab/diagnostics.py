@@ -2,6 +2,17 @@
 its monotonicity margin, and virial slopes.
 
 All functions here are pure readers of fields or trajectories.
+
+The radial free energy and relative entropy are written once, as row-wise
+passes over radial values stacked (profiles x nodes): every elementwise step
+and every reduction works along the last axis, and each row is summed in
+the order of its own 1D sum, so a row's result keeps the bits of the same
+profile evaluated alone.  :func:`free_energy_2d` and
+:func:`relative_entropy` evaluate one field as one row.  A trajectory's
+diagnostics (its records' free energies, and :func:`diagnostics_csv`'s
+relative entropies) are evaluated ``RECORD_BLOCK`` records at a time over
+the trajectory's stacked values, so the temporaries of a pass hold a few
+blocks of rows, not a few copies of the run.
 """
 
 import math
@@ -12,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .fields import RadialField, moments, quadrature_weights, total_mass
 from .grids import radial_measure_weights
-from .potential import cartesian_potential_2d, radial_gradient, radial_potential
+from .potential import cartesian_potential_2d, radial_gradient_rows, radial_potential_rows
 from .profiles import EIGHT_PI
 from .semigroup import (gaussian_values, kernel_rows, nonlinearity_weight,
                         scaled_sphere_average)
@@ -20,6 +31,16 @@ from .semigroup import (gaussian_values, kernel_rows, nonlinearity_weight,
 # Floor inside logarithms; w log w -> 0 as w -> 0 so the clipped cells are
 # exactly the ones whose contribution is negligible.
 LOG_FLOOR = 1e-300
+
+# records whose diagnostics are evaluated together: the block bounds the
+# temporaries of the row-wise passes, so their memory does not grow with
+# the number of records
+RECORD_BLOCK = 16
+
+
+def record_blocks(count):
+    """Slices of at most ``RECORD_BLOCK`` consecutive records covering ``count``."""
+    return [slice(start, start + RECORD_BLOCK) for start in range(0, count, RECORD_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -45,8 +66,10 @@ class RelativeEntropyResult:
     entropy_part: float
 
 
-def _entropy_integral(field, weights, reference=None):
-    w = field.values
+def _entropy_integral(values, weights, reference=None, axis=None):
+    """int w log(w / reference) (int w log w without one), reduced over
+    ``axis``."""
+    w = values
     if reference is None:
         integrand = np.where(w > 0.0, w * np.log(np.maximum(w, LOG_FLOOR)), 0.0)
     else:
@@ -55,7 +78,25 @@ def _entropy_integral(field, weights, reference=None):
             w * np.log(np.maximum(w, LOG_FLOOR) / np.maximum(reference, LOG_FLOOR)),
             0.0,
         )
-    return float(np.sum(weights * integrand))
+    return np.sum(weights * integrand, axis=axis)
+
+
+def _free_energy_terms(values, weights, second, potential, axis=None):
+    """(value, entropy, moment term, interaction) of the 2D free energy of
+    ``values`` with second moment ``second`` and potential ``potential``,
+    reduced over ``axis``."""
+    entropy = _entropy_integral(values, weights, axis=axis)
+    moment_term = 0.25 * second
+    interaction = 0.5 * np.sum(weights * values * potential, axis=axis)
+    return entropy + moment_term - interaction, entropy, moment_term, interaction
+
+
+def free_energy_2d_rows(nodes, rows, weights, second):
+    """The free energy of :func:`free_energy_2d` of each row of 2D radial
+    values ``rows`` on ``nodes``, given their measure ``weights`` and second
+    moments ``second``."""
+    potential = radial_potential_rows(nodes, 2, rows)
+    return _free_energy_terms(rows, weights, second, potential, axis=-1)[0]
 
 
 def free_energy_2d(field):
@@ -64,23 +105,34 @@ def free_energy_2d(field):
         raise InvalidParameter("free_energy_2d is defined for 2D fields")
     mom = moments(field)
     if isinstance(field, RadialField):
-        v = radial_potential(field, gauge="canonical")
+        v = radial_potential_rows(field.nodes, 2, field.values)
         gauge_shift = float(v[0])
     else:
         v = cartesian_potential_2d(field)
         center = field.size // 2
         gauge_shift = float(v[center, center])
-    weights = quadrature_weights(field)
-    entropy = _entropy_integral(field, weights)
-    moment_term = 0.25 * mom.second_moment
-    interaction = 0.5 * float(np.sum(weights * field.values * v))
+    value, entropy, moment_term, interaction = (float(term) for term in _free_energy_terms(
+        field.values, quadrature_weights(field), mom.second_moment, v))
     return FreeEnergyResult(
-        value=entropy + moment_term - interaction,
+        value=value,
         entropy_term=entropy,
         moment_term=moment_term,
         interaction_term=interaction,
         gauge_shift=gauge_shift,
     )
+
+
+def relative_entropy_rows(nodes, dim, rows, masses, taus):
+    """The ``value`` of :func:`relative_entropy` of each row of radial values
+    ``rows`` on ``nodes``, given the rows' masses and similarity times."""
+    weights = radial_measure_weights(nodes, dim)
+    gauss = gaussian_values(dim, nodes)
+    energy = np.sum(weights * radial_gradient_rows(nodes, dim, rows) ** 2, axis=-1)
+    entropy_vs_gauss = _entropy_integral(rows, weights, reference=gauss, axis=-1)
+    # per row, with the scalar exp and log of the 1D formula
+    half_weight = np.array([0.5 * nonlinearity_weight(dim, tau) for tau in taus])
+    mass_log_mass = np.array([m * math.log(m) if m > 0 else 0.0 for m in masses])
+    return entropy_vs_gauss + half_weight * energy - mass_log_mass
 
 
 def relative_entropy(field, tau=0.0):
@@ -96,17 +148,12 @@ def relative_entropy(field, tau=0.0):
         raise InvalidParameter("relative_entropy is implemented for radial fields")
     n = field.dim
     mass = total_mass(field)
-    weights = radial_measure_weights(field.nodes, n)
+    value = relative_entropy_rows(field.nodes, n, field.values[None], [mass], [tau])[0]
     gauss = gaussian_values(n, field.nodes)
-    energy = float(np.sum(weights * radial_gradient(field) ** 2))
-    entropy_vs_gauss = _entropy_integral(field, weights, reference=gauss)
-    value = entropy_vs_gauss + 0.5 * nonlinearity_weight(n, tau) * energy - (
-        mass * math.log(mass) if mass > 0 else 0.0
-    )
     entropy_part = _entropy_integral(
-        field, weights, reference=mass * gauss if mass > 0 else gauss
+        field.values, field.measure_weights(), reference=mass * gauss if mass > 0 else gauss
     )
-    return RelativeEntropyResult(value=value, entropy_part=entropy_part)
+    return RelativeEntropyResult(value=float(value), entropy_part=float(entropy_part))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +245,15 @@ def diagnostics_csv(trajectory, path):
     recs = trajectory.records
     t = trajectory.times()
     m2 = trajectory.second_moments()
+    rel_ent = np.full(len(recs), math.nan)
+    first = recs[0].field
+    if isinstance(first, RadialField):
+        physical = trajectory.kind == "physical"
+        taus = np.array([math.log(time) if physical and time > 0 else time for time in t])
+        masses, stacked = trajectory.masses(), trajectory.stacked_values()
+        for block in record_blocks(len(recs)):
+            rel_ent[block] = relative_entropy_rows(first.nodes, first.dim, stacked[block],
+                                                   masses[block], taus[block])
     rows = []
     for k, rec in enumerate(recs):
         lo = max(0, k - 1)
@@ -205,11 +261,7 @@ def diagnostics_csv(trajectory, path):
         slope = (
             (m2[hi] - m2[lo]) / (t[hi] - t[lo]) if t[hi] > t[lo] else math.nan
         )
-        rel_ent = math.nan
-        if isinstance(rec.field, RadialField):
-            tau = math.log(rec.time) if trajectory.kind == "physical" and rec.time > 0 else rec.time
-            rel_ent = relative_entropy(rec.field, tau).value
-        rows.append(f"{record_row(rec)},{rel_ent:.17g},{slope:.17g}\n")
+        rows.append(f"{record_row(rec)},{rel_ent[k]:.17g},{slope:.17g}\n")
     with open(path, "w", newline="\n") as fh:
         fh.write(
             "t,mass,second_moment,sup_norm,l1_dist_to_profile,"

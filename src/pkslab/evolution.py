@@ -58,10 +58,25 @@ array, picks the same slope, and the same signed zero, because numpy's
 minimum and maximum return their second operand on a tie (a test checks
 this).  IEEE sums and products do not depend on operand order, so Heun's
 stages combine in place.
+
+A radial run copies the values of each record into one row of a single
+(records x nodes) array, and each record's field is a view of its row, so
+the run holds one copy of its records.  When the run ends, at t_end or
+early, the records' diagnostics (mass and second moment, sup norm, the 2D
+free energy and the L1 distance to the reference) are evaluated over that
+array ``diagnostics.RECORD_BLOCK`` rows at a time, by the row-wise passes
+that the single-field functions (``moments``, ``lp_norm``,
+``free_energy_2d``) run on one row; each row is reduced along its own axis,
+so every record reads the same bits as its field evaluated alone.  A
+Cartesian record is already a whole 2D field of work, and is evaluated one
+field at a time.  :meth:`Trajectory.values_at` finds the records around
+every time with one ``searchsorted`` and gathers them from the stacked
+values.
 """
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
@@ -77,10 +92,10 @@ from .errors import (
 )
 from . import diagnostics as _diagnostics
 from .fields import (CartesianField2D, RadialField, gaussian_cartesian, gaussian_radial,
-                     lp_norm, moments, total_mass)
-from .grids import (SPHERE_AREA, cumulative_shell_mass, gauss_law_gradient,
-                    radial_measure_weights)
-from .potential import cartesian_gradient_2d, check_boundary_decay
+                     lp_norm, lp_norm_values, moment_set, moments, radial_moments,
+                     total_mass)
+from .grids import SPHERE_AREA, radial_measure_weights
+from .potential import cartesian_gradient_2d, check_boundary_decay, radial_gradient_rows
 from .semigroup import (
     _radial_propagator,
     kernel_rows,
@@ -131,7 +146,18 @@ class TrajectoryRecord:
 @dataclass
 class Trajectory:
     """Time-ordered run records plus the configuration, advection scheme and
-    clamp tolerance that produced them."""
+    clamp tolerance that produced them.
+
+    The records' field values, stacked along a first axis (records x
+    samples), are :meth:`stacked_values`.  A radial run writes each record's
+    values into one row of a single array, and its records' fields are
+    views of those rows, so the run holds one copy of its values; the
+    records' diagnostics were evaluated over that array a block of rows at
+    a time.  A trajectory whose records are replaced or changed (say by
+    ``dataclasses.replace(traj, records=...)``) stacks its own records'
+    values the first time it is asked, and keeps them until its records
+    change again.
+    """
 
     dim: int
     kind: str  # "physical" or "similarity"
@@ -141,6 +167,9 @@ class Trajectory:
     records: list = dataclass_field(default_factory=list)
     termination: str = "t_end"  # t_end | sup_growth | dt_collapse
     blowup_time: float = math.nan
+    # (the records the stack holds, the stack); see stacked_values
+    _stacked: tuple = dataclass_field(default=((), None), init=False, repr=False,
+                                      compare=False)
 
     @property
     def blowup(self):
@@ -165,37 +194,51 @@ class Trajectory:
         m = self.masses()
         return float(np.abs(np.diff(m)).max() / max(m[0], 1e-300)) if m.size > 1 else 0.0
 
+    def stacked_values(self):
+        """The records' field values as one read-only array, one record per
+        row along the first axis.  It is the array the run wrote them into
+        while the records are the run's own, and a stack of them otherwise."""
+        held, stacked = self._stacked
+        if len(held) != len(self.records) or not all(map(operator.is_, held, self.records)):
+            stacked = np.stack([rec.field.values for rec in self.records])
+            stacked.flags.writeable = False
+            self._stacked = (tuple(self.records), stacked)
+        return stacked
+
     def values_at(self, ts):
         """The field values at each time in ``ts``, stacked along a new first
-        axis.
+        axis and gathered from :meth:`stacked_values`.
 
         Between two records the values are linear in log-time in physical
-        runs, and linear in time in similarity runs and after a physical
-        record at t = 0.  Two records at the same time give the earlier
-        one's values: (1 - 0) lo + 0 lo is lo bit for bit.
+        runs (with the scalar ``math.log`` of the single-time formula), and
+        linear in time in similarity runs and after a physical record at
+        t = 0.  Two records at the same time give the earlier one's values:
+        (1 - 0) lo + 0 lo is lo bit for bit.  A time outside the records,
+        or NaN, raises :class:`OutOfRange`.
         """
+        ts = np.asarray(ts, dtype=float)
         times = self.times()
-        lo, hi, weights = [], [], []
-        for t in np.asarray(ts, dtype=float):
-            if not times[0] <= t <= times[-1]:
-                raise OutOfRange(f"time {t} outside recorded range [{times[0]}, {times[-1]}]")
-            idx = int(np.searchsorted(times, t))
-            if idx == 0 or times[idx - 1] == t:
-                idx = max(idx, 1)
-            lo_rec, hi_rec = self.records[idx - 1], self.records[min(idx, len(self.records) - 1)]
-            if hi_rec.time == lo_rec.time:
-                hi_rec, w = lo_rec, 0.0
-            elif self.kind == "physical" and lo_rec.time > 0:
-                w = ((math.log(t) - math.log(lo_rec.time))
-                     / (math.log(hi_rec.time) - math.log(lo_rec.time)))
-            else:
-                w = (t - lo_rec.time) / (hi_rec.time - lo_rec.time)
-            lo.append(lo_rec.field.values)
-            hi.append(hi_rec.field.values)
-            weights.append(w)
-        lo, hi = np.stack(lo), np.stack(hi)
-        w = np.reshape(weights, (-1,) + (1,) * (lo.ndim - 1))
-        return (1.0 - w) * lo + w * hi
+        outside = ~((times[0] <= ts) & (ts <= times[-1]))
+        if outside.any():
+            raise OutOfRange(f"time {ts[outside][0]} outside recorded range "
+                             f"[{times[0]}, {times[-1]}]")
+        # the records on either side: the first at or after t, and the one before
+        idx = np.maximum(np.searchsorted(times, ts), 1)
+        lo, hi = idx - 1, np.minimum(idx, times.size - 1)
+        t_lo, t_hi = times[lo], times[hi]
+        moving = t_hi > t_lo
+        hi[~moving] = lo[~moving]
+        logarithmic = moving & (t_lo > 0) & (self.kind == "physical")
+        linear = moving & ~logarithmic
+        w = np.zeros(ts.shape)
+        w[linear] = (ts[linear] - t_lo[linear]) / (t_hi[linear] - t_lo[linear])
+        if logarithmic.any():
+            log_t, log_lo, log_hi = (np.array([math.log(x) for x in a[logarithmic]])
+                                     for a in (ts, t_lo, t_hi))
+            w[logarithmic] = (log_t - log_lo) / (log_hi - log_lo)
+        stacked = self.stacked_values()
+        w = w.reshape((-1,) + (1,) * (stacked.ndim - 1))
+        return (1.0 - w) * stacked[lo] + w * stacked[hi]
 
     def field_at(self, t):
         """The field at time t: linear in log-time between the records of a
@@ -531,24 +574,92 @@ def _reference_values(config, field, t, mass, reference_field):
     return None
 
 
-def _make_record(field, t, config, reference_field, initial_mass):
-    mom = moments(field)
-    sup = float(np.abs(field.values).max())
-    fe = math.nan
-    if field.dim == 2 and isinstance(field, RadialField):
-        try:
-            fe = _diagnostics.free_energy_2d(field).value
-        except PKSError:
-            pass
-    ref = _reference_values(config, field, t, initial_mass, reference_field)
-    l1 = math.nan
-    if ref is not None:
-        diff = field.with_values(field.values - ref, nonnegative=False)
-        l1 = lp_norm(diff, 1)
-    return TrajectoryRecord(
-        time=t, field=field, moments=mom, sup_norm=sup, free_energy=fe,
-        l1_dist_to_profile=l1,
-    )
+def _free_energies(nodes, rows, weights, second):
+    """The free energy of each 2D radial row; a typed error reads NaN in the
+    rows that raise it when evaluated alone, and any other error propagates."""
+    try:
+        return _diagnostics.free_energy_2d_rows(nodes, rows, weights, second)
+    except PKSError:
+        if len(rows) == 1:
+            return np.array([math.nan])
+        return np.concatenate([_free_energies(nodes, rows[k:k + 1], weights, second[k:k + 1])
+                               for k in range(len(rows))])
+
+
+def _record_diagnostics(fields, times, config, reference_field, initial_mass, stacked):
+    """(moments, sup norm, free energy, L1 distance to the reference) of each
+    record field.  Radial records are evaluated ``RECORD_BLOCK`` rows of
+    ``stacked`` (their values) at a time, by the row-wise forms of
+    :func:`fields.moments`, :func:`fields.lp_norm` and
+    :func:`diagnostics.free_energy_2d`; Cartesian records one field at a
+    time.  Only 2D radial records have a free energy; the others read NaN."""
+    def reference(k):
+        return _reference_values(config, fields[k], times[k], initial_mass, reference_field)
+
+    if stacked is None:
+        out = []
+        for k, field in enumerate(fields):
+            ref = reference(k)
+            l1 = math.nan
+            if ref is not None:
+                l1 = lp_norm(field.with_values(field.values - ref, nonnegative=False), 1)
+            out.append((moments(field), lp_norm(field, math.inf), math.nan, l1))
+        return out
+    nodes, dim = fields[0].nodes, fields[0].dim
+    weights = radial_measure_weights(nodes, dim)
+    mass, second, sup = np.empty((3, len(fields)))
+    free_energy, l1 = [math.nan] * len(fields), [math.nan] * len(fields)
+    for block in _diagnostics.record_blocks(len(fields)):
+        rows = stacked[block]
+        mass[block], second[block] = radial_moments(nodes, rows, weights)
+        sup[block] = lp_norm_values(rows, None, math.inf, axis=-1)
+        if dim == 2:
+            free_energy[block] = _free_energies(nodes, rows, weights, second[block]).tolist()
+        refs = [reference(k) for k in range(len(fields))[block]]
+        if refs[0] is not None:
+            l1[block] = lp_norm_values(rows - np.stack(refs), weights, 1, axis=-1).tolist()
+    return [(moment_set(m, np.zeros(dim), m2, field.nonnegative), s, f, d)
+            for field, m, m2, s, f, d in zip(fields, mass, second, sup.tolist(), free_energy,
+                                              l1)]
+
+
+def _make_record(field, t, mom, sup, free_energy, l1):
+    """The record of ``field`` at ``t`` from its row of
+    :func:`_record_diagnostics`."""
+    return TrajectoryRecord(time=t, field=field, moments=mom, sup_norm=sup,
+                            free_energy=free_energy, l1_dist_to_profile=l1)
+
+
+def _advance(stepper, values, t_lo, t_hi, config, weight_at, sup0, steps):
+    """Step ``values`` from the record time ``t_lo`` to ``t_hi``; ``steps``
+    counts the run's steps so far.  Returns the values, the new count, and
+    (termination, time) when the run ends inside the interval, else None.
+
+    The first step splits the interval into equal steps of one dt within its
+    CFL limit; a step over its limit halves dt and doubles the steps left.
+    """
+    t, dt, left = t_lo, None, 1
+    while left:
+        if steps >= MAX_STEPS:
+            raise StiffnessFailure(f"exceeded {MAX_STEPS} steps")
+        limit = stepper.cfl_limit(values) if config.nonlinearity else math.inf
+        if dt is None:
+            interval = t_hi - t_lo
+            left = math.ceil(interval / min(interval, limit / weight_at(t_lo)))
+            dt = interval / left
+        weight = weight_at(t + 0.5 * dt)
+        limit /= weight
+        while dt > limit:
+            dt, left = 0.5 * dt, 2 * left
+            if dt < config.dt_min:
+                return values, steps, ("dt_collapse", t)
+        values = _strang_step(stepper, values, dt, weight, config, sup0)
+        t += dt
+        left -= 1
+        steps += 1
+        if values.max() > config.blowup_factor * sup0:
+            return values, steps, ("sup_growth", t)
+    return values, steps, None
 
 
 def _drive(u0, config, kind, reference_field=None):
@@ -566,39 +677,38 @@ def _drive(u0, config, kind, reference_field=None):
 
     initial_mass = total_mass(u0)
     sup0 = float(u0.values.max())
-    traj.records.append(
-        _make_record(u0, schedule[0], config, reference_field, initial_mass)
-    )
+    # a radial run keeps its records' values as the rows of one array
+    stacked = np.empty((schedule.size, u0.values.size)) if isinstance(u0, RadialField) else None
+    fields = []
+
+    def keep(values):
+        # a field keeps the array it is given when no sample is below zero,
+        # which the clamp ensures: the record's values are the row itself
+        if stacked is not None:
+            stacked[len(fields)] = values
+            values = stacked[len(fields)]
+        fields.append(u0.with_values(values))
+
+    keep(u0.values)
     values = u0.values.copy()
     steps = 0
     for t_lo, t_hi in zip(schedule[:-1], schedule[1:]):
-        t, dt, left = t_lo, None, 1
-        while left:
-            if steps >= MAX_STEPS:
-                raise StiffnessFailure(f"exceeded {MAX_STEPS} steps")
-            limit = stepper.cfl_limit(values) if config.nonlinearity else math.inf
-            if dt is None:
-                interval = t_hi - t_lo
-                left = math.ceil(interval / min(interval, limit / weight_at(t_lo)))
-                dt = interval / left
-            weight = weight_at(t + 0.5 * dt)
-            limit /= weight
-            while dt > limit:
-                dt, left = 0.5 * dt, 2 * left
-                if dt < config.dt_min:
-                    traj.termination, traj.blowup_time = "dt_collapse", t
-                    return traj
-            values = _strang_step(stepper, values, dt, weight, config, sup0)
-            t += dt
-            left -= 1
-            steps += 1
-            if values.max() > config.blowup_factor * sup0:
-                traj.termination, traj.blowup_time = "sup_growth", t
-                return traj
-        field = u0.with_values(values)
-        traj.records.append(
-            _make_record(field, t_hi, config, reference_field, initial_mass)
-        )
+        values, steps, stop = _advance(stepper, values, t_lo, t_hi, config, weight_at,
+                                       sup0, steps)
+        if stop is not None:
+            traj.termination, traj.blowup_time = stop
+            break
+        keep(values)
+    if stacked is not None:
+        stacked = stacked[:len(fields)]
+        stacked.flags.writeable = False
+    times = schedule[:len(fields)]
+    diagnostics = _record_diagnostics(fields, times, config, reference_field, initial_mass,
+                                      stacked)
+    traj.records = [_make_record(field, t, *diag)
+                    for field, t, diag in zip(fields, times, diagnostics)]
+    if stacked is not None:
+        traj._stacked = (tuple(traj.records), stacked)
     return traj
 
 
@@ -676,9 +786,7 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
                 q = qs[start:start + DUHAMEL_BLOCK]
                 s = np.maximum(t - q * q, t0)  # guard the rounding at q = q_max
                 values = trajectory.values_at(s)
-                # radial_gradient of each row, through the stacked Gauss law
-                flux = w * values * gauss_law_gradient(
-                    nodes, cumulative_shell_mass(nodes, values, dim), dim)
+                flux = w * values * radial_gradient_rows(nodes, dim, values)
                 for i, r in enumerate(radii):
                     cols, bounds, gauss, z = kernel_rows(nodes, dim, r, t - s)
                     rows = np.repeat(np.arange(q.size), np.diff(bounds))

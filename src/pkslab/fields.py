@@ -4,6 +4,11 @@ Two concrete geometries are supported: radially symmetric densities sampled on
 a 1D node set (any dimension 2-5) and full 2D densities on a uniform periodic
 square grid sized for FFT work.  Fields are immutable value objects; all
 operations are pure functions.
+
+The radial quadratures (:func:`radial_moments`, :func:`lp_norm_values`) also
+take several profiles stacked along leading axes and reduce along the last
+one: each row is summed in the order of its own 1D sum, so it keeps its
+bits.  The single-field functions call them with one row.
 """
 
 import math
@@ -189,15 +194,26 @@ def total_mass(field):
     return float(np.sum(quadrature_weights(field) * field.values))
 
 
-def lp_norm(field, p):
-    """Standard L^p quadrature norm; p = inf gives the max sample magnitude."""
-    if p == math.inf or p == "inf":
-        return float(np.abs(field.values).max())
+def _is_sup(p):
+    return p == math.inf or p == "inf"
+
+
+def lp_norm_values(values, weights, p, axis=None):
+    """The L^p quadrature norm of ``values`` against ``weights``, reduced over
+    ``axis`` (every sample by default; -1 gives one norm per stacked radial
+    profile).  p = inf gives the max sample magnitude and reads no weights."""
+    if _is_sup(p):
+        return np.abs(values).max(axis=axis)
     p = float(p)
     if p < 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
-    w = quadrature_weights(field)
-    return float(np.sum(w * np.abs(field.values) ** p) ** (1.0 / p))
+    return np.sum(weights * np.abs(values) ** p, axis=axis) ** (1.0 / p)
+
+
+def lp_norm(field, p):
+    """Standard L^p quadrature norm; p = inf gives the max sample magnitude."""
+    weights = None if _is_sup(p) else quadrature_weights(field)
+    return float(lp_norm_values(field.values, weights, p))
 
 
 def l1_distance(a, b):
@@ -205,25 +221,39 @@ def l1_distance(a, b):
     return lp_norm(a.with_values(a.values - b.values, nonnegative=False), 1)
 
 
-def moments(field):
-    """Mass, center of mass B0 = int x u dx, and second moment int u |x|^2 dx."""
-    w = quadrature_weights(field)
-    mass = float(np.sum(w * field.values))
-    if isinstance(field, RadialField):
-        center = np.zeros(field.dim)
-        second = float(np.sum(w * field.values * field.nodes**2))
-    else:
-        xx, yy = field.meshgrid()
-        center = np.array(
-            [np.sum(w * field.values * xx), np.sum(w * field.values * yy)]
-        )
-        second = float(np.sum(w * field.values * (xx**2 + yy**2)))
-    if field.nonnegative and mass > 0:
+def radial_moments(nodes, values, weights):
+    """Mass and second moment of radial ``values`` on ``nodes`` against the
+    measure ``weights``, along the last axis (leading axes stack profiles)."""
+    weighted = weights * values
+    return np.sum(weighted, axis=-1), np.sum(weighted * nodes**2, axis=-1)
+
+
+def moment_set(mass, center, second, nonnegative):
+    """The :class:`MomentSet` of these moments; those of a nonnegative density
+    must also satisfy the Cauchy-Schwarz bound."""
+    mass, second = float(mass), float(second)
+    if nonnegative and mass > 0:
         # Cauchy-Schwarz: |int x u|^2 <= mass * int |x|^2 u
         slack = second - float(center @ center) / mass
         if slack < -1e-9 * max(1.0, second):
             raise InvalidField("moments violate the Cauchy-Schwarz bound")
     return MomentSet(mass=mass, center=center, second_moment=second)
+
+
+def moments(field):
+    """Mass, center of mass B0 = int x u dx, and second moment int u |x|^2 dx."""
+    w = quadrature_weights(field)
+    if isinstance(field, RadialField):
+        mass, second = radial_moments(field.nodes, field.values, w)
+        center = np.zeros(field.dim)
+    else:
+        mass = np.sum(w * field.values)
+        xx, yy = field.meshgrid()
+        center = np.array(
+            [np.sum(w * field.values * xx), np.sum(w * field.values * yy)]
+        )
+        second = np.sum(w * field.values * (xx**2 + yy**2))
+    return moment_set(mass, center, second, field.nonnegative)
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,20 @@ from .fields import CartesianField2D, RadialField, lp_norm, total_mass
 from .grids import SPHERE_AREA, cumulative_integral, cumulative_shell_mass, gauss_law_gradient
 
 
+def radial_gradient_rows(nodes, dim, values, order=2):
+    """V'(r) of radial ``values`` on ``nodes`` via the Gauss/shell reduction,
+    from the enclosed mass of :func:`grids.cumulative_shell_mass` at
+    ``order``.  At order 2 the leading axes of ``values`` may stack profiles;
+    each row equals its own 1D gradient bit for bit."""
+    m = cumulative_shell_mass(nodes, values, dim, order=order)
+    return gauss_law_gradient(nodes, m, dim)
+
+
 def radial_gradient(u, order=2):
-    """V'(r) for radial u via the Gauss/shell reduction, on the nodes of u,
-    from the enclosed mass of :func:`grids.cumulative_shell_mass` at ``order``."""
+    """V'(r) for radial u on its nodes (see :func:`radial_gradient_rows`)."""
     if not isinstance(u, RadialField):
         raise InvalidParameter("radial_gradient expects a RadialField")
-    m = cumulative_shell_mass(u.nodes, u.values, u.dim, order=order)
-    return gauss_law_gradient(u.nodes, m, u.dim)
+    return radial_gradient_rows(u.nodes, u.dim, u.values, order=order)
 
 
 def radial_potential(u, gauge="canonical", order=2):
@@ -56,25 +63,33 @@ def radial_potential(u, gauge="canonical", order=2):
     is kink-free at quadrature level and is what iterative solvers should
     exponentiate.  Only the gradient is physical.
     """
-    n = u.dim
-    area = SPHERE_AREA[n]
-    r = u.nodes
     if gauge == "origin":
         vp = radial_gradient(u, order=order)
-        return cumulative_integral(r, vp, order=order)
+        return cumulative_integral(u.nodes, vp, order=order)
     if gauge != "canonical":
         raise InvalidParameter(f"unknown gauge {gauge!r}")
-    m = cumulative_shell_mass(r, u.values, n, order=order)
-    shell = area * r ** (n - 1) * u.values
+    return radial_potential_rows(u.nodes, u.dim, u.values, order=order)
+
+
+def radial_potential_rows(nodes, dim, values, order=2):
+    """The canonical-gauge potential of :func:`radial_potential` for radial
+    ``values`` on ``nodes``.  At order 2 the leading axes of ``values`` may
+    stack profiles: every pass works along the last axis, and each row
+    equals its own 1D potential bit for bit."""
+    n = dim
+    area = SPHERE_AREA[n]
+    r = nodes
+    m = cumulative_shell_mass(r, values, n, order=order)
+    shell = area * r ** (n - 1) * values
     if n == 2:
         kernel = np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), 0.0)
     else:
         kernel = np.where(r > 0, r ** (2.0 - n), 0.0)
     f = shell * kernel  # vanishes at r = 0 because shell does
     # tail_i = integral over [r_i, r_max] of f, by per-segment trapezoids
-    seg = 0.5 * (r[1:] - r[:-1]) * (f[1:] + f[:-1])
+    seg = 0.5 * (r[1:] - r[:-1]) * (f[..., 1:] + f[..., :-1])
     tail = np.zeros_like(f)
-    tail[:-1] = np.cumsum(seg[::-1])[::-1]
+    tail[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     inner = np.where(r > 0, m * kernel, 0.0)
     if n == 2:
         return -(inner + tail) / (2.0 * math.pi)

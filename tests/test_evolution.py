@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import pkslab
-from pkslab import evolution as ev, fields, semigroup as sg
+from pkslab import diagnostics as dg, evolution as ev, fields, semigroup as sg
 from pkslab.errors import (
     InsufficientSampling,
     InvalidField,
@@ -198,15 +198,27 @@ def test_radial_stepper_results_outlive_its_buffers():
 
 
 def test_record_free_energy_catches_only_package_errors(monkeypatch):
+    # the records' free energies are evaluated a block of rows at a time; a
+    # typed error in one record's free energy reads NaN in that record only
     u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
-    cfg = ev.SolverConfig(t_init=1.0, t_end=1.01)
+    cfg = ev.SolverConfig(t_init=1.0, t_end=2.0, records_per_decade=64)
+    plain = ev.evolve(u0, cfg)
+    assert len(plain.records) > dg.RECORD_BLOCK + 2
+    failing = (0, dg.RECORD_BLOCK + 2)  # one record in each of two blocks
+    failing_values = [plain.records[k].field.values for k in failing]
+    free_energy_2d_rows = dg.free_energy_2d_rows
     error = InvalidField("moments must be finite")
 
-    def free_energy_2d(field):
-        raise error
+    def failing_rows(nodes, rows, weights, second):
+        if any(np.array_equal(row, bad) for row in rows for bad in failing_values):
+            raise error
+        return free_energy_2d_rows(nodes, rows, weights, second)
 
-    monkeypatch.setattr(ev._diagnostics, "free_energy_2d", free_energy_2d)
-    assert math.isnan(ev.evolve(u0, cfg).records[0].free_energy)
+    monkeypatch.setattr(ev._diagnostics, "free_energy_2d_rows", failing_rows)
+    got = [rec.free_energy for rec in ev.evolve(u0, cfg).records]
+    assert math.isnan(got[0])
+    assert same_bits(got, [math.nan if k in failing else rec.free_energy
+                           for k, rec in enumerate(plain.records)])
     error = ZeroDivisionError("a bug")
     with pytest.raises(ZeroDivisionError):
         ev.evolve(u0, cfg)
@@ -400,12 +412,12 @@ def test_radial_run_builds_one_kernel_per_record_interval(monkeypatch):
     # every step of a record interval takes the interval's one dt, so the
     # interval asks for one propagator key, however many steps it takes
     intervals = []  # per interval: the propagator keys asked for and the steps
-    make_record, propagator, strang_step = (
-        ev._make_record, ev._radial_propagator, ev._strang_step)
+    advance, propagator, strang_step = (
+        ev._advance, ev._radial_propagator, ev._strang_step)
 
-    def record(*args, **kwargs):
+    def interval(*args, **kwargs):
         intervals.append({"keys": set(), "steps": 0})
-        return make_record(*args, **kwargs)
+        return advance(*args, **kwargs)
 
     def lookup(nodes, dim, a, shrink):
         intervals[-1]["keys"].add((a, shrink))
@@ -415,13 +427,13 @@ def test_radial_run_builds_one_kernel_per_record_interval(monkeypatch):
         intervals[-1]["steps"] += 1
         return strang_step(*args, **kwargs)
 
-    monkeypatch.setattr(ev, "_make_record", record)
+    monkeypatch.setattr(ev, "_advance", interval)
     monkeypatch.setattr(ev, "_radial_propagator", lookup)
     monkeypatch.setattr(ev, "_strang_step", step)
     u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(192, 40.0))
     traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=4.0, records_per_decade=20))
     assert traj.termination == "t_end"
-    run = intervals[:-1]  # the last record closes the run
+    run = intervals  # one per record after the first
     assert len(run) == len(traj.records) - 1
     assert sum(interval["steps"] >= 2 for interval in run) >= len(run) // 2
     assert [len(interval["keys"]) for interval in run] == [1] * len(run)
@@ -664,13 +676,118 @@ def test_values_at_equals_field_at_bit_for_bit(request, run):
     for t, row in zip(ts, stacked):
         assert np.array_equal(row, traj.field_at(t).values)
         assert np.array_equal(row, _field_values_by_record(traj, t))
-    with pytest.raises(OutOfRange):
-        traj.values_at([times[0], times[-1] + 1.0])
+    for outside in (times[-1] + 1.0, math.nan):
+        with pytest.raises(OutOfRange):
+            traj.values_at([times[0], outside])
     # a record repeated at its time, and a lone record, give its own values
     first = traj.records[0]
     for records in ([first] + traj.records, [first]):
         single = dataclasses.replace(traj, records=records)
         assert np.array_equal(single.values_at([first.time])[0], first.field.values)
+    # a copy with other records of the same times reads its own records, also
+    # after one of them is replaced in place
+    doubled = dataclasses.replace(traj, records=[
+        dataclasses.replace(rec, field=rec.field.with_values(2.0 * rec.field.values))
+        for rec in traj.records])
+    assert np.array_equal(doubled.values_at(times), 2.0 * traj.stacked_values())
+    doubled.records[1] = traj.records[1]
+    assert np.array_equal(doubled.values_at(times[1:2])[0], traj.records[1].field.values)
+    assert np.array_equal(traj.values_at(times), traj.stacked_values())
+
+
+def _free_energy_by_formula(field):
+    """free_energy_2d(field).value of a radial field as computed one field at
+    a time, before the row-wise passes."""
+    w, u, r = radial_measure_weights(field.nodes, 2), field.values, field.nodes
+    second = float(np.sum(w * u * r**2))
+    m = np.zeros_like(u)
+    g = SPHERE_AREA[2] * r * u
+    m[1:] = np.cumsum(0.5 * (r[1:] - r[:-1]) * (g[1:] + g[:-1]))
+    kernel = np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), 0.0)
+    f = g * kernel
+    tail = np.zeros_like(f)
+    tail[:-1] = np.cumsum((0.5 * (r[1:] - r[:-1]) * (f[1:] + f[:-1]))[::-1])[::-1]
+    v = -(np.where(r > 0, m * kernel, 0.0) + tail) / (2.0 * math.pi)
+    entropy = float(np.sum(w * np.where(u > 0.0, u * np.log(np.maximum(u, 1e-300)), 0.0)))
+    return entropy + 0.25 * second - 0.5 * float(np.sum(w * u * v))
+
+
+def _relative_entropy_by_formula(field, tau):
+    """relative_entropy(field, tau).value as computed one field at a time."""
+    n, w, u = field.dim, radial_measure_weights(field.nodes, field.dim), field.values
+    mass = float(np.sum(w * u))
+    gauss = (4.0 * math.pi) ** (-n / 2.0) * np.exp(-(field.nodes**2) / 4.0)
+    energy = float(np.sum(w * radial_gradient(field) ** 2))
+    ratio = np.maximum(u, 1e-300) / np.maximum(gauss, 1e-300)
+    entropy = float(np.sum(w * np.where(u > 0.0, u * np.log(ratio), 0.0)))
+    return (entropy + 0.5 * math.exp((1.0 - n / 2.0) * tau) * energy
+            - (mass * math.log(mass) if mass > 0 else 0.0))
+
+
+def _blocked_runs():
+    """Radial runs whose records span more than one block of diagnostics:
+    (name, trajectory, termination, the reference field or None)."""
+    u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(256, 40.0))
+    yield ("t_end", ev.evolve(u0, ev.SolverConfig(
+        t_init=1.0, t_end=3.0, records_per_decade=64, reference="m_gamma_t")), "t_end", None)
+    u0 = gaussian_radial(2, 12.0 * math.pi, radial_grid(128, 20.0))
+    yield ("sup_growth", ev.evolve(u0, ev.SolverConfig(
+        t_init=1.0, t_end=7.0, blowup_factor=1e2, records_per_decade=48)), "sup_growth", None)
+    u0 = gaussian_radial(2, 10.0 * math.pi, radial_grid(96, 20.0))
+    yield ("dt_collapse", ev.evolve(u0, ev.SolverConfig(
+        t_init=1.0, t_end=3.0, dt_min=1e-2, records_per_decade=64)), "dt_collapse", None)
+    U0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(128, 20.0), t0=2.0)
+    reference = gaussian_radial(2, 4.0 * math.pi, U0.nodes, t0=1.0)
+    yield ("similarity", ev.evolve_similarity(U0, ev.SolverConfig(
+        t_init=0.0, t_end=1.0, records_per_decade=64), reference_field=reference),
+        "t_end", reference)
+    u0 = gaussian_radial(2, 4.0 * math.pi, np.linspace(0.05, 60.0, 200))
+    yield ("offset_grid", ev.evolve(u0, ev.SolverConfig(
+        t_init=1.0, t_end=3.0, records_per_decade=64, reference="m_gamma_t")), "t_end", None)
+    u0 = gaussian_radial(3, 2.0, radial_grid(128, 40.0))
+    yield ("dim3", ev.evolve(u0, ev.SolverConfig(
+        t_init=1.0, t_end=3.0, records_per_decade=64, reference="m_gamma_t")), "t_end", None)
+
+
+def test_blocked_record_diagnostics_equal_the_single_field_ones(tmp_path):
+    for name, traj, termination, reference in _blocked_runs():
+        assert traj.termination == termination, name
+        records = traj.records
+        assert len(records) > dg.RECORD_BLOCK, name
+        stacked = traj.stacked_values()
+        assert stacked.shape == (len(records), records[0].field.nodes.size)
+        assert not stacked.flags.writeable
+        path = tmp_path / f"{name}.csv"
+        dg.diagnostics_csv(traj, path)
+        table = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        initial_mass = total_mass(records[0].field)
+        for k, (rec, line) in enumerate(zip(records, table, strict=True)):
+            field = rec.field
+            # one copy of the values: the record's field is a row of the stack
+            assert np.shares_memory(field.values, stacked) and np.array_equal(
+                field.values, stacked[k])
+            mom = fields.moments(field)
+            assert same_bits([rec.moments.mass, rec.moments.second_moment],
+                             [mom.mass, mom.second_moment]), (name, k)
+            assert same_bits(rec.moments.center, mom.center)
+            assert same_bits(rec.sup_norm, float(np.abs(field.values).max())), (name, k)
+            free_energy = math.nan
+            if field.dim == 2:
+                free_energy = dg.free_energy_2d(field).value
+                assert same_bits(free_energy, _free_energy_by_formula(field))
+            assert same_bits(rec.free_energy, free_energy), (name, k)
+            if reference is None and traj.config.reference != "m_gamma_t":
+                distance = math.nan
+            else:
+                ref = reference if reference is not None else gaussian_radial(
+                    field.dim, initial_mass, field.nodes, rec.time)
+                distance = fields.lp_norm(field.with_values(field.values - ref.values,
+                                                            nonnegative=False), 1)
+            assert same_bits(rec.l1_dist_to_profile, distance), (name, k)
+            tau = rec.time if traj.kind == "similarity" else math.log(rec.time)
+            relative_entropy = dg.relative_entropy(field, tau).value
+            assert same_bits(relative_entropy, _relative_entropy_by_formula(field, tau))
+            assert same_bits(float(line[6]), relative_entropy), (name, k)
 
 
 def test_export_trajectory(tmp_path, phi_run_2d):

@@ -18,6 +18,15 @@ the run's ``report.json``.  With ``--trace`` it also runs ``perfbench/run.py
 per-layer metrics (kernel builds and hits, per-phase seconds) and the patch
 points the tracer could not find (``untraced_points``).
 
+``peak_rss_mib`` is each sample's ``ru_maxrss``, which Linux carries over
+from the process that launched it: ``perfbench/run.py``, which holds numpy,
+scipy and its reference mix (about 72 MiB), so a run that peaks below that
+reads the harness.  So per workload the script also launches one
+``perfbench/child.py run`` per side itself, at one BLAS thread, on the
+scenario ``perfbench/run.py`` generated for the first seed.  This script
+imports no numpy, so that sample's ``peak_rss_mib`` is the run's own peak;
+it is reported as ``standalone_peak_rss_mib``.
+
 The result, written as JSON to ``--out`` (standard output by default),
 names the parent's commit and the change's base commit (``HEAD``), with
 whether the working tree differed from it, and holds per workload and
@@ -26,17 +35,23 @@ values, medians and quartiles, the number of pairs the change won, and
 whether the change's median beats the parent's by more than the parent's
 interquartile range; per workload it also says whether every run was
 correct, whether both sides reported the same check values for every
-seed, and each side's provenance blocks, one per seed.
+seed, each side's standalone peak RSS, and each side's provenance blocks,
+one per seed.
 """
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def git(root, *args):
@@ -79,6 +94,27 @@ def run_side(side, workload, seed, seconds, trace=0):
         return result, None, None
     report = json.loads(report.read_text())
     return result, report["checks"], report.get("provenance")
+
+
+def standalone_peak_rss(side, workload, seed):
+    """Peak RSS in MiB of one ``perfbench/child.py run`` launched from this
+    process on the scenario ``perfbench/run.py`` generated for ``seed`` in
+    the checkout ``side`` (None when that run failed)."""
+    run_dir = side / "perfbench" / "work" / workload / f"seed{seed}-trace0"
+    out = run_dir / "standalone"
+    out.mkdir(exist_ok=True)
+    result_path = out / "result.json"
+    env = dict(os.environ, **{name: "1" for name in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "run", str(run_dir / f"{workload}.cfg"),
+         str(out), str(result_path), repr(time.monotonic())],
+        cwd=side, env=env, capture_output=True, text=True)
+    if proc.returncode != 0 or not result_path.exists():
+        print(f"{side.name} {workload}: standalone run exited {proc.returncode}\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    result = json.loads(result_path.read_text())
+    return result["peak_rss_mib"] if result.get("exit_code") == 0 else None
 
 
 def spread(values):
@@ -135,6 +171,7 @@ def main(argv=None):
         export_working_tree(sides["change"], root)
         runs = {w: {side: [] for side in sides} for w in args.workloads}
         traces = {w: {} for w in args.workloads}
+        standalone = {w: {} for w in args.workloads}
         for workload in args.workloads:
             if args.trace:
                 for side in sides:
@@ -158,6 +195,11 @@ def main(argv=None):
                                for name, m in result["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: correct={result['correct']} "
                           f"{metrics}", file=sys.stderr)
+            for side in sides:
+                rss = standalone_peak_rss(sides[side], workload, args.seeds[0])
+                standalone[workload][side] = rss
+                print(f"{workload} standalone seed {args.seeds[0]} {side}: "
+                      f"peak_rss_mib={rss}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch)
 
@@ -171,6 +213,7 @@ def main(argv=None):
             "checks_agree": all(p["checks"] is not None and p["checks"] == c["checks"]
                                 for p, c in zip(by_side["parent"], by_side["change"])),
             "metrics": {},
+            "standalone_peak_rss_mib": dict(standalone[workload], seed=args.seeds[0]),
             "provenance": {side: [r["provenance"] for r in side_runs]
                            for side, side_runs in by_side.items()},
         }
