@@ -38,11 +38,14 @@ its work buffers with the slices of them it reads.  A MUSCL right-hand side
 is then 20 passes over arrays of the grid's size while every face moves
 inward, and 25 otherwise, each written into a buffer with ``out=``; a Heun
 substep is two of them plus five.  Only the arrays ``advect`` and
-``advection_rhs`` return are new, so a caller may keep them.  ``diffuse``
-keeps the kernel of its last half step and looks one up only when the half
-step changes, so the propagator cache sees the run's step sizes with their
-consecutive repeats removed, which leaves it in the same state at every
-build: the same kernels are built.
+``advection_rhs`` return are new, so a caller may keep them.
+
+The radial stepper owns its kernels.  Its nodes, dimension and kind never
+change, so the half step alone names a kernel: ``diffuse`` keeps the
+``KERNELS_KEPT`` most recently used ones in a dict keyed by half step, moves
+the kernel it applies to the end, and drops the first one when it builds one
+more.  A bundled run reuses a kernel after at most 1 other one.  No kernel
+outlives its run: a second run builds its own.
 
 The results are bit-identical to the plain formulas.  Halving the mean
 enclosed mass and dividing it by the face area is one division by twice the
@@ -107,6 +110,7 @@ from .semigroup import (
 )
 
 CFL_SAFETY = 0.45  # fraction of the advective CFL bound a step may take
+KERNELS_KEPT = 4  # kernels a radial stepper keeps, the most recently used
 MAX_STEPS = 5_000_000
 
 
@@ -335,9 +339,7 @@ class _RadialStepper(_Stepper):
         self._slopes_mid = self._slopes[1:-1]
         self._minmod_scratch = self._trap[:-1]
         self._flux_hi, self._flux_lo = self._flux[1:], self._flux[:-1]
-        # diffuse's last half step and its kernel
-        self._half_dt = None
-        self._kernel = None
+        self._kernels = {}  # half step -> kernel, least recently used first
 
     def face_velocity(self, values):
         """Gauss-law radial velocity V'(r) at the cell faces: minus the mean
@@ -347,7 +349,7 @@ class _RadialStepper(_Stepper):
         np.multiply(self._shell, values, out=self._g)
         trap = np.add(self._g_hi, self._g_lo, out=self._trap)
         np.multiply(self._half_dr, trap, out=trap)
-        trap.cumsum(out=self._m_hi)
+        np.add.accumulate(trap, out=self._m_hi)
         v = np.add(self._m_hi, self._m_lo, out=self._v)
         v /= self._neg_two_face_area
         return v
@@ -409,12 +411,15 @@ class _RadialStepper(_Stepper):
         return CFL_SAFETY * float(np.abs(ratio, out=ratio).min())
 
     def diffuse(self, values, dt):
-        # the steps of a record interval share one dt: look its kernel up once
-        if dt != self._half_dt:
+        kernels = self._kernels
+        kernel = kernels.pop(dt, None)
+        if kernel is None:
             a, shrink = (dt, 1.0) if self.kind == "physical" else kernel_width_shrink(dt)
-            self._kernel = _radial_propagator(self.nodes, self.dim, a, shrink)
-            self._half_dt = dt
-        return self._kernel @ values
+            kernel = _radial_propagator(self.nodes, self.dim, a, shrink)
+            if len(kernels) >= KERNELS_KEPT:
+                del kernels[next(iter(kernels))]
+        kernels[dt] = kernel
+        return kernel @ values
 
 
 class _CartesianStepper(_Stepper):

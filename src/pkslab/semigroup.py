@@ -18,10 +18,9 @@ against the shared trapezoid weights.  On 2D Cartesian grids the kernel
 separates per axis into two small matrices.
 
 The public applies (:func:`heat_evolve`, :func:`similarity_semigroup`) build
-each kernel for one use and drop it.  The time stepper looks a kernel up once
-per step size, when its half step changes, and keeps the 4 most recently used
-kernels in a process cache, evicting the least recently used: all but 2
-reuses in the bundled runs (in ``profile_gm``) are within 2 kernels.
+each kernel for one use and drop it.  Only the radial time stepper reuses
+kernels, and it keeps them itself (see :mod:`pkslab.evolution`); this module
+holds no state.
 """
 
 import math
@@ -173,15 +172,7 @@ def _normalise_columns(kern, w):
     return kern
 
 
-class _BandMatrix(csr_array):
-    """CSR propagator that reports its storage like a dense array does."""
-
-    @property
-    def nbytes(self):
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
-
-
-def _build_propagator(nodes, dim, a, shrink):
+def _radial_propagator(nodes, dim, a, shrink):
     """Matrix P with (P u)_i ~= (kernel_{a,c} u)(r_i), mass-exact.
 
     P_ij = k(r_i, c s_j) w_j with w the shared measure weights, columns scaled
@@ -230,32 +221,12 @@ def _build_propagator(nodes, dim, a, shrink):
     col = np.bincount(cols, weights=w[rows] * kern, minlength=size)
     col = np.where(col <= 0.0, 1.0, col)
     data = kern * (w / col)[cols]
-    return _BandMatrix((data, cols, indptr), shape=(size, size))
-
-
-# the tracer holds this dict, so it is mutated in place and never rebound
-_PROPAGATOR_CACHE = {}
-_PROPAGATOR_CACHE_KERNELS = 4
-
-
-def _radial_propagator(nodes, dim, a, shrink):
-    """:func:`_build_propagator` for the time stepper.  Holds the 4 most
-    recently used kernels, evicting the least recently used: bundled runs
-    reuse a kernel after at most 2 others, except 2 reuses in ``profile_gm``."""
-    key = (nodes.tobytes(), dim, float(a), float(shrink))
-    mat = _PROPAGATOR_CACHE.pop(key, None)
-    if mat is None:
-        mat = _build_propagator(nodes, dim, a, shrink)
-        if len(_PROPAGATOR_CACHE) >= _PROPAGATOR_CACHE_KERNELS:
-            del _PROPAGATOR_CACHE[next(iter(_PROPAGATOR_CACHE))]
-    _PROPAGATOR_CACHE[key] = mat
-    return mat
+    return csr_array((data, cols, indptr), shape=(size, size))
 
 
 def _apply_radial(field, a, shrink):
-    """Apply the radial kernel to a field with a single-use matrix, built
-    outside the propagator cache."""
-    mat = _build_propagator(field.nodes, field.dim, a, shrink)
+    """Apply the radial kernel to a field with a single-use matrix."""
+    mat = _radial_propagator(field.nodes, field.dim, a, shrink)
     return field.with_values(mat @ field.values)
 
 

@@ -343,6 +343,31 @@ def test_deterministic_rerun(tmp_path, monkeypatch, text, kernels):
     assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
 
 
+def test_a_second_radial_run_builds_its_own_kernels(tmp_path, monkeypatch):
+    # no kernel outlives its run: a rerun in the same process builds the same
+    # kernels in the same order, and phi_monotone's pure-heat control run
+    # rebuilds the three of its main run
+    built = []
+
+    def counted(build):
+        def counted_build(nodes, dim, a, shrink):
+            built.append((nodes.size, dim, a, shrink))
+            return build(nodes, dim, a, shrink)
+
+        return counted_build
+
+    for module in (evolution, semigroup):
+        monkeypatch.setattr(module, "_radial_propagator",
+                            counted(module._radial_propagator))
+    cfg = cli.SCENARIO_DIR / "phi_monotone.cfg"
+    runs = []
+    for out in ("a", "b"):
+        del built[:]
+        assert cli.run_scenario(str(cfg), out_dir=tmp_path / out) == 0
+        runs.append(list(built))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 6 and runs[0][:3] == runs[0][3:]
+
 def _nan_on_call(nth, value):
     """A stand-in that returns ``value``, with NaN for its last entry on its
     ``nth`` call (counting from 0)."""

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import pkslab
-from pkslab import diagnostics as dg, evolution as ev, fields, semigroup as sg
+from pkslab import diagnostics as dg, evolution as ev, fields
 from pkslab.errors import (
     InsufficientSampling,
     InvalidField,
@@ -440,17 +440,28 @@ def test_radial_run_builds_one_kernel_per_record_interval(monkeypatch):
 
 
 class _LookupEveryCall(ev._RadialStepper):
-    """The radial stepper with a ``diffuse`` that looks its kernel up on every
-    call, as it did before it kept the kernel of its last half step."""
+    """The radial stepper with a ``diffuse`` that looks its kernel up by
+    (a, shrink) on every call, in a least-recently-used cache of
+    ``KERNELS_KEPT`` kernels: the reference for keying the stepper's kernels
+    by half step alone."""
 
     def __init__(self, grid_nodes, dim, kind):
         super().__init__(grid_nodes, dim, kind)
         self.half_steps = []
+        self.looked_up = []
+        self.cache = {}
 
     def diffuse(self, values, dt):
         self.half_steps.append(dt)
-        a, shrink = (dt, 1.0) if self.kind == "physical" else ev.kernel_width_shrink(dt)
-        return ev._radial_propagator(self.nodes, self.dim, a, shrink) @ values
+        key = (dt, 1.0) if self.kind == "physical" else ev.kernel_width_shrink(dt)
+        self.looked_up.append(key)
+        kernel = self.cache.pop(key, None)
+        if kernel is None:
+            kernel = ev._radial_propagator(self.nodes, self.dim, *key)
+            if len(self.cache) >= ev.KERNELS_KEPT:
+                del self.cache[next(iter(self.cache))]
+        self.cache[key] = kernel
+        return kernel @ values
 
 
 @pytest.mark.parametrize("kind, t_init, t_end", [
@@ -465,24 +476,18 @@ def test_one_kernel_lookup_per_step_size_builds_the_same_kernels(monkeypatch, ki
     cfg = ev.SolverConfig(t_init=t_init, t_end=t_end, blowup_factor=1e3,
                           records_per_decade=8)
     run = ev.evolve if kind == "physical" else ev.evolve_similarity
-    build, lookup = sg._build_propagator, ev._radial_propagator
+    build = ev._radial_propagator
 
     def traced_run(make_stepper):
-        built, looked_up = [], []
+        built = []
 
         def counted_build(nodes, dim, a, shrink):
             built.append((a, shrink))
             return build(nodes, dim, a, shrink)
 
-        def counted_lookup(nodes, dim, a, shrink):
-            looked_up.append((a, shrink))
-            return lookup(nodes, dim, a, shrink)
-
-        monkeypatch.setattr(sg, "_build_propagator", counted_build)
-        monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
-        monkeypatch.setattr(ev, "_radial_propagator", counted_lookup)
+        monkeypatch.setattr(ev, "_radial_propagator", counted_build)
         monkeypatch.setattr(ev, "_make_stepper", make_stepper)
-        return run(u0, cfg), built, looked_up
+        return run(u0, cfg), built
 
     steppers = []
 
@@ -490,15 +495,15 @@ def test_one_kernel_lookup_per_step_size_builds_the_same_kernels(monkeypatch, ki
         steppers.append(_LookupEveryCall(field.nodes, field.dim, kind))
         return steppers[-1]
 
-    traj, built, looked_up = traced_run(ev._make_stepper)
-    every_traj, every_built, every_looked_up = traced_run(make_every_call_stepper)
-    dts = steppers[0].half_steps
+    traj, built = traced_run(ev._make_stepper)
+    every_traj, every_built = traced_run(make_every_call_stepper)
+    dts, every_looked_up = steppers[0].half_steps, steppers[0].looked_up
     assert any(b == 0.5 * a for a, b in zip(dts, dts[1:]))  # dt was halved
-    assert len(every_looked_up) == len(dts) > len(looked_up)
-    assert all(a != b for a, b in zip(looked_up, looked_up[1:]))
-    assert looked_up == [key for i, key in enumerate(every_looked_up)
-                         if i == 0 or key != every_looked_up[i - 1]]
-    assert built == every_built and len(set(built)) > sg._PROPAGATOR_CACHE_KERNELS
+    assert len(every_looked_up) == len(dts) > len(built)
+    assert all(a != b for a, b in zip(built, built[1:]))
+    assert built == [key for i, key in enumerate(every_looked_up)
+                     if i == 0 or key != every_looked_up[i - 1]]
+    assert built == every_built and len(set(built)) > ev.KERNELS_KEPT
     assert (traj.termination, traj.blowup_time) == (every_traj.termination,
                                                      every_traj.blowup_time)
     assert len(traj.records) == len(every_traj.records) > 2

@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, issparse
 from scipy.special import gamma, ive
 
-from pkslab import fields, semigroup as sg
+from pkslab import evolution as ev, fields, semigroup as sg
 from pkslab.errors import InvalidParameter, OutOfValidatedRange
-from pkslab.evolution import SolverConfig, _make_stepper, evolve
 from pkslab.fields import (
     RadialField,
     from_similarity,
@@ -47,8 +46,8 @@ def test_banded_heat_semigroup_law(dim, a1, a2):
     discretisation, not a defect of the band."""
     nodes = radial_grid(512, 20.0)
     f = gaussian_radial(dim, 1.0, nodes, t0=0.5)
-    assert isinstance(sg._build_propagator(nodes, dim, a1, 1.0), sg._BandMatrix)
-    assert isinstance(sg._build_propagator(nodes, dim, a2, 1.0), sg._BandMatrix)
+    assert isinstance(sg._radial_propagator(nodes, dim, a1, 1.0), csr_array)
+    assert isinstance(sg._radial_propagator(nodes, dim, a2, 1.0), csr_array)
     two = sg.heat_evolve(sg.heat_evolve(f, a1), a2)
     one = sg.heat_evolve(f, a1 + a2)
     assert l1_distance(two, one) <= 1e-9 * lp_norm(one, 1)
@@ -267,7 +266,7 @@ BAND_CASES = [
 def test_banded_propagator_matches_dense(dim, kind, num, kernel, layout):
     a, shrink = kernel
     nodes = radial_grid(num, 40.0, kind)
-    mat = sg._build_propagator(nodes, dim, a, shrink)
+    mat = sg._radial_propagator(nodes, dim, a, shrink)
     assert issparse(mat) == (layout == "csr")
     u = np.exp(-(nodes**2) / 8.0) + 0.1 * np.exp(-((nodes - 20.0) ** 2) / 4.0)
     out = mat @ u
@@ -310,7 +309,7 @@ def _assert_same_csr(mat, oracle):
 def test_half_band_propagator_is_bit_identical(dim, kind, shrink):
     nodes = radial_grid(512, 40.0, kind)
     for a in (1e-4, 0.02, 0.2):
-        _assert_same_csr(sg._build_propagator(nodes, dim, a, shrink),
+        _assert_same_csr(sg._radial_propagator(nodes, dim, a, shrink),
                          _full_band_propagator(nodes, dim, a, shrink))
 
 
@@ -330,54 +329,66 @@ def test_half_band_propagator_evaluates_entries_without_a_mirror(monkeypatch):
     lo, hi = sg._band_edges(nodes, nodes, 0.05)
     orphan = hi[trimmed]  # row orphan keeps column trimmed, row trimmed lost orphan
     assert orphan > trimmed and lo[orphan] <= trimmed
-    _assert_same_csr(sg._build_propagator(nodes, 2, 0.05, 1.0),
+    _assert_same_csr(sg._radial_propagator(nodes, 2, 0.05, 1.0),
                      _full_band_propagator(nodes, 2, 0.05, 1.0))
 
 
+def _counted_builds(monkeypatch):
+    """The (a, shrink) of every radial kernel built from now on, in order."""
+    built = []
+
+    def counted(build):
+        def counted_build(nodes, dim, a, shrink):
+            built.append((a, shrink))
+            return build(nodes, dim, a, shrink)
+
+        return counted_build
+
+    for module in (ev, sg):
+        monkeypatch.setattr(module, "_radial_propagator",
+                            counted(module._radial_propagator))
+    return built
+
+
 def test_propagator_cache_keeps_the_four_most_recently_used_kernels(monkeypatch):
-    cache = {}
-    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", cache)
-    nodes = radial_grid(256, 40.0)
-    keys = [(nodes.tobytes(), 2, a, 1.0) for a in (1e-3, 0.05, 0.3, 2.0, 5.0)]
-    first = sg._radial_propagator(nodes, 2, 1e-3, 1.0)
-    for a in (0.05, 0.3, 2.0):
-        sg._radial_propagator(nodes, 2, a, 1.0)
-    assert list(cache) == keys[:4]
-    assert sg._radial_propagator(nodes, 2, 1e-3, 1.0) is first  # a hit moves to the end
-    sg._radial_propagator(nodes, 2, 5.0, 1.0)  # evicts keys[1], the least recently used
-    assert list(cache) == [keys[2], keys[3], keys[0], keys[4]]
-    assert sg._PROPAGATOR_CACHE is cache  # mutated in place, never rebound
+    built = _counted_builds(monkeypatch)
+    f = gaussian_radial(2, 1.0, radial_grid(256, 40.0))
+    stepper = ev._make_stepper(f, "physical")
+    kernels = stepper._kernels
+    steps = [1e-3, 0.05, 0.3, 2.0, 5.0]
+    for dt in steps[:4]:
+        stepper.diffuse(f.values, dt)
+    assert list(kernels) == steps[:4] == [a for a, _ in built]
+    first = kernels[1e-3]
+    stepper.diffuse(f.values, 1e-3)
+    assert kernels[1e-3] is first and len(built) == 4  # a hit moves to the end
+    stepper.diffuse(f.values, 5.0)  # evicts steps[1], the least recently used
+    assert list(kernels) == [steps[2], steps[3], steps[0], steps[4]]
+    assert stepper._kernels is kernels  # mutated in place, never rebound
 
 
 def test_only_the_stepper_caches_its_kernels(monkeypatch):
     # the public applies build single-use kernels; the stepper reuses its own
-    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
-    nodes = radial_grid(256, 40.0)
-    f = gaussian_radial(2, 1.0, nodes)
-    sg.heat_evolve(f, 0.3)
-    sg.similarity_semigroup(f, 0.4)
-    assert sg._PROPAGATOR_CACHE == {}
-    _make_stepper(f, "physical").diffuse(f.values, 0.3)
-    assert list(sg._PROPAGATOR_CACHE) == [(nodes.tobytes(), 2, 0.3, 1.0)]
+    built = _counted_builds(monkeypatch)
+    f = gaussian_radial(2, 1.0, radial_grid(256, 40.0))
+    for _ in range(2):
+        sg.heat_evolve(f, 0.3)
+        sg.similarity_semigroup(f, 0.4)
+    assert built == [(0.3, 1.0), sg.kernel_width_shrink(0.4)] * 2
+    stepper = ev._make_stepper(f, "physical")
+    for _ in range(2):
+        stepper.diffuse(f.values, 0.3)
+    assert list(stepper._kernels) == [0.3] and len(built) == 5
 
 
 def test_cache_eviction_never_changes_a_result(monkeypatch):
     u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(192, 40.0))
-    config = SolverConfig(t_end=2.0)
-    built = []
-    build = sg._build_propagator
-
-    def counted_build(nodes, dim, a, shrink):
-        built.append((a, shrink))
-        return build(nodes, dim, a, shrink)
-
-    monkeypatch.setattr(sg, "_build_propagator", counted_build)
-    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
-    kept = evolve(u0, config).records
-    assert len(set(built)) > sg._PROPAGATOR_CACHE_KERNELS  # the run evicts
-    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE_KERNELS", 1)
-    monkeypatch.setattr(sg, "_PROPAGATOR_CACHE", {})
-    evicted = evolve(u0, config).records
+    config = ev.SolverConfig(t_end=2.0)
+    built = _counted_builds(monkeypatch)
+    kept = ev.evolve(u0, config).records
+    assert len(set(built)) > ev.KERNELS_KEPT  # the run evicts
+    monkeypatch.setattr(ev, "KERNELS_KEPT", 1)
+    evicted = ev.evolve(u0, config).records
     assert len(kept) == len(evicted) > 1
     for a, b in zip(kept, evicted):
         assert np.array_equal(a.field.values, b.field.values)
