@@ -176,7 +176,7 @@ def phi_density(trajectory, z1, rho):
     # the heat kernel of width rho^2 at radius |y0|, times rho^2
     d = float(np.linalg.norm(np.atleast_1d(np.asarray(y0, dtype=float))))
     w = radial_measure_weights(field.nodes, n)
-    cols, _, gauss, z = kernel_rows(field.nodes, n, d, [rho * rho])
+    cols, _, _, gauss, z = kernel_rows(field.nodes, n, d, [rho * rho])
     kern = gauss * scaled_sphere_average(n, z)
     return rho * rho * float(np.sum(w[cols] * field.values[cols] * kern))
 

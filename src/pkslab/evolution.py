@@ -42,10 +42,12 @@ substep is two of them plus five.  Only the arrays ``advect`` and
 
 The radial stepper owns its kernels.  Its nodes, dimension and kind never
 change, so the half step alone names a kernel: ``diffuse`` keeps the
-``KERNELS_KEPT`` most recently used ones in a dict keyed by half step, moves
-the kernel it applies to the end, and drops the first one when it builds one
-more.  A bundled run reuses a kernel after at most 1 other one.  No kernel
-outlives its run: a second run builds its own.
+``KERNELS_KEPT`` (2) most recently used ones in a dict keyed by half step,
+moves the kernel it applies to the end, and drops the first one before it
+builds one more, so no more than ``KERNELS_KEPT`` are alive even during a
+build.  A bundled run reuses a kernel after at most 1 other one, so 2 make
+the same builds as any larger number.  No kernel outlives its run: a second
+run builds its own.
 
 The results are bit-identical to the plain formulas.  Halving the mean
 enclosed mass and dividing it by the face area is one division by twice the
@@ -101,6 +103,7 @@ from .grids import SPHERE_AREA, radial_measure_weights
 from .potential import cartesian_gradient_2d, check_boundary_decay, radial_gradient_rows
 from .semigroup import (
     _radial_propagator,
+    kernel_peak,
     kernel_rows,
     kernel_width_shrink,
     line_propagator,
@@ -110,7 +113,7 @@ from .semigroup import (
 )
 
 CFL_SAFETY = 0.45  # fraction of the advective CFL bound a step may take
-KERNELS_KEPT = 4  # kernels a radial stepper keeps, the most recently used
+KERNELS_KEPT = 2  # kernels a radial stepper keeps, the most recently used
 MAX_STEPS = 5_000_000
 
 
@@ -414,10 +417,10 @@ class _RadialStepper(_Stepper):
         kernels = self._kernels
         kernel = kernels.pop(dt, None)
         if kernel is None:
+            if len(kernels) >= KERNELS_KEPT:  # before the build: at most KERNELS_KEPT live
+                del kernels[next(iter(kernels))]
             a, shrink = (dt, 1.0) if self.kind == "physical" else kernel_width_shrink(dt)
             kernel = _radial_propagator(self.nodes, self.dim, a, shrink)
-            if len(kernels) >= KERNELS_KEPT:
-                del kernels[next(iter(kernels))]
         kernels[dt] = kernel
         return kernel @ values
 
@@ -786,32 +789,37 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
         if nonlinear:
             q_max = math.sqrt(t - t0)
             qs = np.linspace(1e-3 * q_max, q_max, 192)
+            ss = np.maximum(t - qs * qs, t0)  # guard the rounding at q = q_max
+            # elementwise, so each block's slice holds the bits it would compute
+            widths = t - ss
+            peaks = np.array([kernel_peak(dim, a) for a in widths])
             vals = np.empty((len(radii), qs.size))
             for start in range(0, qs.size, DUHAMEL_BLOCK):
-                q = qs[start:start + DUHAMEL_BLOCK]
-                s = np.maximum(t - q * q, t0)  # guard the rounding at q = q_max
-                values = trajectory.values_at(s)
-                flux = w * values * radial_gradient_rows(nodes, dim, values)
+                block = slice(start, start + DUHAMEL_BLOCK)
+                values = trajectory.values_at(ss[block])
+                flux = (w * values * radial_gradient_rows(nodes, dim, values)).ravel()
                 for i, r in enumerate(radii):
-                    cols, bounds, gauss, z = kernel_rows(nodes, dim, r, t - s)
-                    rows = np.repeat(np.arange(q.size), np.diff(bounds))
+                    cols, bounds, band, gauss, z = kernel_rows(nodes, dim, r, widths[block],
+                                                               peaks[block])
+                    # row k of the block starts at k * N in the flat flux
+                    cols += np.repeat(np.arange(0, flux.size, nodes.size), np.diff(bounds))
                     if r == 0.0:
                         # z = 0 on the whole band: the averages are 1 and 0
-                        terms = flux[rows, cols] * gauss * nodes[cols]
+                        terms = flux[cols] * gauss * band
                     else:
-                        terms = flux[rows, cols] * gauss * (
-                            nodes[cols] * scaled_sphere_average(dim, z)
+                        terms = flux[cols] * gauss * (
+                            band * scaled_sphere_average(dim, z)
                             - r * scaled_sphere_average_cos(dim, z))
                     # one pairwise sum per row, as over its own band
-                    inner = np.array([terms[lo:hi].sum()
-                                      for lo, hi in zip(bounds[:-1], bounds[1:])])
+                    inner = np.array([np.add.reduce(terms[lo:hi]) for lo, hi
+                                      in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
                     # -(1/2) * (1/(t-s)) * inner, with ds = -2 q dq
-                    vals[i, start:start + q.size] = -0.5 * inner * 2.0 / q
+                    vals[i, block] = -0.5 * inner * 2.0 / qs[block]
         scale = max(float(np.abs(field_t.values).max()), 1e-300)
         for i, r in enumerate(radii):
             u_actual = float(u_t[i])
             # quadrature rows of the heat kernel (raw, not renormalised), on its band
-            cols, _, gauss, z = kernel_rows(nodes, dim, r, [t - t0])
+            cols, _, _, gauss, z = kernel_rows(nodes, dim, r, [t - t0])
             heat = float((gauss * scaled_sphere_average(dim, z) * w[cols])
                          @ rec0.field.values[cols])
             correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0

@@ -11,8 +11,10 @@ angular integral collapses to a modified-Bessel factor.  The kernel matrix
 in radius is built on its band |r - c s| <= sqrt(4 a BAND_EXPONENT), outside
 which every entry is below e^-60 of the kernel's peak, and stored as CSR; a
 band that fills more than half the matrix is evaluated whole and stored dense.
-A heat kernel (c = 1) is symmetric bit for bit, so its CSR band evaluates
-each entry once per unordered node pair and copies the mirror images.
+A heat kernel (c = 1) is symmetric bit for bit, so its CSR band is
+evaluated once per unordered node pair, on an upper band that holds the
+mirror of every entry below the diagonal, and all its rows are filled from
+that band by one gather.  CSR indices are int32 while N^2 < 2^31.
 Columns are renormalised so the discrete operator conserves mass exactly
 against the shared trapezoid weights.  On 2D Cartesian grids the kernel
 separates per axis into two small matrices.
@@ -140,23 +142,27 @@ def _band_edges(points, centers, a):
             np.searchsorted(points, centers + h, side="right"))
 
 
-def kernel_rows(nodes, dim, r, widths):
+def kernel_rows(nodes, dim, r, widths, peaks=None):
     """The radial kernel at radius r for each of several widths, on the nodes
     of its band, in one pass.
 
-    Returns ``(cols, bounds, gauss, z)``: the row of ``widths[k]`` is entries
-    ``bounds[k]:bounds[k + 1]`` of :func:`radial_kernel`'s ``gauss`` and ``z``,
-    at the nodes ``nodes[cols]`` within sqrt(4 widths[k] BAND_EXPONENT) of r.
+    Returns ``(cols, bounds, band, gauss, z)``: the row of ``widths[k]`` is
+    entries ``bounds[k]:bounds[k + 1]`` of :func:`radial_kernel`'s ``gauss``
+    and ``z``, at the nodes ``band = nodes[cols]`` within
+    sqrt(4 widths[k] BAND_EXPONENT) of r.  A caller that reuses the widths
+    may pass their :func:`kernel_peak` values as ``peaks``.
     """
     widths = np.asarray(widths, dtype=float)
+    if peaks is None:
+        peaks = [kernel_peak(dim, a) for a in widths]
     lo, hi = _band_edges(nodes, r, widths)
     counts = hi - lo
     bounds = np.zeros(widths.size + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
     cols = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - lo, counts)
-    peak = np.repeat([kernel_peak(dim, a) for a in widths], counts)
-    gauss, z = radial_kernel(dim, np.repeat(widths, counts), r, nodes[cols], peak)
-    return cols, bounds, gauss, z
+    band = nodes[cols]
+    gauss, z = radial_kernel(dim, np.repeat(widths, counts), r, band, np.repeat(peaks, counts))
+    return cols, bounds, band, gauss, z
 
 
 _DENSE_BLOCK_ENTRIES = 1 << 14
@@ -172,6 +178,27 @@ def _normalise_columns(kern, w):
     return kern
 
 
+def _upper_band(nodes, dim, a, lo, hi):
+    """The heat kernel (c = 1) of the band lo[i] <= j < hi[i] on its upper
+    band, as ``(upper, start)``: k(r_j, r_k) for j <= k < ends[j] is
+    ``upper[start[j] + k - j]``.
+
+    ends[j] = max(hi[j], L_j), with L_j the number of rows i whose band starts
+    at or before j.  As lo never decreases, every entry (i, j) below the
+    diagonal has i < L_j, so row j holds its mirror (j, i), also where the
+    per-row rounding of the edges keeps i out of row j's own band.
+    """
+    diag = np.arange(nodes.size)
+    width = np.maximum(hi, np.searchsorted(lo, diag, side="right"))
+    width -= diag
+    start = np.zeros(nodes.size + 1, dtype=np.intp)
+    np.cumsum(width, out=start[1:])
+    cols = np.arange(start[-1])
+    cols -= np.repeat(start[:-1] - diag, width)
+    gauss, z = radial_kernel(dim, a, np.repeat(nodes, width), nodes[cols])
+    return gauss * scaled_sphere_average(dim, z), start
+
+
 def _radial_propagator(nodes, dim, a, shrink):
     """Matrix P with (P u)_i ~= (kernel_{a,c} u)(r_i), mass-exact.
 
@@ -179,10 +206,11 @@ def _radial_propagator(nodes, dim, a, shrink):
     so that sum_i w_i P_ij = w_j exactly (discrete mass conservation; also
     keeps narrow under-resolved kernels conservative instead of lossy).  Only
     the band |r_i - c s_j| <= sqrt(4 a BAND_EXPONENT) is evaluated and stored
-    in CSR form.  When c = 1, k(r_i, r_j) and k(r_j, r_i) are the same
-    floating-point number, so only the entries on and above the diagonal are
-    evaluated and each one below copies its mirror; an entry whose mirror
-    falls outside the band (the edges are rounded per row) is evaluated too.
+    in CSR form, with int32 indices while N^2 < 2^31.  When c = 1, k(r_i, r_j)
+    and k(r_j, r_i) are the same floating-point number, so the kernel is
+    evaluated once per unordered node pair, on an upper band that also holds
+    the mirror of every entry below the diagonal (see :func:`_upper_band`),
+    and each band entry (i, j) reads it at (min(i, j), |i - j|).
     A band filling more than half the matrix is evaluated whole and stored
     dense: there the CSR indices cost more than the few entries they skip.
     ``P @ u`` applies either layout.
@@ -204,24 +232,31 @@ def _radial_propagator(nodes, dim, a, shrink):
             gauss, z = radial_kernel(dim, a, nodes[i:i + step, None], s[None, :])
             kern[i:i + step] = gauss * scaled_sphere_average(dim, z)
         return _normalise_columns(kern, w)
-    indptr = np.zeros(size + 1, dtype=np.int64)
+    # the index work runs in intp: numpy gathers by int32 indices are slower
+    indptr = np.zeros(size + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
-    rows = np.repeat(np.arange(size), counts)
-    cols = np.arange(nnz) - np.repeat(indptr[:-1] - lo, counts)
-    # r s and (r - s)^2 are symmetric in IEEE arithmetic: with c = 1 an entry
-    # (r, c) below the diagonal copies its mirror (c, r), stored at
-    # indptr[c] + r - lo[c] when r < hi[c]
-    direct = (cols >= rows) | (shrink != 1.0) | (rows >= hi[cols])
-    kern = np.empty(nnz)
-    gauss, z = radial_kernel(dim, a, nodes[rows[direct]], s[cols[direct]])
-    kern[direct] = gauss * scaled_sphere_average(dim, z)
-    below = ~direct
-    mirror_row = cols[below]
-    kern[below] = kern[indptr[mirror_row] + rows[below] - lo[mirror_row]]
-    col = np.bincount(cols, weights=w[rows] * kern, minlength=size)
+    cols = np.arange(nnz)
+    cols -= np.repeat(indptr[:-1] - lo, counts)
+    if shrink == 1.0:
+        upper, start = _upper_band(nodes, dim, a, lo, hi)
+        rows = np.repeat(np.arange(size), counts)
+        take = cols - rows
+        np.abs(take, out=take)
+        take += start[np.minimum(rows, cols, out=rows)]
+        kern = upper[take]
+        del rows, take, upper  # freed before the normalisation's temporaries
+    else:
+        gauss, z = radial_kernel(dim, a, np.repeat(nodes, counts), s[cols])
+        kern = gauss * scaled_sphere_average(dim, z)
+    # a CSR kernel holds at most N^2 / 2 entries, each column index below N
+    index = np.int32 if size * size < 2**31 else np.int64
+    mat = csr_array((kern, cols.astype(index), indptr.astype(index)), shape=(size, size))
+    # the transposed product adds w_i k_ij to column j over ascending i,
+    # starting from +0.0: the sum a bincount over the entries would form
+    col = mat.T @ w
     col = np.where(col <= 0.0, 1.0, col)
-    data = kern * (w / col)[cols]
-    return csr_array((data, cols, indptr), shape=(size, size))
+    mat.data *= (w / col)[cols]
+    return mat
 
 
 def _apply_radial(field, a, shrink):

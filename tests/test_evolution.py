@@ -19,8 +19,8 @@ from pkslab.errors import (
     StiffnessFailure,
 )
 from pkslab.fields import RadialField, l1_distance, total_mass
-from pkslab.potential import radial_gradient
-from pkslab.semigroup import scaled_sphere_average, scaled_sphere_average_cos
+from pkslab.potential import radial_gradient, radial_gradient_rows
+from pkslab.semigroup import kernel_rows, scaled_sphere_average, scaled_sphere_average_cos
 from pkslab.grids import SPHERE_AREA, radial_grid, radial_interpolator, radial_measure_weights
 
 from conftest import gaussian_radial, kernel_row
@@ -644,6 +644,86 @@ def test_blocked_duhamel_equals_row_by_row(request, run, zero_nonlinear):
     assert len(traj.records) >= 64
     assert (ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
             == _duhamel_residual_by_rows(traj, zero_nonlinear=zero_nonlinear))
+
+
+# The blocked residual as it was before its per-sample-time work was hoisted:
+# kernel_rows computes the widths' peaks per (block, radius), the flux is read
+# by (row, column) pairs and each row is summed by ``.sum()``.  The residual
+# must equal it.
+def _duhamel_residual_blocked(trajectory, zero_nonlinear=False):
+    rec0 = trajectory.records[0]
+    nodes = rec0.field.nodes
+    dim = rec0.field.dim
+    t0 = rec0.time
+    times = trajectory.times()
+    idx = [0, int(0.15 * nodes.size), int(0.35 * nodes.size)]
+    radii = nodes[idx]
+    nonlinear = not zero_nonlinear and trajectory.config.nonlinearity
+    w = radial_measure_weights(nodes, dim)
+    mismatches = []
+    for t in times[[int(0.5 * len(times)), int(0.75 * len(times)), -1]]:
+        field_t = trajectory.field_at(t)
+        u_t = (rec0.field if t == t0 else field_t).values[idx]
+        if nonlinear:
+            q_max = math.sqrt(t - t0)
+            qs = np.linspace(1e-3 * q_max, q_max, 192)
+            vals = np.empty((len(radii), qs.size))
+            for start in range(0, qs.size, ev.DUHAMEL_BLOCK):
+                q = qs[start:start + ev.DUHAMEL_BLOCK]
+                s = np.maximum(t - q * q, t0)  # guard the rounding at q = q_max
+                values = trajectory.values_at(s)
+                flux = w * values * radial_gradient_rows(nodes, dim, values)
+                for i, r in enumerate(radii):
+                    cols, bounds, _, gauss, z = kernel_rows(nodes, dim, r, t - s)
+                    rows = np.repeat(np.arange(q.size), np.diff(bounds))
+                    if r == 0.0:
+                        terms = flux[rows, cols] * gauss * nodes[cols]
+                    else:
+                        terms = flux[rows, cols] * gauss * (
+                            nodes[cols] * scaled_sphere_average(dim, z)
+                            - r * scaled_sphere_average_cos(dim, z))
+                    inner = np.array([terms[lo:hi].sum()
+                                      for lo, hi in zip(bounds[:-1], bounds[1:])])
+                    vals[i, start:start + q.size] = -0.5 * inner * 2.0 / q
+        scale = max(float(np.abs(field_t.values).max()), 1e-300)
+        for i, r in enumerate(radii):
+            u_actual = float(u_t[i])
+            cols, _, _, gauss, z = kernel_rows(nodes, dim, r, [t - t0])
+            heat = float((gauss * scaled_sphere_average(dim, z) * w[cols])
+                         @ rec0.field.values[cols])
+            correction = float(np.trapezoid(vals[i], qs)) if nonlinear else 0.0
+            mismatches.append(abs(heat + correction - u_actual) / scale)
+    return float(np.max(mismatches))
+
+
+@pytest.fixture(scope="module")
+def small_run_2d():
+    u0 = gaussian_radial(2, 4.0 * math.pi, radial_grid(256, 80.0))
+    return ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=8.0, records_per_decade=80))
+
+
+@pytest.mark.parametrize("run", ["small_run_2d", "physical_run_3d"])
+@pytest.mark.parametrize("zero_nonlinear", [False, True])
+def test_hoisted_duhamel_equals_the_blocked_form(request, monkeypatch, run, zero_nonlinear):
+    traj = request.getfixturevalue(run)
+    assert len(traj.records) >= 64 and traj.config.nonlinearity
+    # the residual's last bits need not show a changed row sum, so the time
+    # integrands of the correction are compared too
+    integrands = []
+    trapezoid = np.trapezoid
+
+    def recorded_trapezoid(y, x):
+        integrands.append(np.array(y))
+        return trapezoid(y, x)
+
+    monkeypatch.setattr(np, "trapezoid", recorded_trapezoid)
+    hoisted = ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
+    hoisted_integrands = integrands[:]
+    integrands.clear()
+    assert hoisted == _duhamel_residual_blocked(traj, zero_nonlinear=zero_nonlinear)
+    assert len(hoisted_integrands) == len(integrands) == (0 if zero_nonlinear else 9)
+    for a, b in zip(hoisted_integrands, integrands):
+        assert np.array_equal(a, b)
 
 
 def _field_values_by_record(trajectory, t):

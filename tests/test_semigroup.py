@@ -333,6 +333,51 @@ def test_half_band_propagator_evaluates_entries_without_a_mirror(monkeypatch):
                      _full_band_propagator(nodes, 2, 0.05, 1.0))
 
 
+def test_half_band_propagator_keeps_entries_whose_mirror_left_the_band(monkeypatch):
+    # raise one row's band start: the entry before its new start loses its
+    # place, and the entry of the other row that mirrors it stays, read from
+    # the upper band with no lower counterpart
+    nodes = radial_grid(512, 40.0)
+    band_edges = sg._band_edges
+    raised = 300
+
+    def raised_band_edges(points, centers, a):
+        lo, hi = band_edges(points, centers, a)
+        lo[raised] += 1
+        return lo, hi
+
+    monkeypatch.setattr(sg, "_band_edges", raised_band_edges)
+    lo, hi = sg._band_edges(nodes, nodes, 0.05)
+    orphan = lo[raised] - 1  # row orphan keeps column raised, row raised lost orphan
+    assert orphan < raised < hi[orphan] and np.all(np.diff(lo) >= 0)
+    _assert_same_csr(sg._radial_propagator(nodes, 2, 0.05, 1.0),
+                     _full_band_propagator(nodes, 2, 0.05, 1.0))
+
+
+@pytest.mark.parametrize("rmax, widths", [(80.0, (0.0088, 0.02, 0.0374)),
+                                          (20.0, (2e-5, 1e-3, 3.3e-3))])
+def test_half_band_propagator_at_the_benchmark_grids(rmax, widths):
+    # the 512-node grids and the range of half steps of the two radial
+    # benchmark runs
+    nodes = radial_grid(512, rmax)
+    for a in widths:
+        _assert_same_csr(sg._radial_propagator(nodes, 2, a, 1.0),
+                         _full_band_propagator(nodes, 2, a, 1.0))
+
+
+@pytest.mark.parametrize("shrink", [1.0, math.exp(-0.05)])
+def test_csr_propagator_has_int32_indices(shrink):
+    nodes = radial_grid(2048, 160.0)  # the grid of the rate_n3 scenario
+    u = np.exp(-(nodes**2) / 8.0) + 0.1 * np.exp(-((nodes - 20.0) ** 2) / 4.0)
+    for a in (1e-3, 0.2, 6.9):
+        mat = sg._radial_propagator(nodes, 3, a, shrink)
+        assert issparse(mat) and mat.indices.dtype == mat.indptr.dtype == np.int32
+        wide = csr_array((mat.data, mat.indices.astype(np.int64),
+                          mat.indptr.astype(np.int64)), shape=mat.shape)
+        assert wide.indices.dtype == np.int64
+        assert np.array_equal(mat @ u, wide @ u)
+
+
 def _counted_builds(monkeypatch):
     """The (a, shrink) of every radial kernel built from now on, in order."""
     built = []
@@ -350,20 +395,33 @@ def _counted_builds(monkeypatch):
     return built
 
 
-def test_propagator_cache_keeps_the_four_most_recently_used_kernels(monkeypatch):
+def test_propagator_cache_keeps_the_most_recently_used_kernels(monkeypatch):
     built = _counted_builds(monkeypatch)
     f = gaussian_radial(2, 1.0, radial_grid(256, 40.0))
     stepper = ev._make_stepper(f, "physical")
     kernels = stepper._kernels
-    steps = [1e-3, 0.05, 0.3, 2.0, 5.0]
-    for dt in steps[:4]:
+    held = []  # kernels the stepper holds while it builds one more
+    build = ev._radial_propagator
+
+    def held_build(*args):
+        held.append(len(kernels))
+        return build(*args)
+
+    monkeypatch.setattr(ev, "_radial_propagator", held_build)
+    kept = ev.KERNELS_KEPT
+    assert kept >= 2
+    steps = [1e-3 * 5.0**k for k in range(kept + 1)]
+    for dt in steps[:kept]:
         stepper.diffuse(f.values, dt)
-    assert list(kernels) == steps[:4] == [a for a, _ in built]
-    first = kernels[1e-3]
-    stepper.diffuse(f.values, 1e-3)
-    assert kernels[1e-3] is first and len(built) == 4  # a hit moves to the end
-    stepper.diffuse(f.values, 5.0)  # evicts steps[1], the least recently used
-    assert list(kernels) == [steps[2], steps[3], steps[0], steps[4]]
+    assert list(kernels) == steps[:kept] == [a for a, _ in built]
+    first = kernels[steps[0]]
+    stepper.diffuse(f.values, steps[0])
+    assert kernels[steps[0]] is first and len(built) == kept  # a hit moves to the end
+    assert list(kernels) == steps[1:kept] + steps[:1]
+    stepper.diffuse(f.values, steps[kept])  # evicts steps[1], the least recently used
+    assert list(kernels) == steps[2:kept] + [steps[0], steps[kept]]
+    assert [a for a, _ in built] == steps
+    assert held == list(range(kept)) + [kept - 1]  # the eviction comes before the build
     assert stepper._kernels is kernels  # mutated in place, never rebound
 
 
@@ -436,13 +494,18 @@ def test_kernel_rows_equal_kernel_row(dim):
     nodes = radial_grid(512, 80.0)
     widths = np.array([1e-6, 1e-3, 0.37, 2.0, 7.0, 50.0])
     for r in (0.0, nodes[77], nodes[300]):
-        cols, bounds, gauss, z = sg.kernel_rows(nodes, dim, r, widths)
+        cols, bounds, band_nodes, gauss, z = sg.kernel_rows(nodes, dim, r, widths)
+        assert np.array_equal(band_nodes, nodes[cols])
         for k, a in enumerate(widths):
             band, g_row, z_row = kernel_row(nodes, dim, r, a)
             entries = slice(bounds[k], bounds[k + 1])
             assert np.array_equal(cols[entries], np.arange(nodes.size)[band])
             assert np.array_equal(gauss[entries], g_row)
             assert np.array_equal(z[entries], z_row)
+        peaks = np.array([sg.kernel_peak(dim, a) for a in widths])
+        given = sg.kernel_rows(nodes, dim, r, widths, peaks)
+        for got, want in zip(given, (cols, bounds, band_nodes, gauss, z)):
+            assert np.array_equal(got, want)
 
 
 def test_sphere_average_cos_fast_path_matches_bessel():

@@ -19,9 +19,22 @@ differing JSON file, the same per key path, and it flags every check whose
 ``pass`` changed.  A differing text file is shown by its first differing
 line.  It then names every file of the two-thread run that differs from
 the change's one-thread run, described the same way with the one-thread
-run in the parent's place.  The report goes to
-standard output; ``--out`` also writes it as JSON.  The exit code is 0 when
-every file is identical in both comparisons and 1 otherwise.
+run in the parent's place.
+
+A report-only pass follows.  numpy picks a SIMD kernel per ufunc and CPU
+(``numpy.lib.introspect.opt_func_info``), and kernels for different targets
+may round differently.  When numpy dispatches some ufunc to an AVX-512 target
+on this host, the change side is run once more, at one BLAS thread, with
+those targets switched off for its processes
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``), and every
+file that differs from the change's one-thread run is named, with the
+largest relative difference per CSV column and JSON key.  Otherwise the pass
+is skipped, and the report says so.
+
+The report goes to standard output; ``--out`` also writes it as JSON.  The
+exit code is 0 when the parent and the change, and the change's one- and
+two-thread runs, agree in every file, and 1 otherwise; the dispatch pass
+never changes it.
 """
 
 import argparse
@@ -54,12 +67,18 @@ COMMANDS = (
 )
 
 
-def run_side(side, out, threads):
+# the AVX-512 dispatch targets of numpy 2 on x86-64, switched off by the
+# report-only pass
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def run_side(side, out, threads, **extra_env):
     """Run every scenario file, command and demo of the checkout ``side`` at
-    ``threads`` BLAS threads, with their outputs under ``out``; the exit
-    codes go to ``out/exit_codes.json``."""
+    ``threads`` BLAS threads, with ``extra_env`` added to their environment
+    and their outputs under ``out``; the exit codes go to
+    ``out/exit_codes.json``."""
     env = dict(os.environ, PYTHONPATH=str(side / "src"),
-               **{name: str(threads) for name in THREAD_VARS})
+               **{name: str(threads) for name in THREAD_VARS}, **extra_env)
     codes = {}
 
     def run(label, command, cwd):
@@ -83,6 +102,17 @@ def run_side(side, out, threads):
         stdout = run(f"demos/{demo.name}", [sys.executable, str(demo)], cwd)
         (cwd / "stdout.txt").write_text(stdout)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+def avx512_dispatched():
+    """The AVX-512 targets numpy's ufuncs run on this host, read in a child
+    interpreter (this script imports no numpy)."""
+    probe = ("import json; from numpy.lib.introspect import opt_func_info; "
+             "print(json.dumps([t['current'] for sigs in opt_func_info().values() "
+             "for t in sigs.values()]))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True).stdout
+    return sorted(set(json.loads(out)) & set(AVX512_TARGETS))
 
 
 def number(text):
@@ -115,13 +145,22 @@ def worst(diffs, key, a, b):
 
 
 def diff_csv(parent, change):
-    rows = [list(csv.reader(io.StringIO(text))) for text in (parent, change)]
-    if not rows[0] or rows[0][0] != rows[1][0] or len(rows[0]) != len(rows[1]):
+    """Per column, the largest differences of two CSV texts.  ``#`` comment
+    lines are skipped; a file whose first row holds only numbers (a snapshot
+    file) has no header, and its columns are named by their index."""
+    rows = [[row for row in csv.reader(io.StringIO(text)) if row and not row[0].startswith("#")]
+            for text in (parent, change)]
+    if (not rows[0] or len(rows[0][0]) != len(rows[1][0])
+            or len(rows[0]) != len(rows[1])):
         return {"shape": {"parent": [len(r) for r in rows[0][:1]] + [len(rows[0])],
                           "change": [len(r) for r in rows[1][:1]] + [len(rows[1])]}}
-    header, diffs = rows[0][0], {}
-    for row_p, row_c in zip(rows[0][1:], rows[1][1:]):
-        for name, a, b in zip(header, row_p, row_c):
+    headed = any(number(cell) is None for cell in rows[0][0])
+    if headed and rows[0][0] != rows[1][0]:
+        return {"header": {"parent": rows[0][0], "change": rows[1][0]}}
+    names = rows[0][0] if headed else [f"column {k}" for k in range(len(rows[0][0]))]
+    diffs = {}
+    for row_p, row_c in zip(rows[0][headed:], rows[1][headed:]):
+        for name, a, b in zip(names, row_p, row_c):
             worst(diffs, name, a, b)
     return diffs
 
@@ -219,6 +258,13 @@ def main(argv=None):
         run_side(sides["change"], scratch / "out_change_2", 2)
         files = compare_trees(outs["parent"], outs["change"])
         threads = compare_trees(outs["change"], scratch / "out_change_2")
+        targets = avx512_dispatched()
+        dispatch = None
+        if targets:
+            print("running the change side with AVX-512 dispatch off", file=sys.stderr)
+            run_side(sides["change"], scratch / "out_change_noavx512", 1,
+                     NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+            dispatch = compare_trees(outs["change"], scratch / "out_change_noavx512")
     finally:
         shutil.rmtree(scratch)
 
@@ -231,9 +277,19 @@ def main(argv=None):
             print(describe(name, entry))
         print(f"{len(report) - len(differing)} of {len(report)} files identical {against}")
         same = same and not differing
+    if dispatch is None:
+        print("dispatch pass skipped: numpy dispatches no AVX-512 target on this host")
+    else:
+        print(f"report only, {', '.join(targets)} dispatch off against on:")
+        for name, entry in dispatch.items():
+            if entry["status"] != "identical":
+                print(describe(name, entry))
+        same_files = sum(entry["status"] == "identical" for entry in dispatch.values())
+        print(f"{same_files} of {len(dispatch)} files identical with AVX-512 dispatch off")
     if args.out:
         Path(args.out).write_text(json.dumps(
-            {"parent": parent_commit, "files": files, "threads": threads}, indent=1) + "\n")
+            {"parent": parent_commit, "files": files, "threads": threads,
+             "avx512_targets": targets, "dispatch": dispatch}, indent=1) + "\n")
     return 0 if same else 1
 
 
