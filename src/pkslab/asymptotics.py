@@ -309,47 +309,100 @@ def constant_c1_monte_carlo(mass, b0, wstar, samples=10_000_000, seed=1):
 
     Samples are drawn antithetically in the polar cosine against B0, which
     removes the variance of the mean-zero dipole blocks without biasing the
-    estimator.
+    estimator.  Each shell draws samples // 400 pairs, so 400 * (samples //
+    400) samples are drawn in all; ``samples < 400`` is refused with
+    :class:`InvalidParameter`.
+
+    The +c and -c integrands of a pair are evaluated together.  Each dipole
+    term, (v3pp c) bnorm, (gpp c) bnorm or (bnorm gp) c, flips its sign
+    exactly with c: it is computed once and enters the +c integrand as
+    ``dipole + M^2 profile`` and the -c one as ``M^2 profile - dipole``, the
+    same bits as ``(-dipole) + M^2 profile``; M^2 profile, 2G and r^2 are
+    computed once per shell.  Every pass of a shell writes with ``out=`` into
+    five shell-sized arrays allocated once per call, or into the shell's own
+    draws and Gaussian values once they are used up; a shell allocates only
+    those, V_3' and its spline read, and they die with the shell.
     """
     if wstar is None:
         raise DependencyMissing("the Monte Carlo oracle needs W_star")
+    strata = 200
+    if samples < 2 * strata:
+        raise InvalidParameter(
+            f"the Monte Carlo oracle needs at least {2 * strata} samples, got {samples}")
     rng = np.random.default_rng(seed)
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     bnorm = float(np.linalg.norm(b0))
-    bhat = b0 / bnorm if bnorm > 0 else np.array([1.0, 0.0, 0.0])
     nodes = wstar.field.nodes
     wprime, _ = radial_derivatives(nodes, wstar.field.values)
     # W*, W*' and V_W' on the same knots: one spline, one interval search
     profiles = radial_interpolator(nodes, np.column_stack(
         [wstar.field.values, wprime, radial_gradient(wstar.field, order=4)]))
+    m2 = mass**2
+    per = samples // (2 * strata)  # antithetic pairs
+    buffers = [np.empty(per) for _ in range(5)]
 
-    strata = 200
-    per = max(1, samples // (2 * strata))  # antithetic pairs
+    def shell_mean(lo, hi, gp, gpp, v3pp, fp, fm):
+        # one shell's mean of the |z|^2-weighted pair integrand times the
+        # measure factor; the arrays it allocates die when it returns
+        r = rng.uniform(lo, hi, per)
+        # uniform directions: only the polar cosine against B0 matters
+        c = rng.uniform(-1.0, 1.0, per)
+        g = gaussian_values(3, r)
+        v3p = gaussian_potential_gradient(3, r)
+        wv, wpv, vwp = profiles(r).T
+        np.multiply(-0.5, r, out=gp)
+        gp *= g
+        # V_3'' = -g - where(r > 0, 2 V_3'/r, 0): 2 V_3' is +0.0 where r = 0
+        np.multiply(2.0, v3p, out=fp)
+        np.divide(fp, r, out=fp, where=r > 0)
+        np.negative(g, out=v3pp)
+        v3pp -= fp
+        r2 = np.square(r, out=r)
+        np.divide(r2, 4.0, out=gpp)
+        gpp += -0.5
+        gpp *= g
+        g2 = np.multiply(2.0, g, out=g)
+
+        # grad G . grad V1 + grad G1 . grad V - 2 G G1, radial + dipole, is
+        # (T1 + T2) - T3: fp takes the +c integrand and fm the -c one
+        v3pp *= c  # T1 = gp (dipole + M^2 vwp), dipole = (v3pp c) bnorm
+        v3pp *= bnorm
+        np.multiply(m2, vwp, out=fm)
+        np.add(v3pp, fm, out=fp)
+        fp *= gp
+        np.subtract(fm, v3pp, out=fm)
+        fm *= gp
+        gpp *= c  # T2's dipole (gpp c) bnorm
+        gpp *= bnorm
+        gp *= bnorm  # T3's dipole (bnorm gp) c
+        gp *= c
+        q, term = c, v3pp  # the cosines and T1's dipole are used up
+        np.multiply(m2, wpv, out=q)  # T2 = v3p (dipole + M^2 wpv)
+        np.add(gpp, q, out=term)
+        term *= v3p
+        fp += term
+        np.subtract(q, gpp, out=term)
+        term *= v3p
+        fm += term
+        np.multiply(m2, wv, out=q)  # T3 = 2g (dipole + M^2 wv)
+        np.add(gp, q, out=term)
+        term *= g2
+        fp -= term
+        np.subtract(q, gp, out=term)
+        term *= g2
+        fm -= term
+
+        fp *= r2  # the |z|^2 weight
+        fm *= r2
+        mean_f = np.add(fp, fm, out=fp)
+        mean_f *= 0.5
+        mean_f *= np.multiply(4.0 * math.pi, r2, out=r2)  # measure factor
+        return float(np.mean(mean_f))
+
     edges = np.linspace(0.0, 14.0, strata + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        r = rng.uniform(lo, hi, per)
-        # uniform directions: only the polar cosine against bhat matters
-        c = rng.uniform(-1.0, 1.0, per)
-        g = gaussian_values(3, r)
-        gp = -0.5 * r * g
-        gpp = (-0.5 + r**2 / 4.0) * g
-        v3p = gaussian_potential_gradient(3, r)
-        v3pp = -g - np.where(r > 0, 2.0 * v3p / r, 0.0)
-        wv, wpv, vwp = profiles(r).T
-
-        def integrand(cosang):
-            # grad G . grad V1 + grad G1 . grad V - 2 G G1, radial + dipole
-            f = (
-                gp * (v3pp * cosang * bnorm + mass**2 * vwp)
-                + v3p * (gpp * cosang * bnorm + mass**2 * wpv)
-                - 2.0 * g * (bnorm * gp * cosang + mass**2 * wv)
-            )
-            return r**2 * f  # the |z|^2 weight
-
-        mean_f = 0.5 * (integrand(c) + integrand(-c))
-        shell = 4.0 * math.pi * r**2  # measure factor
-        total += (hi - lo) * float(np.mean(shell * mean_f))
+        total += (hi - lo) * shell_mean(lo, hi, *buffers)
     return (4.0 * math.pi) ** -1.5 * mass * total
 
 

@@ -444,6 +444,7 @@ class _CartesianStepper(_Stepper):
         )
         self.k2 = self.kx**2 + self.ky**2
         self.h = h
+        self._line = (None, None)  # similarity runs: (half step, its line kernel)
 
     def velocity(self, values):
         """Unweighted Gauss-law velocity, stacked as (vx, vy)."""
@@ -470,7 +471,10 @@ class _CartesianStepper(_Stepper):
     def diffuse(self, values, dt):
         if self.kind == "physical":
             return irfft2(rfft2(values) * np.exp(-self.k2 * dt), s=values.shape)
-        k = line_propagator(self.grid.axis(), *kernel_width_shrink(dt))
+        kept_dt, k = self._line
+        if dt != kept_dt:  # both half steps of a step share one kernel
+            k = line_propagator(self.grid.axis(), *kernel_width_shrink(dt))
+            self._line = (dt, k)
         return k @ values @ k.T
 
 

@@ -305,9 +305,16 @@ def similarity_semigroup(field, tau):
 
 
 def gaussian_values(dim, r):
-    """(4 pi)^{-n/2} exp(-r^2/4) (the invariant profile of S_n)."""
+    """(4 pi)^{-n/2} exp(-r^2/4) (the invariant profile of S_n).
+
+    The passes of that formula run in one fresh array, in its order."""
     r = np.asarray(r, dtype=float)
-    return (4.0 * math.pi) ** (-dim / 2.0) * np.exp(-(r**2) / 4.0)
+    out = np.square(r, out=np.empty_like(r))
+    np.negative(out, out=out)
+    out /= 4.0
+    np.exp(out, out=out)
+    out *= (4.0 * math.pi) ** (-dim / 2.0)
+    return out if out.ndim else out[()]  # a 0-d input gives a scalar
 
 
 def first_order_heat_expansion(field, tau):
@@ -413,18 +420,49 @@ def div_gaussian_gradient_values(dim, r):
 
 
 def gaussian_enclosed_mass(dim, r):
-    """Closed-form mass of G_n inside radius r (unit total mass)."""
+    """Closed-form mass of G_n inside radius r (unit total mass), with
+    half = r/2 and E = exp(-half^2):
+
+        n = 2: -expm1(-half^2)             n = 3: erf(half) - r E / sqrt(pi)
+        n = 4: -expm1(-half^2) - half^2 E  n = 5: erf(half) - (r + r^3/6) E / sqrt(pi)
+
+    Each formula's passes run in its order on the returned array and one
+    temporary; half and -half^2 are recomputed where a pass consumed them.
+    """
+    if dim not in (2, 3, 4, 5):
+        raise InvalidParameter(f"unsupported dimension {dim}")
     r = np.asarray(r, dtype=float)
-    half = r / 2.0
+    out = np.divide(r, 2.0, out=np.empty_like(r))  # half
     if dim == 2:
-        return -np.expm1(-(half**2))
-    if dim == 3:
-        return erf(half) - r * np.exp(-(half**2)) / math.sqrt(math.pi)
-    if dim == 4:
-        return -np.expm1(-(half**2)) - half**2 * np.exp(-(half**2))
-    if dim == 5:
-        return erf(half) - (r + r**3 / 6.0) * np.exp(-(half**2)) / math.sqrt(math.pi)
-    raise InvalidParameter(f"unsupported dimension {dim}")
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+    elif dim == 4:
+        np.square(out, out=out)  # half^2
+        tmp = np.negative(out, out=np.empty_like(r))
+        np.exp(tmp, out=tmp)
+        tmp *= out  # half^2 E
+        np.negative(out, out=out)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        out -= tmp
+    else:
+        tmp = np.square(out, out=np.empty_like(r))
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)  # E
+        if dim == 3:
+            tmp *= r
+        else:
+            poly = np.power(r, 3, out=out)
+            poly /= 6.0
+            poly += r
+            tmp *= poly
+            np.divide(r, 2.0, out=out)  # half again
+        tmp /= math.sqrt(math.pi)
+        erf(out, out=out)
+        out -= tmp
+    return out if out.ndim else out[()]  # a 0-d input gives a scalar
 
 
 def gaussian_potential_gradient(dim, r):

@@ -16,6 +16,10 @@ from pkslab.fields import gaussian_radial
 from pkslab.grids import radial_grid
 
 
+def same_bits(a, b):  # also tells +0.0 from -0.0
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def kernel_row(nodes, dim, r, a):
     """The reference row: the radial kernel of width a at radius r on the
     slice of ``nodes`` within its band, as ``(band, gauss, z)``."""

@@ -1,6 +1,7 @@
 """Expansion machinery: W_star, c1/c2, term assembly, rate fitting."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,18 @@ from pkslab.errors import (
     InvalidParameter,
     UseProfileModule,
 )
-from pkslab.grids import radial_grid, radial_measure_weights
-from pkslab.semigroup import div_gaussian_gradient_values, gaussian_values
+from pkslab.grids import (
+    radial_derivatives,
+    radial_grid,
+    radial_interpolator,
+    radial_measure_weights,
+)
+from pkslab.potential import radial_gradient
+from pkslab.semigroup import (
+    div_gaussian_gradient_values,
+    gaussian_potential_gradient,
+    gaussian_values,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +203,76 @@ def test_c1_monte_carlo_oracle(wstar_default):
         1.0, [1.0, 0.0, 0.0], wstar_default, samples=2_000_000, seed=1
     )
     assert abs(mc - quad) / abs(quad) <= 5e-3
+
+
+# The Monte Carlo as it was before a shell's +c and -c integrands shared
+# their terms in owned buffers: each integrand is evaluated on its own, every
+# pass allocating.  The oracle must equal it.
+def _c1_monte_carlo_reference(mass, b0, wstar, samples, seed):
+    rng = np.random.default_rng(seed)
+    bnorm = float(np.linalg.norm(np.atleast_1d(np.asarray(b0, dtype=float))))
+    nodes = wstar.field.nodes
+    wprime, _ = radial_derivatives(nodes, wstar.field.values)
+    profiles = radial_interpolator(nodes, np.column_stack(
+        [wstar.field.values, wprime, radial_gradient(wstar.field, order=4)]))
+    strata = 200
+    per = max(1, samples // (2 * strata))
+    edges = np.linspace(0.0, 14.0, strata + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        r = rng.uniform(lo, hi, per)
+        c = rng.uniform(-1.0, 1.0, per)
+        g = gaussian_values(3, r)
+        gp = -0.5 * r * g
+        gpp = (-0.5 + r**2 / 4.0) * g
+        v3p = gaussian_potential_gradient(3, r)
+        v3pp = -g - np.where(r > 0, 2.0 * v3p / r, 0.0)
+        wv, wpv, vwp = profiles(r).T
+
+        def integrand(cosang):
+            f = (
+                gp * (v3pp * cosang * bnorm + mass**2 * vwp)
+                + v3p * (gpp * cosang * bnorm + mass**2 * wpv)
+                - 2.0 * g * (bnorm * gp * cosang + mass**2 * wv)
+            )
+            return r**2 * f
+
+        mean_f = 0.5 * (integrand(c) + integrand(-c))
+        shell = 4.0 * math.pi * r**2
+        total += (hi - lo) * float(np.mean(shell * mean_f))
+    return (4.0 * math.pi) ** -1.5 * mass * total
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0, 2.5])
+def test_c1_monte_carlo_equals_its_reference(wstar_default, mass):
+    for b0 in ([0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]):
+        for samples in (400, 2_801, 400_000):
+            for seed in (1, 7):
+                got = asy.constant_c1_monte_carlo(mass, b0, wstar_default,
+                                                  samples=samples, seed=seed)
+                want = _c1_monte_carlo_reference(mass, b0, wstar_default, samples, seed)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_c1_monte_carlo_at_benchmark_size_equals_its_reference_in_less_memory(wstar_default):
+    # 3e6 samples, as the constants_n3 benchmark draws; tracemalloc's count
+    # of numpy's allocations is deterministic
+    values, peaks = [], []
+    for fn in (asy.constant_c1_monte_carlo, _c1_monte_carlo_reference):
+        tracemalloc.start()
+        try:
+            values.append(fn(1.0, [1.0, 0.0, 0.0], wstar_default, 3_000_000, 1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert values[0] == values[1]
+    assert peaks[0] <= peaks[1]
+
+
+def test_c1_monte_carlo_refuses_too_few_samples(wstar_default):
+    # a shell draws samples // 400 pairs: fewer than 400 samples draw none
+    with pytest.raises(InvalidParameter, match="at least 400 samples, got 399"):
+        asy.constant_c1_monte_carlo(1.0, [1.0, 0.0, 0.0], wstar_default, samples=399)
 
 
 # ---------------------------------------------------------------------------

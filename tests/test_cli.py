@@ -490,7 +490,8 @@ def test_main_constants_n2_exit_1(capsys):
     (["--n", "6", "--mass", "1"], "dimension must be in 2..5"),
     (["--n", "5", "--mass", "1"], "n = 5 has no log-term constant"),
     (["--n", "3", "--mass", "1", "--b0", "1,0,0,0"], "B0 has 4 components"),
-], ids=["negative_mass", "dimension", "no_constant", "b0_length"])
+    (["--n", "3", "--mass", "1", "--samples", "0"], "at least 400 samples, got 0"),
+], ids=["negative_mass", "dimension", "no_constant", "b0_length", "too_few_samples"])
 def test_main_constants_refuses_bad_input(capsys, argv, message):
     assert cli.main(["constants", *argv]) == 1
     captured = capsys.readouterr()

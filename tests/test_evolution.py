@@ -23,7 +23,7 @@ from pkslab.potential import radial_gradient, radial_gradient_rows
 from pkslab.semigroup import kernel_rows, scaled_sphere_average, scaled_sphere_average_cos
 from pkslab.grids import SPHERE_AREA, radial_grid, radial_interpolator, radial_measure_weights
 
-from conftest import gaussian_radial, kernel_row
+from conftest import gaussian_radial, kernel_row, same_bits
 
 
 def test_step_mass_conservation(default_nodes):
@@ -126,10 +126,6 @@ def _advection_test_fields(nodes):
     yield bump - 1e-3 * np.exp(-((nodes - 0.3 * rmax) ** 2))
     # a dip in an empty core: negative enclosed mass moves its faces outward
     yield np.where(nodes > 0.05 * rmax, bump, 0.0) - 1e-3 * np.exp(-(nodes ** 2))
-
-
-def same_bits(a, b):  # also tells +0.0 from -0.0
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["physical", "similarity"])  # muscl, central
@@ -515,6 +511,52 @@ def test_one_kernel_lookup_per_step_size_builds_the_same_kernels(monkeypatch, ki
                           every.sup_norm, every.free_energy])
 
 
+class _RebuildEveryCall(ev._CartesianStepper):
+    """The Cartesian stepper with a similarity ``diffuse`` that builds its
+    line kernel on every call: the reference for keeping the last one."""
+
+    def diffuse(self, values, dt):
+        if self.kind == "physical":
+            return super().diffuse(values, dt)
+        k = ev.line_propagator(self.grid.axis(), *ev.kernel_width_shrink(dt))
+        return k @ values @ k.T
+
+
+def test_cartesian_similarity_run_builds_one_line_kernel_per_half_step(monkeypatch):
+    u0 = fields.gaussian_cartesian(2.0 * math.pi, extent=10.0, size=128)
+    # uneven record intervals: the half step changes between them
+    cfg = ev.SolverConfig(t_init=0.0, t_end=1.0, record_times=(0.02, 0.1, 0.12, 1.0))
+    build = ev.line_propagator
+
+    def traced_run(make_stepper):
+        built = []
+
+        def counted_build(x, a, shrink):
+            built.append((a, shrink))
+            return build(x, a, shrink)
+
+        monkeypatch.setattr(ev, "line_propagator", counted_build)
+        monkeypatch.setattr(ev, "_make_stepper", make_stepper)
+        return ev.evolve_similarity(u0, cfg), built
+
+    traj, built = traced_run(ev._make_stepper)
+    every_traj, every_built = traced_run(_RebuildEveryCall)
+    # the reference builds afresh for each of a step's two equal half steps
+    assert len(every_built) % 2 == 0 and every_built[::2] == every_built[1::2]
+    assert built == [key for i, key in enumerate(every_built)
+                     if i == 0 or key != every_built[i - 1]]
+    # and the last interval takes several steps of one size
+    assert len(every_built) > 2 * len(built) > 0
+    assert traj.termination == every_traj.termination == "t_end"
+    assert len(traj.records) == len(every_traj.records) > 2
+    for rec, every in zip(traj.records, every_traj.records):
+        assert same_bits(rec.field.values, every.field.values)
+        assert same_bits([rec.time, rec.moments.mass, rec.moments.second_moment,
+                          rec.sup_norm, rec.free_energy],
+                         [every.time, every.moments.mass, every.moments.second_moment,
+                          every.sup_norm, every.free_energy])
+
+
 @pytest.mark.parametrize("geometry, kind, scheme, tolerance", [
     ("radial", "physical", "muscl", 1e-12),
     ("radial", "similarity", "central", 1e-12),
@@ -639,11 +681,34 @@ def offset_grid_run_2d():
 @pytest.mark.parametrize("run", ["reference_run_2d", "pure_heat_run_2d", "physical_run_3d",
                                  "offset_grid_run_2d"])
 @pytest.mark.parametrize("zero_nonlinear", [False, True])
-def test_blocked_duhamel_equals_row_by_row(request, run, zero_nonlinear):
+def test_blocked_duhamel_equals_row_by_row(request, monkeypatch, run, zero_nonlinear):
     traj = request.getfixturevalue(run)
     assert len(traj.records) >= 64
-    assert (ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
-            == _duhamel_residual_by_rows(traj, zero_nonlinear=zero_nonlinear))
+    _assert_same_residual_and_integrands(monkeypatch, traj, zero_nonlinear,
+                                         _duhamel_residual_by_rows)
+
+
+def _assert_same_residual_and_integrands(monkeypatch, traj, zero_nonlinear, reference):
+    """``duhamel_residual`` equals ``reference``, and so does each of the
+    correction's time integrands, bit for bit: the residual's last bits need
+    not show a changed row sum.  The integrands are read as ``np.trapezoid``
+    receives them."""
+    integrands = []
+    trapezoid = np.trapezoid
+
+    def recorded_trapezoid(y, x):
+        integrands.append(np.array(y))
+        return trapezoid(y, x)
+
+    monkeypatch.setattr(np, "trapezoid", recorded_trapezoid)
+    residual = ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
+    residual_integrands = integrands[:]
+    integrands.clear()
+    assert residual == reference(traj, zero_nonlinear=zero_nonlinear)
+    nonlinear = traj.config.nonlinearity and not zero_nonlinear
+    assert len(residual_integrands) == len(integrands) == (9 if nonlinear else 0)
+    for a, b in zip(residual_integrands, integrands):
+        assert same_bits(a, b)
 
 
 # The blocked residual as it was before its per-sample-time work was hoisted:
@@ -707,23 +772,8 @@ def small_run_2d():
 def test_hoisted_duhamel_equals_the_blocked_form(request, monkeypatch, run, zero_nonlinear):
     traj = request.getfixturevalue(run)
     assert len(traj.records) >= 64 and traj.config.nonlinearity
-    # the residual's last bits need not show a changed row sum, so the time
-    # integrands of the correction are compared too
-    integrands = []
-    trapezoid = np.trapezoid
-
-    def recorded_trapezoid(y, x):
-        integrands.append(np.array(y))
-        return trapezoid(y, x)
-
-    monkeypatch.setattr(np, "trapezoid", recorded_trapezoid)
-    hoisted = ev.duhamel_residual(traj, zero_nonlinear=zero_nonlinear)
-    hoisted_integrands = integrands[:]
-    integrands.clear()
-    assert hoisted == _duhamel_residual_blocked(traj, zero_nonlinear=zero_nonlinear)
-    assert len(hoisted_integrands) == len(integrands) == (0 if zero_nonlinear else 9)
-    for a, b in zip(hoisted_integrands, integrands):
-        assert np.array_equal(a, b)
+    _assert_same_residual_and_integrands(monkeypatch, traj, zero_nonlinear,
+                                         _duhamel_residual_blocked)
 
 
 def _field_values_by_record(trajectory, t):

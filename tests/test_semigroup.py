@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import csr_array, issparse
-from scipy.special import gamma, ive
+from scipy.special import erf, gamma, ive
 
 from pkslab import evolution as ev, fields, semigroup as sg
 from pkslab.errors import InvalidParameter, OutOfValidatedRange
@@ -21,7 +21,7 @@ from pkslab.fields import (
 from pkslab.grids import radial_grid, radial_measure_weights, trapezoid_weights
 from pkslab.semigroup import gaussian_values
 
-from conftest import gaussian_radial, kernel_row
+from conftest import gaussian_radial, kernel_row, same_bits
 
 
 def test_heat_semigroup_property(default_nodes):
@@ -204,6 +204,43 @@ def test_line_propagator_is_bit_identical_to_its_formula(shrink):
         for a in (1e-3, 0.3, 1.0 - math.exp(-0.7), 4.0):
             assert np.array_equal(sg.line_propagator(x, a, shrink),
                                   _line_propagator_by_formula(x, a, shrink))
+
+
+def _gaussian_values_by_formula(dim, r):
+    return (4.0 * math.pi) ** (-dim / 2.0) * np.exp(-(r**2) / 4.0)
+
+
+def _gaussian_enclosed_mass_by_formula(dim, r):
+    half = r / 2.0
+    if dim == 2:
+        return -np.expm1(-(half**2))
+    if dim == 3:
+        return erf(half) - r * np.exp(-(half**2)) / math.sqrt(math.pi)
+    if dim == 4:
+        return -np.expm1(-(half**2)) - half**2 * np.exp(-(half**2))
+    return erf(half) - (r + r**3 / 6.0) * np.exp(-(half**2)) / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_gaussian_helpers_are_bit_identical_to_their_formulas(dim):
+    # the helpers run their formulas' passes in place; each value keeps its bits
+    rng = np.random.default_rng(dim)
+    grids = [radial_grid(512, 40.0), rng.uniform(0.0, 14.0, 3000),
+             np.geomspace(1e-300, 1e3, 400), np.array([0.0, 1e-8, 7.0, 60.0])]
+    grids.append(grids[1].reshape(60, 50))  # stacked radii
+    for r in grids:
+        assert same_bits(sg.gaussian_values(dim, r), _gaussian_values_by_formula(dim, r))
+        assert same_bits(sg.gaussian_enclosed_mass(dim, r),
+                         _gaussian_enclosed_mass_by_formula(dim, r))
+    for x in (0.0, 0.3, 7.0, np.float64(2.5), np.asarray(1.25)):  # 0-d input
+        r = np.asarray(x, dtype=float)
+        for got, want in ((sg.gaussian_values(dim, x), _gaussian_values_by_formula(dim, r)),
+                          (sg.gaussian_enclosed_mass(dim, x),
+                           _gaussian_enclosed_mass_by_formula(dim, r))):
+            assert type(got) is type(want) is np.float64
+            assert same_bits(got, want)
+    with pytest.raises(InvalidParameter):
+        sg.gaussian_enclosed_mass(6, 1.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
