@@ -29,7 +29,8 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 
 from . import asymptotics, diagnostics, evolution, fields, potential, profiles, semigroup
-from .errors import InvalidParameter, PKSError, ScenarioConfigError, UseProfileModule
+from .errors import (InsufficientSampling, InvalidParameter, PKSError, ScenarioConfigError,
+                     UseProfileModule)
 from .grids import radial_grid
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
@@ -208,17 +209,35 @@ def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
         blowup_factor=blowup_factor, nonlinearity=nonlinearity, reference=reference)
 
 
-# What a compute run's W_star solve calls (a spline refinement and a banded
-# solve), imported with its scenario so that set-up, not the run, pays for it:
-# imported during the run instead, it nearly doubled the `wall_s` of the
-# benchmark's `constants_n3` workload, past that metric's bound.  Evolve runs
-# call neither.
-COMPUTE_IMPORTS = ("scipy.interpolate", "scipy.linalg")
+# The scipy subpackages each kind of run calls, imported with its scenario so
+# that set-up, not the run, pays for them: a radial run applies CSR heat
+# kernels, a Cartesian run transforms by FFT, and a compute run's W_star solve
+# refines its grid by a spline and solves a banded system.  Imported during
+# the run instead, the compute entry nearly doubled the `wall_s` of the
+# benchmark's `constants_n3` workload.  The package itself imports none of
+# them, so a radial run never loads scipy.fft and a Cartesian one never
+# loads scipy.sparse.
+RUN_IMPORTS = {
+    "radial": ("scipy.sparse",),
+    "cartesian": ("scipy.fft",),
+    "compute": ("scipy.interpolate", "scipy.linalg"),
+}
+
+
+def _run_kinds(scenario):
+    """The ``RUN_IMPORTS`` keys of what ``scenario`` runs.  A custom-file
+    datum's geometry is known only once its snapshot is read, so it takes
+    both geometries'."""
+    if scenario.kind == "compute":
+        return ("compute",)
+    if scenario.initial[0] == "custom-file":
+        return tuple(GEOMETRIES)
+    return (scenario.grid[0],)
 
 
 def load_scenario(path):
-    """Parse and cast a scenario file; nothing is built.  A compute scenario
-    also imports ``COMPUTE_IMPORTS``."""
+    """Parse and cast a scenario file; nothing is built.  It also imports
+    the ``RUN_IMPORTS`` of what the scenario runs."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -255,8 +274,8 @@ def load_scenario(path):
     )
     if sections:
         raise ScenarioConfigError(f"{path}: unknown section [{next(iter(sections))}]")
-    if scenario.kind == "compute":
-        for module in COMPUTE_IMPORTS:
+    for run in _run_kinds(scenario):
+        for module in RUN_IMPORTS[run]:
             importlib.import_module(module)
     return scenario
 
@@ -369,6 +388,9 @@ def _check_weighted_sup_decreasing(ctx, from_: float = 20.0):
     traj = ctx.trajectory
     n = traj.dim
     t = traj.times()
+    held = int(np.count_nonzero(t >= from_))
+    if held < 2:
+        raise InsufficientSampling(f"{held} record(s) at t >= {from_}: a trend needs 2")
     dist = []
     for rec in traj.records:
         gamma = fields.gaussian_radial(n, ctx.mass, rec.field.nodes, rec.time)
@@ -444,6 +466,8 @@ def _check_phi_pure_heat(ctx, tolerance: float = 1e-4, s1: float = 2.0):
     heat_cfg = replace(ctx.trajectory.config, nonlinearity=False)
     traj = evolution.evolve(ctx.trajectory.records[0].field, heat_cfg)
     rho = diagnostics.rho_grid_from_records(traj, s1, 0.1, 1.0)
+    if not rho.size:
+        raise InsufficientSampling(f"no record at t = {s1} - rho^2 for rho in [0.1, 1]")
     phi = np.array([diagnostics.phi_density(traj, (0.0, s1), p) for p in rho])
     exact = ctx.mass * rho**2 / (4.0 * math.pi * s1)
     rel = float(np.abs(phi / exact - 1.0).max())

@@ -86,15 +86,8 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 import scipy
-from scipy.fft import irfft2, rfft2
 
-from .errors import (
-    InsufficientSampling,
-    InvalidParameter,
-    OutOfRange,
-    PKSError,
-    StiffnessFailure,
-)
+from .errors import InsufficientSampling, InvalidParameter, OutOfRange, StiffnessFailure
 from . import diagnostics as _diagnostics
 from .fields import (CartesianField2D, RadialField, gaussian_cartesian, gaussian_radial,
                      lp_norm, lp_norm_values, moment_set, moments, radial_moments,
@@ -453,6 +446,8 @@ class _CartesianStepper(_Stepper):
         )
 
     def advection_rhs(self, values, weight):
+        from scipy.fft import irfft2, rfft2
+
         v = self.velocity(values)
         if weight != 1.0:
             v *= weight
@@ -470,6 +465,8 @@ class _CartesianStepper(_Stepper):
 
     def diffuse(self, values, dt):
         if self.kind == "physical":
+            from scipy.fft import irfft2, rfft2
+
             return irfft2(rfft2(values) * np.exp(-self.k2 * dt), s=values.shape)
         kept_dt, k = self._line
         if dt != kept_dt:  # both half steps of a step share one kernel
@@ -586,18 +583,6 @@ def _reference_values(config, field, t, mass, reference_field):
     return None
 
 
-def _free_energies(nodes, rows, weights, second):
-    """The free energy of each 2D radial row; a typed error reads NaN in the
-    rows that raise it when evaluated alone, and any other error propagates."""
-    try:
-        return _diagnostics.free_energy_2d_rows(nodes, rows, weights, second)
-    except PKSError:
-        if len(rows) == 1:
-            return np.array([math.nan])
-        return np.concatenate([_free_energies(nodes, rows[k:k + 1], weights, second[k:k + 1])
-                               for k in range(len(rows))])
-
-
 def _record_diagnostics(fields, times, config, reference_field, initial_mass, stacked):
     """(moments, sup norm, free energy, L1 distance to the reference) of each
     record field.  Radial records are evaluated ``RECORD_BLOCK`` rows of
@@ -626,7 +611,8 @@ def _record_diagnostics(fields, times, config, reference_field, initial_mass, st
         mass[block], second[block] = radial_moments(nodes, rows, weights)
         sup[block] = lp_norm_values(rows, None, math.inf, axis=-1)
         if dim == 2:
-            free_energy[block] = _free_energies(nodes, rows, weights, second[block]).tolist()
+            free_energy[block] = _diagnostics.free_energy_2d_rows(
+                nodes, rows, weights, second[block]).tolist()
         refs = [reference(k) for k in range(len(fields))[block]]
         if refs[0] is not None:
             l1[block] = lp_norm_values(rows - np.stack(refs), weights, 1, axis=-1).tolist()

@@ -9,7 +9,8 @@ both Gaussian cores and the fine structure that develops near blow-up.
 The spline helpers (:func:`nested_refinement`, :func:`radial_derivatives`,
 :func:`radial_interpolator` and the order-4 :func:`cumulative_integral`)
 import ``scipy.interpolate`` on their first call, so a run that never
-interpolates does not pay for loading it.
+interpolates does not pay for loading it; a compute scenario imports it when
+it is loaded (``cli.RUN_IMPORTS``).
 """
 
 import math

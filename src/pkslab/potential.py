@@ -24,12 +24,14 @@ on the n zero rows of its padding, and each output's c2r pass runs on the
 n rows kept by the crop.  The results equal rfft2 and irfft2 on the full
 2n grid bit for bit.  The solve's complex passes run in place on arrays it
 made itself, and each cropped output is scaled into one preallocated array.
+The kernel build and the solve import ``scipy.fft`` on their first call, so
+a radial run never loads it; a Cartesian scenario imports it when it is
+loaded (``cli.RUN_IMPORTS``).
 """
 
 import math
 
 import numpy as np
-from scipy.fft import fft, ifft, ifft2, irfft, next_fast_len, rfft, rfft2
 from scipy.special import j0, j1
 
 from .errors import DomainTooSmall, InvalidParameter
@@ -133,6 +135,8 @@ def _green_hat_2d(extent, size, mode):
     hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
+    from scipy.fft import ifft2, next_fast_len, rfft2
+
     h = 2.0 * extent / size
     width = 2.0 * extent
     lk = math.sqrt(2.0) * width
@@ -196,6 +200,8 @@ def _free_space_solve(u, mode, check_domain=True):
         raise InvalidParameter("the FFT path expects a CartesianField2D")
     if check_domain:
         check_boundary_decay(u)
+    from scipy.fft import fft, ifft, irfft, rfft
+
     n = u.size
     kernels = _green_hat_2d(u.extent, n, mode)
     # irfft2 applies its 1/(2n)^2 as one multiply after the c2r pass; n is a

@@ -17,7 +17,9 @@ mirror of every entry below the diagonal, and all its rows are filled from
 that band by one gather.  CSR indices are int32 while N^2 < 2^31.
 Columns are renormalised so the discrete operator conserves mass exactly
 against the shared trapezoid weights.  On 2D Cartesian grids the kernel
-separates per axis into two small matrices.
+separates per axis into two small matrices.  The CSR build imports
+``scipy.sparse`` on its first call, so a Cartesian run never loads it; a
+radial scenario imports it when it is loaded (``cli.RUN_IMPORTS``).
 
 The public applies (:func:`heat_evolve`, :func:`similarity_semigroup`) build
 each kernel for one use and drop it.  Only the radial time stepper reuses
@@ -28,7 +30,6 @@ holds no state.
 import math
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.special import erf, i0e, i1e, ive
 from scipy.special import gamma as gamma_fn
 
@@ -248,6 +249,8 @@ def _radial_propagator(nodes, dim, a, shrink):
     else:
         gauss, z = radial_kernel(dim, a, np.repeat(nodes, counts), s[cols])
         kern = gauss * scaled_sphere_average(dim, z)
+    from scipy.sparse import csr_array
+
     # a CSR kernel holds at most N^2 / 2 entries, each column index below N
     index = np.int32 if size * size < 2**31 else np.int64
     mat = csr_array((kern, cols.astype(index), indptr.astype(index)), shape=(size, size))

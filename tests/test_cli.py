@@ -458,6 +458,32 @@ def test_failed_check_exits_1(tmp_path):
     assert cli.run_scenario(str(cfg), out_dir=tmp_path / "out") == 1
 
 
+def _error_of(tmp_path, check):
+    """TINY_RUN (records at t = 1 ... 1.6) with ``check`` added: the exit code
+    and that check's error, after asserting the other check still passed."""
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(TINY_RUN + check)
+    code = cli.run_scenario(str(cfg), out_dir=tmp_path / "out")
+    checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+    assert checks.pop("mass_conservation")["pass"] is True
+    (entry,) = checks.values()
+    assert entry["pass"] is False
+    return code, entry["error"]
+
+
+@pytest.mark.parametrize("from_", ["1e9", "1.6"], ids=["no record", "one record"])
+def test_weighted_sup_decreasing_needs_two_records(tmp_path, from_):
+    code, error = _error_of(tmp_path, f"\n[check:weighted_sup_decreasing]\nfrom = {from_}\n")
+    assert code == 3
+    assert "a trend needs 2" in error
+
+
+def test_phi_pure_heat_needs_a_record_on_its_rho_grid(tmp_path):
+    code, error = _error_of(tmp_path, "\n[check:phi_pure_heat]\ns1 = 1e6\n")
+    assert code == 3
+    assert "no record" in error
+
+
 def test_export_constants_n4():
     report = cli.export_constants(4, 1.0, [0.0])
     assert report["c2"] == pytest.approx(1.0 / (256.0 * math.pi**4), rel=1e-9)
@@ -582,16 +608,13 @@ def test_parallel_below_one_exits_2(tmp_path, capsys, parallel):
     assert "--parallel" in capsys.readouterr().err
 
 
-# Run in a fresh interpreter: loads each scenario file and prints which of the
-# libraries evolve runs never call were imported, then the scipy subpackages a
-# compute run imported after its scenario was loaded.
+# Run in a fresh interpreter: loads a scenario file and runs it, then prints
+# its exit code, the scipy subpackages the run imported after the scenario was
+# loaded, and which of the modules named after the file were imported at all.
 IMPORT_PROBE = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from pkslab import cli
-
-UNUSED_BY_EVOLVE = ("scipy.interpolate", "scipy.linalg", "scipy.optimize",
-                    "concurrent.futures.process")
 
 
 def scipy_subpackages():
@@ -599,15 +622,11 @@ def scipy_subpackages():
             if name.startswith("scipy.")}
 
 
-report = {}
-for path in sys.argv[2:4]:
-    cli.load_scenario(path)
-    report[path] = [name for name in UNUSED_BY_EVOLVE if name in sys.modules]
-cli.load_scenario(sys.argv[4])
+cli.load_scenario(sys.argv[2])
 loaded = scipy_subpackages()
-assert cli.run_scenario(sys.argv[4], out_dir=sys.argv[5]) == 0
-report["compute run"] = sorted(scipy_subpackages() - loaded)
-print(json.dumps(report))
+code = cli.run_scenario(sys.argv[2], out_dir=sys.argv[3])
+print(json.dumps({"exit": code, "run imported": sorted(scipy_subpackages() - loaded),
+                  "unused imported": [name for name in sys.argv[4:] if name in sys.modules]}))
 """
 
 # c2 runs no spline; the W_star solve behind w_pde_residual refines its grid
@@ -621,19 +640,32 @@ kind = compute
 [check:w_pde_residual]
 """
 
+# what no evolve run calls: a spline, a banded solve, a process pool
+UNUSED_BY_EVOLVE = ("scipy.interpolate", "scipy.linalg", "scipy.optimize",
+                    "concurrent.futures.process")
+
 
 def test_run_kinds_import_only_what_they_call(tmp_path):
-    files = {"radial.cfg": TINY_RUN, "cartesian.cfg": TINY_CARTESIAN_RUN,
-             "compute.cfg": COMPUTE_SCENARIO}
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    # a radial run calls no FFT and a Cartesian run no CSR matrix; a
+    # custom-file run, whose geometry only its snapshot knows, loads both
+    _write_snapshot(tmp_path / "radial.csv")
+    fields.write_snapshot(fields.gaussian_cartesian(2.0 * math.pi, extent=10.0, size=64),
+                          tmp_path / "cartesian.csv", t=1.0)
+    runs = {"radial": (TINY_RUN, ["scipy.fft", *UNUSED_BY_EVOLVE]),
+            "cartesian": (TINY_CARTESIAN_RUN, ["scipy.sparse", *UNUSED_BY_EVOLVE]),
+            "radial file": (FILE_RUN.format(file=tmp_path / "radial.csv"),
+                            list(UNUSED_BY_EVOLVE)),
+            "cartesian file": (FILE_RUN.format(file=tmp_path / "cartesian.csv").replace(
+                "scheme = muscl", "scheme = pseudo-spectral"), list(UNUSED_BY_EVOLVE)),
+            "compute": (COMPUTE_SCENARIO, [])}
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(src),
-         *(str(tmp_path / name) for name in files), str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {str(tmp_path / "radial.cfg"): [], str(tmp_path / "cartesian.cfg"): [],
-                      "compute run": []}
+    for name, (text, unused) in runs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(src), str(tmp_path / f"{name}.cfg"),
+             str(tmp_path / name), *unused],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"exit": 0, "run imported": [], "unused imported": []}, name

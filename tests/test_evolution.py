@@ -11,13 +11,7 @@ import scipy
 
 import pkslab
 from pkslab import diagnostics as dg, evolution as ev, fields
-from pkslab.errors import (
-    InsufficientSampling,
-    InvalidField,
-    InvalidParameter,
-    OutOfRange,
-    StiffnessFailure,
-)
+from pkslab.errors import InsufficientSampling, InvalidParameter, OutOfRange, StiffnessFailure
 from pkslab.fields import RadialField, l1_distance, total_mass
 from pkslab.potential import radial_gradient, radial_gradient_rows
 from pkslab.semigroup import kernel_rows, scaled_sphere_average, scaled_sphere_average_cos
@@ -191,33 +185,6 @@ def test_radial_stepper_results_outlive_its_buffers():
     for i, a in enumerate(values):
         for b in values[i + 1:]:
             assert not np.shares_memory(a, b)
-
-
-def test_record_free_energy_catches_only_package_errors(monkeypatch):
-    # the records' free energies are evaluated a block of rows at a time; a
-    # typed error in one record's free energy reads NaN in that record only
-    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
-    cfg = ev.SolverConfig(t_init=1.0, t_end=2.0, records_per_decade=64)
-    plain = ev.evolve(u0, cfg)
-    assert len(plain.records) > dg.RECORD_BLOCK + 2
-    failing = (0, dg.RECORD_BLOCK + 2)  # one record in each of two blocks
-    failing_values = [plain.records[k].field.values for k in failing]
-    free_energy_2d_rows = dg.free_energy_2d_rows
-    error = InvalidField("moments must be finite")
-
-    def failing_rows(nodes, rows, weights, second):
-        if any(np.array_equal(row, bad) for row in rows for bad in failing_values):
-            raise error
-        return free_energy_2d_rows(nodes, rows, weights, second)
-
-    monkeypatch.setattr(ev._diagnostics, "free_energy_2d_rows", failing_rows)
-    got = [rec.free_energy for rec in ev.evolve(u0, cfg).records]
-    assert math.isnan(got[0])
-    assert same_bits(got, [math.nan if k in failing else rec.free_energy
-                           for k, rec in enumerate(plain.records)])
-    error = ZeroDivisionError("a bug")
-    with pytest.raises(ZeroDivisionError):
-        ev.evolve(u0, cfg)
 
 
 def test_small_mass_tracks_pure_heat():
