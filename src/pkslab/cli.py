@@ -214,25 +214,31 @@ def _solver_config(u0, t_init: float | None = None, t_end: float | None = None,
 # kernels, a Cartesian run transforms by FFT, and a compute run's W_star solve
 # refines its grid by a spline and solves a banded system.  Imported during
 # the run instead, the compute entry nearly doubled the `wall_s` of the
-# benchmark's `constants_n3` workload.  The package itself imports none of
-# them, so a radial run never loads scipy.fft and a Cartesian one never
-# loads scipy.sparse.
+# benchmark's `constants_n3` workload.  A check that alone calls a subpackage
+# has an entry of its own, so that only the scenarios that run it pay for it:
+# the W_star quadrature integrates by Simpson's rule.  The package itself
+# imports none of them, so a radial run never loads scipy.fft and a Cartesian
+# one never loads scipy.sparse.
 RUN_IMPORTS = {
     "radial": ("scipy.sparse",),
     "cartesian": ("scipy.fft",),
     "compute": ("scipy.interpolate", "scipy.linalg"),
+    "wstar_quadrature": ("scipy.integrate",),
 }
 
 
 def _run_kinds(scenario):
-    """The ``RUN_IMPORTS`` keys of what ``scenario`` runs.  A custom-file
-    datum's geometry is known only once its snapshot is read, so it takes
-    both geometries'."""
+    """The ``RUN_IMPORTS`` keys of what ``scenario`` runs: its kind of run,
+    then each of its checks that has an entry.  A custom-file datum's
+    geometry is known only once its snapshot is read, so it takes both
+    geometries'."""
     if scenario.kind == "compute":
-        return ("compute",)
-    if scenario.initial[0] == "custom-file":
-        return tuple(GEOMETRIES)
-    return (scenario.grid[0],)
+        kinds = ("compute",)
+    elif scenario.initial[0] == "custom-file":
+        kinds = tuple(GEOMETRIES)
+    else:
+        kinds = (scenario.grid[0],)
+    return kinds + tuple(name for name, _ in scenario.checks if name in RUN_IMPORTS)
 
 
 def load_scenario(path):

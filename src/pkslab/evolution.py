@@ -46,8 +46,12 @@ change, so the half step alone names a kernel: ``diffuse`` keeps the
 moves the kernel it applies to the end, and drops the first one before it
 builds one more, so no more than ``KERNELS_KEPT`` are alive even during a
 build.  A bundled run reuses a kernel after at most 1 other one, so 2 make
-the same builds as any larger number.  No kernel outlives its run: a second
-run builds its own.
+the same builds as any larger number.
+
+The Cartesian stepper owns its free-space kernels too: its first solve
+builds the spectra of the two gradient kernels on its grid, and every solve
+of the run is handed them.  In either geometry no kernel outlives its run,
+since only the stepper holds it: a second run builds its own.
 
 The results are bit-identical to the plain formulas.  Halving the mean
 enclosed mass and dividing it by the face area is one division by twice the
@@ -93,7 +97,8 @@ from .fields import (CartesianField2D, RadialField, gaussian_cartesian, gaussian
                      lp_norm, lp_norm_values, moment_set, moments, radial_moments,
                      total_mass)
 from .grids import SPHERE_AREA, radial_measure_weights
-from .potential import cartesian_gradient_2d, check_boundary_decay, radial_gradient_rows
+from .potential import (_green_hat_2d, cartesian_gradient_2d, check_boundary_decay,
+                        radial_gradient_rows)
 from .semigroup import (
     _radial_propagator,
     kernel_peak,
@@ -438,11 +443,15 @@ class _CartesianStepper(_Stepper):
         self.k2 = self.kx**2 + self.ky**2
         self.h = h
         self._line = (None, None)  # similarity runs: (half step, its line kernel)
+        self._spectra = None  # the gradient kernels' spectra, built by the first solve
 
     def velocity(self, values):
         """Unweighted Gauss-law velocity, stacked as (vx, vy)."""
+        if self._spectra is None:
+            self._spectra = _green_hat_2d(self.grid.extent, self.grid.size, "gradient")
         return cartesian_gradient_2d(
-            self.grid.with_values(values, nonnegative=False), check_domain=False
+            self.grid.with_values(values, nonnegative=False), check_domain=False,
+            spectra=self._spectra,
         )
 
     def advection_rhs(self, values, weight):
@@ -821,10 +830,31 @@ def duhamel_residual(trajectory, zero_nonlinear=False):
 # export
 # ---------------------------------------------------------------------------
 
+# the ufuncs whose float64 loops numpy dispatches per CPU and whose last bits
+# move with the dispatch target in the outputs of the bundled scenarios
+DISPATCHED_UFUNCS = ("exp", "expm1", "log", "log10")
+
+
+def _numpy_dispatch():
+    """{ufunc: the SIMD target numpy runs its float64 loop on} for
+    ``DISPATCHED_UFUNCS``, read from ``numpy.lib.introspect.opt_func_info``
+    (None for a ufunc numpy reports no dispatch for); None on numpy < 2.0,
+    which has no such record."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(" + "|".join(DISPATCHED_UFUNCS) + ")$",
+                         signature="float64")
+    return {name: info.get(name, {}).get("dd", {}).get("current")
+            for name in DISPATCHED_UFUNCS}
+
+
 def export_trajectory(trajectory, csv_path, manifest_path):
     """One CSV row per record plus a JSON manifest echoing the termination
     reason, the full configuration, the advection scheme and clamp
-    tolerance the run used, and the pkslab, numpy and scipy versions."""
+    tolerance the run used, the pkslab, numpy and scipy versions, and the
+    SIMD targets of :func:`_numpy_dispatch`."""
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("t,mass,second_moment,sup_norm,l1_err_vs_profile,free_energy\n")
         fh.writelines(_diagnostics.record_row(rec) + "\n" for rec in trajectory.records)
@@ -847,6 +877,7 @@ def export_trajectory(trajectory, csv_path, manifest_path):
         "clamp_tolerance": trajectory.clamp_tolerance,
         "versions": {"pkslab": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "numpy_dispatch": _numpy_dispatch(),
     }
     with open(manifest_path, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)

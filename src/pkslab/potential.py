@@ -11,12 +11,14 @@ precision for smooth compactly supported densities (a plain sampled-kernel
 convolution is only second order and cannot reach the agreement targets of
 the radial oracle).  Its closed-form transform, a function of |k| alone, is
 sampled on one quadrant of an FFT grid oversampled past 2 sqrt(2) n,
-mirrored onto the other three and brought to real space once per grid for
-the gradient and, only if some caller asks for it, once for the potential.
-The two gradient kernels are built one after the other, each transformed in
-the array it is formed in, so the build holds the real transform and one
-padded complex grid at a time: at n = 256 (a 726 x 726 padded grid) it
-peaks at 18 MiB.
+mirrored onto the other three and brought to real space.  Nothing here keeps
+the kernels: a public solve builds the ones it reads and drops them when it
+returns, and the Cartesian time stepper of ``evolution`` builds its gradient
+kernels on its first solve and passes them to every later one, so they live
+as long as its run.  The two gradient kernels are built one after the other,
+each transformed in the array it is formed in, so the build holds the real
+transform and one padded complex grid at a time: at n = 256 (a 726 x 726
+padded grid) it peaks at 18 MiB.
 Every solve then convolves with that kernel on the 2n x 2n grid by real
 FFTs, one axis at a time so that only rows some output reads are
 transformed: the forward r2c pass runs on the n rows of the density, not
@@ -102,9 +104,6 @@ def radial_potential_rows(nodes, dim, values, order=2):
 # 2D free-space solve (truncated Green's function, spectrally accurate)
 # ---------------------------------------------------------------------------
 
-_KERNEL_CACHE = {}
-
-
 def _green_hat_2d(extent, size, mode):
     """Half spectra of the potential kernel (``mode="potential"``) or of the
     two gradient kernels (``mode="gradient"``) on the 2n grid.
@@ -116,12 +115,11 @@ def _green_hat_2d(extent, size, mode):
     and the grid's negative frequencies are the exact negatives of its
     positive ones, so it is evaluated on the quadrant of non-negative
     frequencies and mirrored onto the other three.  That transform, or i kx
-    and i ky times it, is brought to real space once per (extent, size,
-    mode), so a run that never asks for the potential never builds it.  A
-    source-target offset is at most n - 1 cells per axis, so only the kernel
-    offsets |m| <= n - 1 are ever read: copied into a 2n x 2n array, they
-    give the same discrete convolution as a circular one on the 2n grid.
-    The cache holds the tuple of the kernels' ``rfft2``.
+    and i ky times it, is brought to real space.  A source-target offset is
+    at most n - 1 cells per axis, so only the kernel offsets |m| <= n - 1
+    are ever read: copied into a 2n x 2n array, they give the same discrete
+    convolution as a circular one on the 2n grid.  Returns the tuple of the
+    kernels' ``rfft2``; nothing is kept.
 
     The gradient kernels are made one at a time: i kx ghat is formed,
     inverse-transformed in place (``overwrite_x``), cropped and placed, and
@@ -131,10 +129,6 @@ def _green_hat_2d(extent, size, mode):
     complex grids for the gradient and 2.0 for the potential (18 and 16 MiB
     at n = 256).
     """
-    key = (extent, size, mode)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
     from scipy.fft import ifft2, next_fast_len, rfft2
 
     h = 2.0 * extent / size
@@ -164,14 +158,11 @@ def _green_hat_2d(extent, size, mode):
 
     if mode == "potential":
         # on the real ghat: a complex copy would take another FFT path
-        spectra = (place(ifft2(ghat)),)
-    else:
-        # one gradient spectrum at a time, transformed in the array it is
-        # formed in, so no two padded complex grids are alive at once
-        spectra = tuple(place(ifft2(1j * kx * ghat, overwrite_x=True))
-                        for kx in (k1d[:, None], k1d[None, :]))
-    _KERNEL_CACHE[key] = spectra
-    return spectra
+        return (place(ifft2(ghat)),)
+    # one gradient spectrum at a time, transformed in the array it is formed
+    # in, so no two padded complex grids are alive at once
+    return tuple(place(ifft2(1j * kx * ghat, overwrite_x=True))
+                 for kx in (k1d[:, None], k1d[None, :]))
 
 
 def check_boundary_decay(u):
@@ -195,7 +186,7 @@ def check_boundary_decay(u):
         )
 
 
-def _free_space_solve(u, mode, check_domain=True):
+def _free_space_solve(u, mode, check_domain=True, spectra=None):
     if not isinstance(u, CartesianField2D):
         raise InvalidParameter("the FFT path expects a CartesianField2D")
     if check_domain:
@@ -203,7 +194,7 @@ def _free_space_solve(u, mode, check_domain=True):
     from scipy.fft import fft, ifft, irfft, rfft
 
     n = u.size
-    kernels = _green_hat_2d(u.extent, n, mode)
+    kernels = _green_hat_2d(u.extent, n, mode) if spectra is None else spectra
     # irfft2 applies its 1/(2n)^2 as one multiply after the c2r pass; n is a
     # power of two, so that factor is exact and the result the same bits.
     # Each complex pass runs in place on an array the solve itself made.
@@ -217,18 +208,23 @@ def _free_space_solve(u, mode, check_domain=True):
 
 
 def cartesian_potential_2d(u):
-    """V = E_2 * u on the grid of u, canonical log-kernel gauge."""
+    """V = E_2 * u on the grid of u, canonical log-kernel gauge.  Each call
+    builds the potential kernel it reads (about 25 ms at n = 256)."""
     return _free_space_solve(u, "potential")
 
 
-def cartesian_gradient_2d(u, check_domain=True):
+def cartesian_gradient_2d(u, check_domain=True, spectra=None):
     """grad(E_2 * u) for a compactly supported 2D density, stacked as
     (dV/dx, dV/dy) in an array of shape (2, n, n).
 
     ``check_domain=False`` skips :func:`check_boundary_decay`; time steppers
     run that check once on their initial data and then trust the run.
+    ``spectra`` are the gradient kernels ``_green_hat_2d(u.extent, u.size,
+    "gradient")`` returned, which a caller that solves on one grid many times
+    builds once and passes to every solve; without them each call builds
+    its own (about 50 ms at n = 256).
     """
-    return _free_space_solve(u, "gradient", check_domain)
+    return _free_space_solve(u, "gradient", check_domain, spectra)
 
 
 def sup_gradient_bound_check(u):

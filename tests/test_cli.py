@@ -327,18 +327,29 @@ def test_evolve_scenario_writes_outputs(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("text, kernels", [(TINY_RUN, 0), (TINY_CARTESIAN_RUN, 1)],
+@pytest.mark.parametrize("text, builds", [(TINY_RUN, []),
+                                          (TINY_CARTESIAN_RUN, [(10.0, 64, "gradient")])],
                          ids=["radial", "cartesian"])
-def test_deterministic_rerun(tmp_path, monkeypatch, text, kernels):
-    # from an empty kernel cache, the first Cartesian run builds the spectra
-    # and the second only reads them
-    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
+def test_deterministic_rerun(tmp_path, monkeypatch, text, builds):
+    # a Cartesian run builds its gradient spectra once for all of its solves,
+    # and no potential kernel; the rerun builds its own, and writes the same
+    # bytes
+    built = []
+    build = potential._green_hat_2d
+
+    def counted(extent, size, mode):
+        built.append((extent, size, mode))
+        return build(extent, size, mode)
+
+    for module in (evolution, potential):
+        monkeypatch.setattr(module, "_green_hat_2d", counted)
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.run_scenario(str(cfg), out_dir=out1) == 0
-    assert len(potential._KERNEL_CACHE) == kernels
+    assert built == builds
     assert cli.run_scenario(str(cfg), out_dir=out2) == 0
+    assert built == 2 * builds
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
 
@@ -669,3 +680,28 @@ def test_run_kinds_import_only_what_they_call(tmp_path):
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report == {"exit": 0, "run imported": [], "unused imported": []}, name
+
+
+# Run in a fresh interpreter: loads a scenario file and prints whether that
+# imported scipy.integrate.
+LOAD_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from pkslab import cli
+
+cli.load_scenario(sys.argv[2])
+print("scipy.integrate" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("name, imported", [("wstar_moments", True), ("c2_constant", False)])
+def test_only_the_wstar_quadrature_check_imports_scipy_integrate(name, imported):
+    # the W_star quadrature integrates by Simpson's rule; the other compute
+    # scenarios, the benchmark's c2_constant among them, do not pay for it
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, str(src), str(cli.SCENARIO_DIR / f"{name}.cfg")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(imported)]

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -371,6 +372,24 @@ def test_cartesian_run_solves_once_per_cfl_and_rhs(monkeypatch):
     assert counts["solves"] <= 3 * counts["steps"] + 1
 
 
+def test_cartesian_stepper_spectra_die_with_its_run(monkeypatch):
+    # the stepper builds its gradient spectra on its first solve and is their
+    # only holder: none of them is alive once evolve returns
+    refs = []
+    build = ev._green_hat_2d
+
+    def recorded(extent, size, mode):
+        spectra = build(extent, size, mode)
+        refs.append([weakref.ref(spectrum) for spectrum in spectra])
+        return spectra
+
+    monkeypatch.setattr(ev, "_green_hat_2d", recorded)
+    traj = _small_cartesian_run()
+    assert traj.termination == "t_end"
+    assert len(refs) == 1 and len(refs[0]) == 2
+    assert all(ref() is None for ref in refs[0])
+
+
 def test_radial_run_builds_one_kernel_per_record_interval(monkeypatch):
     # every step of a record interval takes the interval's one dt, so the
     # interval asks for one propagator key, however many steps it takes
@@ -543,6 +562,17 @@ def test_manifest_names_the_scheme_that_ran(tmp_path, cartesian_run, geometry, k
     manifest = _read_manifest(traj, tmp_path)
     assert (manifest["advection_scheme"], manifest["clamp_tolerance"]) == (scheme, tolerance)
     assert manifest["kind"] == kind and manifest["termination"] == "t_end"
+
+
+def test_manifest_records_the_numpy_dispatch_targets(tmp_path):
+    u0 = gaussian_radial(2, math.pi, radial_grid(64, 20.0))
+    traj = ev.evolve(u0, ev.SolverConfig(t_init=1.0, t_end=1.05))
+    dispatch = _read_manifest(traj, tmp_path)["numpy_dispatch"]
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":  # no opt_func_info
+        assert dispatch is None
+        return
+    assert list(dispatch) == list(ev.DISPATCHED_UFUNCS)
+    assert all(isinstance(target, str) and target for target in dispatch.values())
 
 
 def test_evolve_similarity_fn_weights():

@@ -202,19 +202,28 @@ def test_free_space_solve_matches_oversampled_complex_oracle(source, extent, siz
     assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
-def test_free_space_kernel_built_once_per_grid(monkeypatch):
-    # the gradient spectra are built by the first gradient solve, the
-    # potential spectrum only by the first potential solve
-    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
+def test_free_space_solves_build_their_kernels_unless_given_them(monkeypatch):
+    # nothing outlives a solve: each public solve builds the kernels it
+    # reads, and a gradient solve handed the spectra builds none
+    built = []
+    build = potential._green_hat_2d
+
+    def counted(extent, size, mode):
+        built.append((extent, size, mode))
+        return build(extent, size, mode)
+
+    monkeypatch.setattr(potential, "_green_hat_2d", counted)
     u = _bumps(7.5, 32)
     first = potential.cartesian_gradient_2d(u)
-    assert list(potential._KERNEL_CACHE) == [(7.5, 32, "gradient")]
-    cached = potential._KERNEL_CACHE[(7.5, 32, "gradient")]
-    second = potential.cartesian_gradient_2d(u.with_values(2.0 * u.values))
+    potential.cartesian_gradient_2d(u)
     potential.cartesian_potential_2d(u)
     potential.cartesian_potential_2d(u)
-    assert list(potential._KERNEL_CACHE) == [(7.5, 32, "gradient"), (7.5, 32, "potential")]
-    assert potential._KERNEL_CACHE[(7.5, 32, "gradient")] is cached
+    assert built == [(7.5, 32, "gradient")] * 2 + [(7.5, 32, "potential")] * 2
+    spectra = build(7.5, 32, "gradient")
+    given = potential.cartesian_gradient_2d(u, spectra=spectra)
+    second = potential.cartesian_gradient_2d(u.with_values(2.0 * u.values), spectra=spectra)
+    assert len(built) == 4
+    assert np.array_equal(given, first)
     np.testing.assert_allclose(second, 2.0 * first, rtol=0, atol=1e-15 * np.abs(first).max())
 
 
@@ -252,15 +261,12 @@ def _full_grid_solve(u, spectra):
 
 @pytest.mark.parametrize("size", [32, 64, 128, 256, 512])
 @pytest.mark.parametrize("extent", [6.0, 20.0, 75.0])
-def test_pruned_free_space_solve_is_bit_identical(monkeypatch, extent, size):
+def test_pruned_free_space_solve_is_bit_identical(extent, size):
     # size 64 pads to an odd grid (189), 256 to an even one (726)
-    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
     u = _bumps(extent, size)
     gradient = potential._green_hat_2d(extent, size, "gradient")
     potential_hat = potential._green_hat_2d(extent, size, "potential")
-    # the layout perfbench's fft_points reads: tuples of (2n, n + 1) half spectra
-    assert potential._KERNEL_CACHE[(extent, size, "gradient")] is gradient
-    assert potential._KERNEL_CACHE[(extent, size, "potential")] is potential_hat
+    # tuples of (2n, n + 1) half spectra
     assert len(gradient) == 2 and len(potential_hat) == 1
     spectra = potential_hat + gradient
     for got, want in zip(spectra, _full_grid_green_hat_2d(extent, size), strict=True):
@@ -268,15 +274,14 @@ def test_pruned_free_space_solve_is_bit_identical(monkeypatch, extent, size):
         assert np.array_equal(got, want)
     v_ref, g_ref = _full_grid_solve(u, spectra)
     assert np.array_equal(potential.cartesian_potential_2d(u), v_ref)
-    assert np.array_equal(potential.cartesian_gradient_2d(u), g_ref)
+    assert np.array_equal(potential.cartesian_gradient_2d(u, spectra=gradient), g_ref)
 
 
 @pytest.mark.parametrize("mode", ["gradient", "potential"])
-def test_kernel_build_holds_one_padded_complex_grid_at_a_time(monkeypatch, mode):
+def test_kernel_build_holds_one_padded_complex_grid_at_a_time(mode):
     # the gradient kernels are formed and transformed one at a time, in place:
     # the build's peak stays near one complex padded grid plus the real ghat,
     # where forming both gradient spectra first peaked at 4.5 grids
-    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
     size = 128
     padded = next_fast_len(int(math.ceil(2.0 * math.sqrt(2.0) * size)) + 1)
     tracemalloc.start()

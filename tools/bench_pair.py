@@ -14,9 +14,11 @@ drift in host speed does not favour either side.  It reads the metrics from
 each run's last output line (one JSON object) and the check values and the
 ``provenance`` block (host, library versions, seed, mass, sample counts) from
 the run's ``report.json``.  With ``--trace`` it also runs ``perfbench/run.py
---trace 1`` once per side for the first seed and reports each side's
-per-layer metrics (kernel builds and hits, per-phase seconds) and the patch
-points the tracer could not find (``untraced_points``).
+--trace 1`` twice per side for the first seed, in the order parent, change,
+change, parent, so that neither side always runs first, and reports each
+side's per-layer metrics (kernel builds and hits, per-phase seconds) as the
+mean of its two samples, both raw samples, and the patch points the tracer
+could not find (``untraced_points``).
 
 ``peak_rss_mib`` is each sample's ``ru_maxrss``, which Linux carries over
 from the process that launched it: ``perfbench/run.py``, which holds numpy,
@@ -117,6 +119,24 @@ def standalone_peak_rss(side, workload, seed):
     return result["peak_rss_mib"] if result.get("exit_code") == 0 else None
 
 
+# the order of the traced samples: each side runs once before and once after
+# the other
+TRACE_ORDER = ("parent", "change", "change", "parent")
+
+
+def trace_summary(samples):
+    """One side's traced samples: whether all were correct, each per-layer
+    figure's mean over them, the tracer's missing patch points, and the raw
+    samples."""
+    return {
+        "correct": all(s["correct"] for s in samples),
+        "metrics": {name: statistics.fmean(s["metrics"][name] for s in samples)
+                    for name in samples[0]["metrics"]},
+        "untraced_points": samples[0]["untraced_points"],
+        "samples": samples,
+    }
+
+
 def spread(values):
     """Median and quartiles (statistics.quantiles, exclusive method)."""
     if len(values) < 2:
@@ -155,7 +175,7 @@ def main(argv=None):
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--trace", action="store_true",
-                        help="add one traced run per side for the first seed")
+                        help="add two traced runs per side for the first seed")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     seconds = bench["run_seconds"]
@@ -174,17 +194,20 @@ def main(argv=None):
         standalone = {w: {} for w in args.workloads}
         for workload in args.workloads:
             if args.trace:
-                for side in sides:
+                samples = {side: [] for side in sides}
+                for side in TRACE_ORDER:
                     result, _, prov = run_side(sides[side], workload, args.seeds[0],
                                                seconds, trace=1)
-                    traces[workload][side] = {
+                    samples[side].append({
                         "correct": result["correct"],
                         "metrics": {name: m["value"]
                                     for name, m in result["metrics"].items()},
                         "untraced_points": (prov or {}).get("untraced_points"),
-                    }
+                    })
                     print(f"{workload} trace seed {args.seeds[0]} {side}: "
                           f"correct={result['correct']}", file=sys.stderr)
+                traces[workload] = {side: trace_summary(side_samples)
+                                    for side, side_samples in samples.items()}
             for k, seed in enumerate(args.seeds):
                 order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
                 for side in order:
