@@ -32,6 +32,7 @@ loaded (``cli.RUN_IMPORTS``).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import j0, j1
@@ -104,6 +105,14 @@ def radial_potential_rows(nodes, dim, values, order=2):
 # 2D free-space solve (truncated Green's function, spectrally accurate)
 # ---------------------------------------------------------------------------
 
+# The shapes of the kernel spectra built in this process, by (extent, size,
+# mode): one record per spectrum with its ``shape`` and ``size``, and none
+# of its values, so it holds a few hundred bytes whatever ran.  Nothing here
+# reads it; perfbench's tracer takes the largest ``size`` as the padded FFT
+# grid of the free-space solve.  It keeps the name of the cache it replaced.
+_KERNEL_CACHE = {}
+
+
 def _green_hat_2d(extent, size, mode):
     """Half spectra of the potential kernel (``mode="potential"``) or of the
     two gradient kernels (``mode="gradient"``) on the 2n grid.
@@ -119,7 +128,7 @@ def _green_hat_2d(extent, size, mode):
     at most n - 1 cells per axis, so only the kernel offsets |m| <= n - 1
     are ever read: copied into a 2n x 2n array, they give the same discrete
     convolution as a circular one on the 2n grid.  Returns the tuple of the
-    kernels' ``rfft2``; nothing is kept.
+    kernels' ``rfft2``; only their shapes are kept, in ``_KERNEL_CACHE``.
 
     The gradient kernels are made one at a time: i kx ghat is formed,
     inverse-transformed in place (``overwrite_x``), cropped and placed, and
@@ -158,11 +167,15 @@ def _green_hat_2d(extent, size, mode):
 
     if mode == "potential":
         # on the real ghat: a complex copy would take another FFT path
-        return (place(ifft2(ghat)),)
-    # one gradient spectrum at a time, transformed in the array it is formed
-    # in, so no two padded complex grids are alive at once
-    return tuple(place(ifft2(1j * kx * ghat, overwrite_x=True))
-                 for kx in (k1d[:, None], k1d[None, :]))
+        spectra = (place(ifft2(ghat)),)
+    else:
+        # one gradient spectrum at a time, transformed in the array it is
+        # formed in, so no two padded complex grids are alive at once
+        spectra = tuple(place(ifft2(1j * kx * ghat, overwrite_x=True))
+                        for kx in (k1d[:, None], k1d[None, :]))
+    _KERNEL_CACHE[(extent, size, mode)] = tuple(
+        SimpleNamespace(shape=s.shape, size=s.size) for s in spectra)
+    return spectra
 
 
 def check_boundary_decay(u):

@@ -227,6 +227,19 @@ def test_free_space_solves_build_their_kernels_unless_given_them(monkeypatch):
     np.testing.assert_allclose(second, 2.0 * first, rtol=0, atol=1e-15 * np.abs(first).max())
 
 
+def test_kernel_builds_record_their_shapes_and_keep_no_kernel(monkeypatch):
+    monkeypatch.setattr(potential, "_KERNEL_CACHE", {})
+    spectra = potential._green_hat_2d(7.5, 32, "gradient")
+    potential.cartesian_potential_2d(_bumps(7.5, 32))
+    record = potential._KERNEL_CACHE
+    assert set(record) == {(7.5, 32, "gradient"), (7.5, 32, "potential")}
+    assert [(r.shape, r.size) for r in record[(7.5, 32, "gradient")]] == [
+        (s.shape, s.size) for s in spectra]
+    assert [r.size for r in record[(7.5, 32, "potential")]] == [64 * 33]
+    assert not any(isinstance(value, np.ndarray) for entry in record.values()
+                   for r in entry for value in vars(r).values())
+
+
 def _full_grid_green_hat_2d(extent, size):
     """The kernel spectra as built before the quadrant evaluation: the
     closed-form transform evaluated on every point of the padded grid."""
